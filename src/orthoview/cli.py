@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .poset import InternalCheckError, ValidationError, Verdict
+from .poset import OK, InternalCheckError, ValidationError, Verdict
 from .ortho import classify, derive_boolean_ortho, OrthoPoset
 from .repsys import check_boolean_rs_axioms, check_rs_axioms, BooleanRepresentationSystem
 from .sums import build_presum, quotient_sum, sum_as_orthoposet, verify_closure_properties
@@ -48,17 +48,18 @@ def _orthoposet_of(doc):
 
 def _system_of(doc, cap):
     """A representation system from either a repsys document or the
-    canonical decomposition of an orthoposet document. Returns
-    (rs, orthos, boolean_rs_or_None)."""
+    canonical decomposition of an orthoposet document. Returns (rs, orthos,
+    boolean_rs_or_None, the axiom verdicts computed on the way by name)."""
     if doc.kind == "repsys":
         rs, orthos = modelio.build_repsys(doc)
-        brs = None
-        if all(o is not None for o in orthos) and check_rs_axioms(rs) and check_boolean_rs_axioms(rs, orthos):
-            brs = BooleanRepresentationSystem(rs, orthos)
-        return rs, orthos, brs
+        verdicts = {"rs_axioms": check_rs_axioms(rs)}
+        if verdicts["rs_axioms"] and all(o is not None for o in orthos):
+            verdicts["boolean_rs_axioms"] = check_boolean_rs_axioms(rs, orthos)
+        brs = BooleanRepresentationSystem(rs, orthos) if verdicts.get("boolean_rs_axioms") else None
+        return rs, orthos, brs, verdicts
     if doc.kind == "orthoposet":
         brs = build_canonical_rs(modelio.build_orthoposet(doc), cap=cap)
-        return brs.rs, brs.orthos, brs
+        return brs.rs, brs.orthos, brs, {"rs_axioms": OK, "boolean_rs_axioms": OK}
     raise _Usage("this command needs a repsys or orthoposet model")
 
 
@@ -90,10 +91,9 @@ def _cmd_classify(args):
 
 def _cmd_sum(args):
     doc = _load(args.input)
-    rs, orthos, brs = _system_of(doc, args.cap)
-    v = check_rs_axioms(rs)
-    if not v:
-        return [record_from_verdict("rs_axioms", v)]
+    rs, orthos, brs, verdicts = _system_of(doc, args.cap)
+    if not verdicts["rs_axioms"]:
+        return [record_from_verdict("rs_axioms", verdicts["rs_axioms"])]
     ps = build_presum(rs)
     s = quotient_sum(ps)
     records = [
@@ -114,13 +114,11 @@ def _cmd_sum(args):
 
 def _cmd_check(args):
     doc = _load(args.input)
-    rs, orthos, brs = _system_of(doc, args.cap)
-    if args.property == "rs":
-        return [record_from_verdict("rs_axioms", check_rs_axioms(rs))]
+    rs, orthos, brs, verdicts = _system_of(doc, args.cap)
+    v = verdicts["rs_axioms"]
+    if args.property == "rs" or not v:
+        return [record_from_verdict("rs_axioms", v)]
     if args.property == "boolean-rs":
-        v = check_rs_axioms(rs)
-        if not v:
-            return [record_from_verdict("rs_axioms", v)]
         full = []
         for view, p, o in zip(rs.views, rs.posets, orthos):
             if o is not None:
@@ -132,9 +130,6 @@ def _cmd_check(args):
                 return [Record("boolean_rs_axioms", False, "view-not-boolean", witness)]
             full.append(OrthoPoset(p, derived))
         return [record_from_verdict("boolean_rs_axioms", check_boolean_rs_axioms(rs, tuple(full)))]
-    v = check_rs_axioms(rs)
-    if not v:
-        return [record_from_verdict("rs_axioms", v)]
     s = quotient_sum(build_presum(rs))
     if args.property == "closure":
         return [record_from_verdict("closure_properties", verify_closure_properties(s, rs))]
@@ -173,9 +168,12 @@ def _cmd_roundtrip(args):
 
 def _cmd_amp(args):
     doc = _load(args.input)
-    rs, orthos, brs = _system_of(doc, args.cap)
-    if brs is None:
+    rs, orthos, brs, verdicts = _system_of(doc, args.cap)
+    if any(o is None for o in orthos):
         raise _Usage("amp needs boolean views (an orthoposet model or a repsys of orthoposets)")
+    for name, v in verdicts.items():
+        if not v:
+            return [record_from_verdict(name, v)]
     s = quotient_sum(build_presum(rs))
     omp = check_condition_omp(s, rs)
     oml = check_condition_oml(s, rs)

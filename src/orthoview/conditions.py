@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poset import OK, InternalCheckError, ValidationError, Verdict
-from .ortho import is_orthomodular_lattice, sasaki_projection
+from .ortho import is_orthomodular_lattice
 from .sums import closure_table
 
 
@@ -204,15 +204,8 @@ def amp_vs_sasaki(amp, o):
     oml = is_orthomodular_lattice(o)
     if not oml:
         raise ValidationError("not-oml", f"sasaki comparison needs an orthomodular lattice: {oml.code}", oml.witness)
-    n = o.n
-    disagreements = 0
-    first = ()
-    for x in range(n):
-        for y in range(n):
-            expected = sasaki_projection(o, x, y)
-            if int(amp.table[x, y]) != expected:
-                disagreements += 1
-                if not first:
-                    first = (o.elements[x], o.elements[y])
-    total = n * n
-    return SasakiComparison((total - disagreements) / total, total, disagreements, first)
+    join, meet = o.poset.tables()
+    total = o.n * o.n
+    bad = np.argwhere(amp.table != meet[join[:, o.ortho], np.arange(o.n)])  # (x v y') ^ y
+    first = (o.elements[bad[0, 0]], o.elements[bad[0, 1]]) if len(bad) else ()
+    return SasakiComparison((total - len(bad)) / total, total, len(bad), first)

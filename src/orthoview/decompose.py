@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset import ValidationError
+from .poset import InternalCheckError, ValidationError
 from .ortho import OrthoPoset, is_boolean_algebra
 from .repsys import BooleanRepresentationSystem, check_boolean_rs_axioms, make_rs, validate_rs
 from .sums import build_presum, quotient_sum, sum_as_orthoposet
@@ -128,17 +128,19 @@ def upper_projection(o, sub, x):
     """Least element of the subalgebra dominating x.
 
     Folds host meets over every carrier element above x, mirroring the
-    big-meet definition; the result is asserted to dominate x and to be
+    big-meet definition; the result is checked to dominate x and to be
     least among the candidates.
     """
     above = [y for y in sub.carrier if o.poset.leq[x, y]]
     acc = o.greatest
     for y in above:
         acc = o.meet(acc, y)
-        assert acc is not None and acc in sub.carrier
-    assert o.poset.leq[x, acc]
-    assert all(o.poset.leq[acc, y] for y in above)
-    return acc
+        if acc is None or acc not in sub.carrier:
+            break
+    else:
+        if o.poset.leq[x, acc] and all(o.poset.leq[acc, y] for y in above):
+            return acc
+    raise InternalCheckError("bad-projection", f"no least carrier element above {o.elements[x]!r}", (o.elements[x],))
 
 
 def build_canonical_rs(o, cap=32, subs=None):

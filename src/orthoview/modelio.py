@@ -314,12 +314,14 @@ def tokens_of(text):
 
 
 def build_poset(doc):
-    assert doc.kind in ("poset", "orthoposet")
+    if doc.kind not in ("poset", "orthoposet"):
+        raise ValidationError("wrong-kind", f"cannot build a poset from a {doc.kind!r} document", (doc.kind,))
     return FinitePoset.from_covers(doc.elements, doc.covers)
 
 
 def build_orthoposet(doc):
-    assert doc.kind == "orthoposet"
+    if doc.kind != "orthoposet":
+        raise ValidationError("wrong-kind", f"cannot build an orthoposet from a {doc.kind!r} document", (doc.kind,))
     p = build_poset(doc)
     comp = {}
     for a, b in doc.ortho_pairs:
@@ -337,7 +339,8 @@ def build_repsys(doc):
     Map entries are completed with the declared default; a missing entry
     with no default is rejected. Identity tables are implicit.
     """
-    assert doc.kind == "repsys"
+    if doc.kind != "repsys":
+        raise ValidationError("wrong-kind", f"cannot build a repsys from a {doc.kind!r} document", (doc.kind,))
     names = [v for v, _ in doc.views]
     posets = []
     orthos = []

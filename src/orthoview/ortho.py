@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset import OK, ValidationError, Verdict
+import numpy as np
+
+from .poset import OK, InternalCheckError, ValidationError, Verdict
 
 
 class OrthoPoset:
@@ -12,7 +14,8 @@ class OrthoPoset:
 
     Validation is exhaustive: the map must be involutive and antitone, the
     poset bounded, and every x must satisfy meet(x, x') = 0 and
-    join(x, x') = 1 (both existing). The first failure in index order is
+    join(x, x') = 1 (both existing), i.e. 0 and 1 are the only common lower
+    and upper bounds of x and x'. The first failure in index order is
     reported.
     """
 
@@ -28,21 +31,25 @@ class OrthoPoset:
         for i in range(n):
             if ortho[ortho[i]] != i:
                 raise ValidationError("not-involutive", f"({els[i]!r}')' != {els[i]!r}", (els[i],))
-        for i in range(n):
-            for j in range(n):
-                if poset.leq[i, j] and not poset.leq[ortho[j], ortho[i]]:
-                    raise ValidationError(
-                        "not-antitone",
-                        f"{els[i]!r} <= {els[j]!r} but complements are not reversed",
-                        (els[i], els[j]),
-                    )
-        for i in range(n):
-            if poset.meet(i, ortho[i]) != least or poset.join(i, ortho[i]) != greatest:
-                raise ValidationError(
-                    "complement-law",
-                    f"{els[i]!r} and its complement do not meet at 0 / join at 1",
-                    (els[i],),
-                )
+        leq = poset.leq
+        bad = leq & ~leq[np.ix_(ortho, ortho)].T
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            raise ValidationError(
+                "not-antitone",
+                f"{els[i]!r} <= {els[j]!r} but complements are not reversed",
+                (els[i], els[j]),
+            )
+        lower = (leq & leq[:, ortho]).sum(axis=0)
+        upper = (leq & leq[ortho, :]).sum(axis=1)
+        bad = np.flatnonzero((lower != 1) | (upper != 1))
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(
+                "complement-law",
+                f"{els[i]!r} and its complement do not meet at 0 / join at 1",
+                (els[i],),
+            )
         self.poset = poset
         self.ortho = ortho
         self.least = least
@@ -69,10 +76,6 @@ class OrthoPoset:
     def meet(self, i, j):
         return self.poset.meet(i, j)
 
-    def orthogonal(self, i, j):
-        """x is orthogonal to y iff x <= y'."""
-        return self.poset.le(i, self.ortho[j])
-
     def __repr__(self):
         return f"OrthoPoset({self.n} elements)"
 
@@ -87,24 +90,25 @@ def is_lattice(o):
     return _cached(o, "lattice", o.poset.is_lattice)
 
 
+def _distributive_lattice(p):
+    """A lattice with x ^ (y v z) = (x ^ y) v (x ^ z) on all triples, first
+    failure in index order; one n x n gather per x, never an n^3 array."""
+    lat = p.is_lattice()
+    if not lat:
+        return Verdict(False, "not-lattice", lat.witness)
+    join, meet = p.tables()
+    for x in range(p.n):
+        mx = meet[x]
+        bad = mx[join] != join[np.ix_(mx, mx)]
+        if bad.any():
+            y, z = map(int, np.argwhere(bad)[0])
+            return Verdict(False, "not-distributive", (p.elements[x], p.elements[y], p.elements[z]))
+    return OK
+
+
 def is_boolean_algebra(o):
     """Lattice + distributive, with the orthocomplement as complement."""
-
-    def compute():
-        lat = is_lattice(o)
-        if not lat:
-            return Verdict(False, "not-lattice", lat.witness)
-        els = o.elements
-        for x in range(o.n):
-            for y in range(o.n):
-                for z in range(o.n):
-                    lhs = o.meet(x, o.join(y, z))
-                    rhs = o.join(o.meet(x, y), o.meet(x, z))
-                    if lhs != rhs:
-                        return Verdict(False, "not-distributive", (els[x], els[y], els[z]))
-        return OK
-
-    return _cached(o, "boolean", compute)
+    return _cached(o, "boolean", lambda: _distributive_lattice(o.poset))
 
 
 def is_orthomodular_poset(o):
@@ -116,23 +120,20 @@ def is_orthomodular_poset(o):
 
     def compute():
         els = o.elements
-        for x in range(o.n):
-            for y in range(o.n):
-                if o.orthogonal(x, y) and o.join(x, y) is None:
-                    return Verdict(False, "orthogonal-join-missing", (els[x], els[y]))
-        for x in range(o.n):
-            for y in range(o.n):
-                if not o.le(x, y) or x == y:
-                    continue
-                m = o.meet(y, o.ortho[x])
-                if m is None:
-                    return Verdict(False, "law-meet-missing", (els[x], els[y]))
-                j = o.join(x, m)
-                if j is None:
-                    return Verdict(False, "law-join-missing", (els[x], els[y]))
-                if j != y:
-                    return Verdict(False, "law-violation", (els[x], els[y]))
-        return OK
+        join, meet = o.poset.tables()
+        leq = o.poset.leq
+        missing = leq[:, o.ortho] & (join < 0)
+        if missing.any():
+            x, y = map(int, np.argwhere(missing)[0])
+            return Verdict(False, "orthogonal-join-missing", (els[x], els[y]))
+        m = meet[o.ortho, :]  # m[x, y] = y ^ x'
+        j = np.take_along_axis(join, np.maximum(m, 0), axis=1)  # x v m[x, y] where m exists
+        failed = leq & ~np.eye(o.n, dtype=bool) & ((m < 0) | (j != np.arange(o.n)))
+        if not failed.any():
+            return OK
+        x, y = map(int, np.argwhere(failed)[0])
+        code = "law-meet-missing" if m[x, y] < 0 else "law-join-missing" if j[x, y] < 0 else "law-violation"
+        return Verdict(False, code, (els[x], els[y]))
 
     return _cached(o, "omp", compute)
 
@@ -186,8 +187,8 @@ def classify(o):
         omp=is_orthomodular_poset(o),
         oml=is_orthomodular_lattice(o),
     )
-    assert not sc.is_boolean or sc.is_oml
-    assert not sc.is_oml or (sc.is_omp and sc.is_ortholattice)
+    if (sc.is_boolean and not sc.is_oml) or (sc.is_oml and not (sc.is_omp and sc.is_ortholattice)):
+        raise InternalCheckError("classify-implication", f"flags break boolean => OML => lattice OMP: {sc.flags()}")
     return sc
 
 
@@ -206,19 +207,12 @@ def derive_boolean_ortho(p):
     least, greatest = p.bounds()
     if least is None or greatest is None:
         return Verdict(False, "not-bounded", ())
-    lat = p.is_lattice()
-    if not lat:
-        return Verdict(False, "not-lattice", lat.witness)
-    els = p.elements
-    for x in range(p.n):
-        for y in range(p.n):
-            for z in range(p.n):
-                if p.meet(x, p.join(y, z)) != p.join(p.meet(x, y), p.meet(x, z)):
-                    return Verdict(False, "not-distributive", (els[x], els[y], els[z]))
-    ortho = []
-    for x in range(p.n):
-        c = next((y for y in range(p.n) if p.meet(x, y) == least and p.join(x, y) == greatest), None)
-        if c is None:
-            return Verdict(False, "not-complemented", (els[x],))
-        ortho.append(c)
-    return ortho
+    boolean = _distributive_lattice(p)
+    if not boolean:
+        return boolean
+    join, meet = p.tables()
+    complement = (meet == least) & (join == greatest)
+    found = complement.any(axis=1)
+    if not found.all():
+        return Verdict(False, "not-complemented", (p.elements[int(np.argmin(found))],))
+    return complement.argmax(axis=1).tolist()

@@ -54,6 +54,21 @@ def _closure(rel):
         rel = nxt
 
 
+def _least_bounds(leq):
+    """t[i, j] = the least element above i and j, or -1. Row by row: each u
+    in U = up(i) & up(j) has up(u) within U, with equality exactly when u is
+    least in U. The transposed order gives greatest lower bounds."""
+    up = leq.sum(axis=1)
+    table = np.full(leq.shape, -1, dtype=np.intp)
+    for i, row in enumerate(leq):
+        common = row & leq
+        least = common & (up == common.sum(axis=1, keepdims=True))
+        found = least.any(axis=1)
+        table[i, found] = least.argmax(axis=1)[found]
+    table.flags.writeable = False
+    return table
+
+
 class FinitePoset:
     """Immutable finite poset.
 
@@ -61,8 +76,9 @@ class FinitePoset:
     operations work on element indices. The order relation is a dense
     read-only boolean matrix with leq[i, j] meaning element i <= element j.
     Joins and meets are partial: operations return None when no least upper
-    (greatest lower) bound exists. Witnesses are always the first hit in
-    index order, which keeps reports reproducible.
+    (greatest lower) bound exists; both come from two tables built on first
+    use, never by the constructor (see `tables`). Witnesses are always the
+    first hit in index order, which keeps reports reproducible.
     """
 
     def __init__(self, elements, leq):
@@ -99,8 +115,7 @@ class FinitePoset:
         self.leq = leq
         self.n = n
         self._index = {e: i for i, e in enumerate(elements)}
-        self._join = {}
-        self._meet = {}
+        self._tables = None
 
     @classmethod
     def from_covers(cls, elements, pairs):
@@ -130,31 +145,22 @@ class FinitePoset:
     def le(self, i, j):
         return bool(self.leq[i, j])
 
+    def tables(self):
+        """(join, meet): read-only n x n int arrays of least upper and
+        greatest lower bounds, -1 where none exists; built on first use."""
+        if self._tables is None:
+            self._tables = (_least_bounds(self.leq), _least_bounds(self.leq.T))
+        return self._tables
+
     def join(self, i, j):
         """Least upper bound of i and j, or None if there is none."""
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._join:
-            self._join[key] = self._least(self.leq[i] & self.leq[j])
-        return self._join[key]
+        k = self.tables()[0][i, j]
+        return None if k < 0 else int(k)
 
     def meet(self, i, j):
         """Greatest lower bound of i and j, or None if there is none."""
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._meet:
-            self._meet[key] = self._greatest(self.leq[:, i] & self.leq[:, j])
-        return self._meet[key]
-
-    def _least(self, mask):
-        for u in np.flatnonzero(mask):
-            if (self.leq[u] | ~mask).all():
-                return int(u)
-        return None
-
-    def _greatest(self, mask):
-        for u in np.flatnonzero(mask):
-            if (self.leq[:, u] | ~mask).all():
-                return int(u)
-        return None
+        k = self.tables()[1][i, j]
+        return None if k < 0 else int(k)
 
     def bounds(self):
         """(least, greatest) global bounds, each None when absent."""
@@ -164,13 +170,13 @@ class FinitePoset:
 
     def is_lattice(self):
         """True iff every pair has a join and a meet; witness names a failing pair."""
-        for i in range(self.n):
-            for j in range(i, self.n):
-                if self.join(i, j) is None:
-                    return Verdict(False, "no-join", (self.elements[i], self.elements[j]))
-                if self.meet(i, j) is None:
-                    return Verdict(False, "no-meet", (self.elements[i], self.elements[j]))
-        return OK
+        join, meet = self.tables()
+        missing = np.triu((join < 0) | (meet < 0))
+        if not missing.any():
+            return OK
+        i, j = map(int, np.argwhere(missing)[0])
+        code = "no-join" if join[i, j] < 0 else "no-meet"
+        return Verdict(False, code, (self.elements[i], self.elements[j]))
 
     def covers(self):
         """Hasse cover pairs (i, j): i < j with nothing strictly between."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .poset import OK, ValidationError, Verdict
 from .ortho import is_boolean_algebra
 
@@ -133,13 +135,11 @@ def check_boolean_rs_axioms(rs, orthos):
             return Verdict(False, "view-not-boolean", (v, b.code) + b.witness)
     for i, oi in zip(rs.views, orthos):
         for j, oj in zip(rs.views, orthos):
-            table = rs.transforms[(i, j)]
-            src, dst = oj.poset, oi.poset
-            for x in range(src.n):
-                for y in range(src.n):
-                    jt = table[src.join(x, y)]
-                    if jt != dst.join(table[x], table[y]):
-                        return Verdict(False, "join-preservation", (i, j, src.elements[x], src.elements[y]))
+            t = np.array(rs.transforms[(i, j)])
+            bad = t[oj.poset.tables()[0]] != oi.poset.tables()[0][np.ix_(t, t)]
+            if bad.any():
+                x, y = (oj.elements[k] for k in np.argwhere(bad)[0])
+                return Verdict(False, "join-preservation", (i, j, x, y))
     for i, oi in zip(rs.views, orthos):
         for j, oj in zip(rs.views, orthos):
             fwd = rs.transforms[(i, j)]
@@ -156,8 +156,9 @@ def validate_boolean_rs(rs, orthos):
     """Both axiom batteries, raising on the first violation."""
     validate_rs(rs)
     orthos = tuple(orthos)
-    for p, o in zip(rs.posets, orthos):
-        assert o.poset is p or o.poset.elements == p.elements
+    for view, p, o in zip(rs.views, rs.posets, orthos):
+        if o.poset is not p and o.poset.elements != p.elements:
+            raise ValidationError("ortho-poset-mismatch", f"the orthocomplement of view {view!r} is over another poset", (view,))
     v = check_boolean_rs_axioms(rs, orthos)
     if not v:
         raise ValidationError(v.code, f"boolean system axioms violated: {v.code}", v.witness)

@@ -252,3 +252,104 @@ def brute_force_subalgebras(o):
             continue
         out.add(frozenset(sub))
     return out
+
+
+# -- reference scans ----------------------------------------------------------
+# The library's law checks as plain loops over oracle join/meet tables, in
+# the library's scan order. The array versions must report the same
+# (ok, code, witness): the first failure in index order.
+
+
+def _oracle_tables(leq):
+    n = len(leq)
+    join = [[oracle_join(leq, i, j) for j in range(n)] for i in range(n)]
+    meet = [[oracle_meet(leq, i, j) for j in range(n)] for i in range(n)]
+    return join, meet
+
+
+def reference_is_lattice(leq, els):
+    join, meet = _oracle_tables(leq)
+    n = len(leq)
+    for i in range(n):
+        for j in range(i, n):
+            if join[i][j] is None:
+                return False, "no-join", (els[i], els[j])
+            if meet[i][j] is None:
+                return False, "no-meet", (els[i], els[j])
+    return True, "", ()
+
+
+def reference_distributivity(leq, els):
+    """x ^ (y v z) = (x ^ y) v (x ^ z) over all triples of a lattice."""
+    join, meet = _oracle_tables(leq)
+    n = len(leq)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+                    return False, "not-distributive", (els[x], els[y], els[z])
+    return True, "", ()
+
+
+def reference_is_omp(leq, ortho, els):
+    """Orthogonal joins exist, then x <= y forces y = x v (y ^ x')."""
+    join, meet = _oracle_tables(leq)
+    n = len(leq)
+    for x in range(n):
+        for y in range(n):
+            if leq[x, ortho[y]] and join[x][y] is None:
+                return False, "orthogonal-join-missing", (els[x], els[y])
+    for x in range(n):
+        for y in range(n):
+            if not leq[x, y] or x == y:
+                continue
+            m = meet[y][ortho[x]]
+            if m is None:
+                return False, "law-meet-missing", (els[x], els[y])
+            j = join[x][m]
+            if j is None:
+                return False, "law-join-missing", (els[x], els[y])
+            if j != y:
+                return False, "law-violation", (els[x], els[y])
+    return True, "", ()
+
+
+def reference_ortho_validation(leq, ortho, els):
+    """The OrthoPoset constructor's checks on a complement map covering
+    every element: bounds, involution, antitone, complement law."""
+    n = len(leq)
+    least = next((i for i in range(n) if leq[i].all()), None)
+    greatest = next((i for i in range(n) if leq[:, i].all()), None)
+    if least is None or greatest is None:
+        return False, "not-bounded", ()
+    for i in range(n):
+        if ortho[ortho[i]] != i:
+            return False, "not-involutive", (els[i],)
+    for i in range(n):
+        for j in range(n):
+            if leq[i, j] and not leq[ortho[j], ortho[i]]:
+                return False, "not-antitone", (els[i], els[j])
+    for i in range(n):
+        if oracle_meet(leq, i, ortho[i]) != least or oracle_join(leq, i, ortho[i]) != greatest:
+            return False, "complement-law", (els[i],)
+    return True, "", ()
+
+
+def reference_boolean_rs_axioms(rs, orthos):
+    """Join preservation, then the orthocomplement adjunction, as loops with
+    oracle joins; every view must already be boolean."""
+    for i, oi in zip(rs.views, orthos):
+        for j, oj in zip(rs.views, orthos):
+            t, src, dst = rs.transforms[(i, j)], oj.poset.leq, oi.poset.leq
+            for x in range(len(src)):
+                for y in range(len(src)):
+                    if t[oracle_join(src, x, y)] != oracle_join(dst, t[x], t[y]):
+                        return False, "join-preservation", (i, j, oj.elements[x], oj.elements[y])
+    for i, oi in zip(rs.views, orthos):
+        for j, oj in zip(rs.views, orthos):
+            fwd, back = rs.transforms[(i, j)], rs.transforms[(j, i)]
+            for x in range(oj.n):
+                for y in range(oi.n):
+                    if oi.poset.leq[fwd[x], y] and not oj.poset.leq[back[oi.ortho[y]], oj.ortho[x]]:
+                        return False, "ortho-adjunction", (i, j, oj.elements[x], oi.elements[y])
+    return True, "", ()

@@ -1,9 +1,22 @@
 import json
+import random
 
 import pytest
 
-from orthoview import zoo
+from orthoview import (
+    build_canonical_rs,
+    build_orthoposet,
+    check_rs_axioms,
+    doc_from_orthoposet,
+    make_rs,
+    serialize,
+    zoo,
+    zoo_model,
+)
 from orthoview.cli import main
+from orthoview.modelio import MapSpec, ModelDocument
+
+from _models import mutate_random_entry
 
 
 def run(capsys, *argv):
@@ -179,3 +192,45 @@ def test_record_stream_is_stable_across_runs(capsys):
     _, _, out1 = run(capsys, "classify", "zoo:O6")
     _, _, out2 = run(capsys, "classify", "zoo:O6")
     assert out1.out == out2.out
+
+
+def write_repsys(path, rs, orthos):
+    """A repsys document of orthoposet views; identity tables stay implicit."""
+    views = tuple((v, doc_from_orthoposet(v, o)) for v, o in zip(rs.views, orthos))
+    maps = tuple(
+        MapSpec(i, j, tuple((rs.poset_of(j).elements[x], rs.poset_of(i).elements[t]) for x, t in enumerate(table)))
+        for (i, j), table in sorted(rs.transforms.items())
+        if i != j
+    )
+    path.write_text(serialize(ModelDocument("repsys", "rewired", views=views, maps=maps)))
+    return str(path)
+
+
+def test_amp_on_rewired_system_reports_rs_axioms(capsys, tmp_path):
+    brs = build_canonical_rs(build_orthoposet(zoo_model("MO2").doc))
+    rng = random.Random(5)
+    while True:
+        mutated = mutate_random_entry(brs.rs, rng)
+        identities = all(mutated.transforms[(v, v)] == brs.rs.transforms[(v, v)] for v in mutated.views)
+        if identities and not check_rs_axioms(mutated):
+            break
+    path = write_repsys(tmp_path / "rewired.oml-model", mutated, brs.orthos)
+    code, records, _ = run(capsys, "amp", path)
+    assert code == 1
+    assert [r["check"] for r in records] == ["rs_axioms"]
+    assert records[0]["verdict"] is False
+    assert (code, records) == run(capsys, "sum", path)[:2]
+    assert (code, records) == run(capsys, "check", path, "--property", "eq11")[:2]
+
+
+def test_amp_on_non_boolean_views_reports_boolean_rs_axioms(capsys, tmp_path):
+    o = build_orthoposet(zoo_model("MO2").doc)
+    path = write_repsys(tmp_path / "mo2.oml-model", make_rs(["M"], [o.poset], {}), (o,))
+    code, records, _ = run(capsys, "amp", path)
+    assert code == 1
+    assert [(r["check"], r["code"]) for r in records] == [("boolean_rs_axioms", "view-not-boolean")]
+
+
+def test_amp_needs_orthocomplemented_views(capsys):
+    assert main(["amp", "zoo:firefly"]) == 2
+    capsys.readouterr()

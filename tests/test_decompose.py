@@ -19,7 +19,7 @@ from orthoview import (
     zoo_model,
 )
 
-from _models import brute_force_subalgebras, random_orthoposet
+from _models import as_orthoposet, boolean_algebra, brute_force_subalgebras, random_orthoposet
 
 
 def zoo_ortho(name):
@@ -116,6 +116,17 @@ def test_upper_projection_values():
     for x in range(o.n):
         expected = o.least if x == o.least else o.greatest
         assert upper_projection(o, bounds_view, x) == expected
+
+
+def test_upper_projection_outside_a_subalgebra_is_internal():
+    from orthoview import BooleanSubalgebra, InternalCheckError
+
+    o = as_orthoposet(boolean_algebra(3))
+    # {0, ab, bc, 1} is not meet-closed: ab ^ bc = b leaves it
+    fake = BooleanSubalgebra((0, 3, 6, 7), (3, 6))
+    with pytest.raises(InternalCheckError) as err:
+        upper_projection(o, fake, 2)
+    assert err.value.code == "bad-projection"
 
 
 def test_canonical_rs_validates():

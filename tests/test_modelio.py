@@ -180,3 +180,12 @@ def test_poset_document_roundtrip():
     p = build_poset(doc)
     assert p.le(p.idx("x"), p.idx("z"))
     assert parse(serialize(doc)) == doc
+
+
+def test_build_on_the_wrong_kind_raises():
+    repsys = zoo_model("firefly").doc
+    poset = parse("poset p { elements x y ; covers x<y }")
+    for builder, doc in ((build_poset, repsys), (build_orthoposet, repsys), (build_orthoposet, poset), (build_repsys, poset)):
+        with pytest.raises(ValidationError) as err:
+            builder(doc)
+        assert err.value.code == "wrong-kind"

@@ -20,11 +20,19 @@ from orthoview import (
 from _models import (
     as_orthoposet,
     boolean_algebra,
+    double_chain,
+    greechie_cycle,
     mo,
     oracle_is_omp,
     oracle_join,
     oracle_meet,
+    product,
     random_orthoposet,
+    reference_distributivity,
+    reference_is_lattice,
+    reference_is_omp,
+    reference_ortho_validation,
+    shuffled,
 )
 
 
@@ -191,3 +199,91 @@ def test_derive_boolean_ortho():
     els, leq, _ = mo(2)
     v = derive_boolean_ortho(FinitePoset(els, leq))
     assert not v.ok and v.code == "not-distributive"
+
+
+def _triple(v):
+    return v.ok, v.code, v.witness
+
+
+def _reference_hosts(rng):
+    """The zoo, random models, and relabelled hosts that reach every reachable
+    lattice and OMP failure code (greechie_cycle(3) is not an OMP, (4) is an
+    OMP but not a lattice; listed top-down, its first failing pair lacks a
+    meet rather than a join)."""
+    hosts = [zoo_ortho(m.name) for m in zoo().values() if m.kind == "orthoposet"]
+    hosts += [random_orthoposet(rng) for _ in range(40)]
+    extra = (greechie_cycle(3), greechie_cycle(4), product(mo(2), double_chain(2)))
+    hosts += [as_orthoposet(shuffled(m, rng)) for m in extra for _ in range(3)]
+    els, leq, ortho = greechie_cycle(4)
+    n = len(els)
+    hosts.append(as_orthoposet((els[::-1], leq[::-1, ::-1], [n - 1 - ortho[n - 1 - i] for i in range(n)])))
+    return hosts
+
+
+def test_law_checks_match_reference_scans():
+    rng = random.Random(603007)
+    seen = set()
+    for o in _reference_hosts(rng):
+        leq, els = o.poset.leq, o.elements
+        lat = reference_is_lattice(leq, els)
+        assert _triple(o.poset.is_lattice()) == lat
+        boolean = reference_distributivity(leq, els) if lat[0] else (False, "not-lattice", lat[2])
+        assert _triple(is_boolean_algebra(o)) == boolean
+        assert _triple(is_orthomodular_poset(o)) == reference_is_omp(leq, o.ortho, els)
+        derived = derive_boolean_ortho(o.poset)
+        if boolean[0]:
+            assert derived == list(o.ortho)
+        else:
+            assert _triple(derived) == boolean
+        seen |= {lat[1], boolean[1], reference_is_omp(leq, o.ortho, els)[1]}
+    assert {"no-join", "no-meet", "not-distributive", "orthogonal-join-missing", "law-violation"} <= seen
+
+
+def _scrambled_complements(ortho, rng):
+    """An involution that crosses the complements of two elements, or pairs
+    an element with itself: usually not antitone or not a complement."""
+    ortho = list(ortho)
+    a = rng.randrange(len(ortho))
+    b = rng.choice([x for x in range(len(ortho)) if x not in (a, ortho[a])] or [a])
+    if b == a or rng.random() < 0.3:
+        ortho[ortho[a]], ortho[a] = ortho[a], a
+        return ortho
+    ca, cb = ortho[a], ortho[b]
+    ortho[a], ortho[cb] = cb, a
+    ortho[b], ortho[ca] = ca, b
+    return ortho
+
+
+def test_constructor_matches_reference_on_invalid_complements():
+    rng = random.Random(11)
+    seen = set()
+    for o in _reference_hosts(rng):
+        leq, els = o.poset.leq, o.elements
+        for _ in range(4):
+            ortho = _scrambled_complements(o.ortho, rng)
+            expected = reference_ortho_validation(leq, ortho, els)
+            try:
+                OrthoPoset(o.poset, ortho)
+                got = (True, "", ())
+            except ValidationError as e:
+                got = (False, e.code, e.witness)
+            assert got == expected, (els, ortho)
+            seen.add(expected[1])
+    assert {"not-antitone", "complement-law"} <= seen
+
+
+def test_constructor_leaves_tables_unbuilt():
+    o = as_orthoposet(boolean_algebra(3))
+    assert o.poset._tables is None
+    assert o.meet(1, 2) == 0
+    assert o.poset._tables is not None
+
+
+def test_classify_implication_failure_is_internal(monkeypatch):
+    import orthoview.ortho as ortho_mod
+    from orthoview import InternalCheckError, Verdict
+
+    monkeypatch.setattr(ortho_mod, "is_orthomodular_lattice", lambda o: Verdict(False, "forced"))
+    with pytest.raises(InternalCheckError) as err:
+        classify(zoo_ortho("boolean_4"))
+    assert err.value.code == "classify-implication"

@@ -5,7 +5,15 @@ import pytest
 
 from orthoview import FinitePoset, ValidationError, find_order_isomorphism, zoo_model, build_orthoposet, build_repsys
 
-from _models import boolean_algebra, mo, oracle_join, oracle_meet, random_orthoposet
+from _models import (
+    boolean_algebra,
+    double_chain,
+    greechie_chain,
+    mo,
+    oracle_join,
+    oracle_meet,
+    random_orthoposet,
+)
 
 
 def test_singleton():
@@ -180,3 +188,21 @@ def test_isomorphism_search_on_shuffled_models():
         for i in range(p.n):
             for j in range(p.n):
                 assert p.leq[i, j] == q.leq[fi[i], fi[j]]
+
+
+def test_tables_match_oracle_on_every_pair():
+    rng = random.Random(23)
+    posets = [random_orthoposet(rng).poset for _ in range(15)]
+    for els, leq, _ in (double_chain(3), greechie_chain(2), mo(3)):
+        posets.append(FinitePoset(els, leq))
+    posets += [FinitePoset([f"a{i}" for i in range(k)], np.eye(k, dtype=bool)) for k in (1, 2, 5)]
+    posets.append(FinitePoset.from_covers("abcd", [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")]))
+    for p in posets:
+        join, meet = p.tables()
+        assert join.shape == meet.shape == (p.n, p.n)
+        assert not join.flags.writeable and not meet.flags.writeable
+        for i in range(p.n):
+            for j in range(p.n):
+                jn, mt = oracle_join(p.leq, i, j), oracle_meet(p.leq, i, j)
+                assert join[i, j] == (-1 if jn is None else jn)
+                assert meet[i, j] == (-1 if mt is None else mt)

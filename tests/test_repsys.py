@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from orthoview import (
@@ -15,7 +17,7 @@ from orthoview import (
     zoo_model,
 )
 
-from _models import as_orthoposet, boolean_algebra
+from _models import as_orthoposet, boolean_algebra, mutate_random_entry, reference_boolean_rs_axioms
 
 
 def firefly():
@@ -144,6 +146,16 @@ def test_single_boolean_view_system():
     assert brs.views == ("V",)
 
 
+def test_orthos_over_another_poset_rejected():
+    o = as_orthoposet(boolean_algebra(2))
+    other = as_orthoposet(boolean_algebra(1))
+    rs = make_rs(["V", "W"], [o.poset, o.poset], {("V", "W"): tuple(range(4)), ("W", "V"): tuple(range(4))})
+    with pytest.raises(ValidationError) as err:
+        validate_boolean_rs(rs, (o, other))
+    assert err.value.code == "ortho-poset-mismatch"
+    assert err.value.witness == ("W",)
+
+
 def test_canonical_mo2_is_boolean_rs():
     brs = build_canonical_rs(build_orthoposet(zoo_model("MO2").doc))
     assert check_rs_axioms(brs.rs).ok
@@ -187,3 +199,16 @@ def test_boolean_rs_sends_bottom_to_bottom():
 def test_checker_reports_are_reproducible():
     bad = mutate(firefly(), ("X", "Y"), "Down", "NotSeen")
     assert check_rs_axioms(bad) == check_rs_axioms(bad)
+
+
+def test_boolean_rs_axioms_match_reference_on_rewired_systems():
+    rng = random.Random(2)
+    seen = set()
+    for name in ("boolean_4", "boolean_8", "MO2"):
+        brs = build_canonical_rs(build_orthoposet(zoo_model(name).doc))
+        for _ in range(25):
+            rs = mutate_random_entry(brs.rs, rng)
+            v = check_boolean_rs_axioms(rs, brs.orthos)
+            assert (v.ok, v.code, v.witness) == reference_boolean_rs_axioms(rs, brs.orthos), name
+            seen.add(v.code)
+    assert {"", "join-preservation", "ortho-adjunction"} <= seen
