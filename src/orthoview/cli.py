@@ -16,7 +16,7 @@ from pathlib import Path
 from .poset import OK, InternalCheckError, ValidationError, Verdict
 from .ortho import classify, derive_boolean_ortho, OrthoPoset
 from .repsys import check_boolean_rs_axioms, check_rs_axioms, BooleanRepresentationSystem
-from .sums import build_presum, quotient_sum, sum_as_orthoposet, verify_closure_properties
+from .sums import build_presum, closure_table, quotient_sum, sum_as_orthoposet, verify_closure_properties
 from .conditions import amp_vs_sasaki, build_amp, check_condition_oml, check_condition_omp, derived_meet, verify_amp_axioms
 from .decompose import build_canonical_rs, enumerate_boolean_subalgebras, roundtrip_check
 from . import modelio
@@ -175,15 +175,16 @@ def _cmd_amp(args):
         if not v:
             return [record_from_verdict(name, v)]
     s = quotient_sum(build_presum(rs))
-    omp = check_condition_omp(s, rs)
-    oml = check_condition_oml(s, rs)
+    table = closure_table(s, rs)
+    omp = check_condition_omp(s, rs, table)
+    oml = check_condition_oml(s, rs, table)
     records = [
         record_from_verdict("condition_omp", omp),
         record_from_verdict("condition_oml", oml),
     ]
     if not (omp and oml):
         return records
-    amp = build_amp(s, rs)
+    amp = build_amp(s, rs, table)
     so = sum_as_orthoposet(s, brs)
     report = verify_amp_axioms(amp, so)
     records.append(

@@ -11,13 +11,14 @@ from .ortho import is_orthomodular_lattice
 from .sums import closure_table
 
 
-def check_condition_omp(s, rs):
+def check_condition_omp(s, rs, table=None):
     """Every comparable pair of classes must be fixed by a common view.
 
     With this condition the sum of a boolean system is orthomodular as a
     poset; the witness is a comparable pair no single view can observe.
+    `table` is the sum's `closure_table`, computed here when not given.
     """
-    table = closure_table(s, rs)
+    table = closure_table(s, rs) if table is None else table
     n = s.order.n
     fixed = table == np.arange(n)
     for a in range(n):
@@ -29,11 +30,11 @@ def check_condition_omp(s, rs):
     return OK
 
 
-def check_condition_oml(s, rs):
+def check_condition_oml(s, rs, table=None):
     """For every pair (a, b) some view must fix a while approximating b at
     least as well as any other view fixing a. The witness is a pair with no
-    such preferred view."""
-    table = closure_table(s, rs)
+    such preferred view. `table` as in `check_condition_omp`."""
+    table = closure_table(s, rs) if table is None else table
     n = s.order.n
     leq = s.order.leq
     fixed = table == np.arange(n)
@@ -55,21 +56,22 @@ class AmpOperation:
     chosen_view: np.ndarray
 
 
-def build_amp(s, rs):
+def build_amp(s, rs, table=None):
     """Construct a & b = rho_i(a) ^ b with i the preferred view for b.
 
     Mirrors the preferred-view condition with the roles of a and b swapped;
     the swap is licensed because the condition quantifies over all pairs.
     Both conditions are re-checked up front, and the meet is computed (and
-    required to exist) in the sum itself.
+    required to exist) in the sum itself. `table` as in
+    `check_condition_omp`; it is computed once and shared by both checks.
     """
-    omp = check_condition_omp(s, rs)
+    table = closure_table(s, rs) if table is None else table
+    omp = check_condition_omp(s, rs, table)
     if not omp:
         raise ValidationError("condition-omp", "comparable classes lack a shared view", omp.witness)
-    oml = check_condition_oml(s, rs)
+    oml = check_condition_oml(s, rs, table)
     if not oml:
         raise ValidationError("condition-oml", "no preferred view for some pair", oml.witness)
-    table = closure_table(s, rs)
     n = s.order.n
     leq = s.order.leq
     fixed = table == np.arange(n)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .poset import InternalCheckError, ValidationError
-from .ortho import OrthoPoset, is_boolean_algebra
+from .ortho import OrthoPoset, distributivity_failure, is_boolean_algebra
 from .repsys import BooleanRepresentationSystem, check_boolean_rs_axioms, make_rs, validate_rs
 from .sums import build_presum, quotient_sum, sum_as_orthoposet
 
@@ -42,105 +44,125 @@ def subalgebra(o, carrier):
     for i in carrier:
         if o.ortho[i] not in carrier:
             raise ValidationError("not-ortho-closed", f"complement of {els[i]!r} missing", (els[i],))
-    for i in carrier:
-        for j in carrier:
-            jn, mt = o.join(i, j), o.meet(i, j)
-            if jn is None or mt is None:
-                raise ValidationError("join-meet-missing", f"{els[i]!r}, {els[j]!r} lack a host join or meet", (els[i], els[j]))
-            if jn not in carrier or mt not in carrier:
-                raise ValidationError("not-closed", f"join/meet of {els[i]!r}, {els[j]!r} leaves the carrier", (els[i], els[j]))
+    join, meet = o.poset.tables()
+    grid = np.ix_(carrier, carrier)
+    jn, mt = join[grid], meet[grid]
+    missing = (jn < 0) | (mt < 0)
+    bad = np.argwhere(missing | ~np.isin(jn, carrier) | ~np.isin(mt, carrier))
+    if len(bad):
+        a, b = map(int, bad[0])
+        i, j = carrier[a], carrier[b]
+        if missing[a, b]:
+            raise ValidationError("join-meet-missing", f"{els[i]!r}, {els[j]!r} lack a host join or meet", (els[i], els[j]))
+        raise ValidationError("not-closed", f"join/meet of {els[i]!r}, {els[j]!r} leaves the carrier", (els[i], els[j]))
     induced = o.poset.induced(carrier)
     pos = {host: k for k, host in enumerate(carrier)}
     sub_ortho = OrthoPoset(induced, [pos[o.ortho[i]] for i in carrier])
     b = is_boolean_algebra(sub_ortho)
     if not b:
         raise ValidationError("not-boolean", f"induced order is not boolean: {b.code}", b.witness)
-    atoms = tuple(
-        i for i in carrier
-        if i != o.least and all(not o.poset.leq[j, i] for j in carrier if j not in (i, o.least))
-    )
+    atoms = _atoms(o, carrier)
     if len(carrier) != 2 ** len(atoms):
         raise ValidationError("bad-cardinality", f"|carrier|={len(carrier)} != 2^{len(atoms)}")
     return BooleanSubalgebra(carrier, atoms)
 
 
+def _atoms(o, carrier):
+    """Carrier elements with only the bottom strictly below them in the carrier."""
+    below = o.poset.leq[np.ix_(carrier, carrier)].sum(axis=0)
+    return tuple(int(i) for i, k in zip(carrier, below) if k == 2)
+
+
 def _close(o, seed):
     """Closure of a set under complement and existing joins/meets, or None
-    when some pair has no host join/meet (no subalgebra can contain it)."""
-    cur = set(seed)
-    cur.add(o.least)
-    cur.add(o.greatest)
+    when some pair has no host join/meet (no subalgebra can contain it).
+    Each round gathers the host tables over the whole current carrier."""
+    join, meet = o.poset.tables()
+    ortho = np.array(o.ortho)
+    cur = np.zeros(o.n, dtype=bool)
+    cur[[o.least, o.greatest, *seed]] = True
     while True:
-        nxt = set(cur)
-        for i in cur:
-            nxt.add(o.ortho[i])
-        for i in cur:
-            for j in cur:
-                jn, mt = o.join(i, j), o.meet(i, j)
-                if jn is None or mt is None:
-                    return None
-                nxt.add(jn)
-                nxt.add(mt)
-        if nxt == cur:
-            return frozenset(cur)
+        idx = np.flatnonzero(cur)
+        jn, mt = join[idx[:, None], idx], meet[idx[:, None], idx]
+        if min(jn.min(), mt.min()) < 0:
+            return None
+        nxt = cur.copy()
+        nxt[ortho[idx]] = True
+        nxt[jn] = True
+        nxt[mt] = True
+        if (nxt == cur).all():
+            return frozenset(idx.tolist())
         cur = nxt
+
+
+def _boolean_carrier(o, carrier):
+    """Whether a closed carrier is boolean: distributive, with 2^|atoms|
+    elements, both read from the host tables restricted to the carrier.
+    Closure already gives the bounds, the complements and host joins and
+    meets inside the carrier, so its induced order is a lattice whose
+    joins and meets are the host's."""
+    idx = np.array(sorted(carrier))
+    join, meet = o.poset.tables()
+    local = np.full(o.n, -1, dtype=np.intp)
+    local[idx] = np.arange(len(idx))
+    grid = np.ix_(idx, idx)
+    if distributivity_failure(local[join[grid]], local[meet[grid]]) is not None:
+        return False
+    return len(idx) == 2 ** len(_atoms(o, idx))
 
 
 def enumerate_boolean_subalgebras(o, cap=32):
     """All boolean subalgebras, in (size, carrier) order.
 
-    Seeds {0,1} and {0,x,x',1} are closed and then merged pairwise to a
-    fixpoint; every union-closure that stays boolean is kept. Any subalgebra
-    is reachable this way because it is the closure of its atom seeds and
-    every intermediate union-closure is itself a subalgebra.
+    Seeds {x} are closed, then the union of every two carriers found, to a
+    fixpoint; every closure that stays boolean is kept. Any subalgebra is
+    reachable this way because it is the closure of its atom seeds and
+    every intermediate union-closure is itself a subalgebra. The pairs run
+    as a worklist: a carrier taken up is paired with itself and the carriers
+    taken up before it, and unions already tried or already seen as a
+    closure are skipped. Each returned carrier is validated by `subalgebra`.
     """
     if o.n > cap:
         raise ValidationError("cap-exceeded", f"{o.n} elements exceeds the cap of {cap}")
+    found, seen = [], set()
 
-    def admit(carrier):
-        if carrier is None:
-            return None
-        try:
-            subalgebra(o, carrier)
-        except ValidationError:
-            return None
-        return carrier
+    def consider(seed):
+        seen.add(seed)
+        c = _close(o, seed)
+        if c is not None and c not in seen:
+            seen.add(c)
+            if _boolean_carrier(o, c):
+                found.append(c)
 
-    found = set()
     for x in range(o.n):
-        c = admit(_close(o, {x}))
-        if c is not None:
-            found.add(c)
-    changed = True
-    while changed:
-        changed = False
-        pairs = [(a, b) for a in found for b in found if a != b]
-        for a, b in pairs:
-            c = admit(_close(o, a | b))
-            if c is not None and c not in found:
-                found.add(c)
-                changed = True
+        consider(frozenset((x,)))
+    for k, c in enumerate(found):  # grows while it is walked
+        for d in found[:k + 1]:
+            if c | d not in seen:
+                consider(c | d)
     ordered = sorted(found, key=lambda c: (len(c), tuple(sorted(c))))
     return tuple(subalgebra(o, c) for c in ordered)
 
 
-def upper_projection(o, sub, x):
-    """Least element of the subalgebra dominating x.
+def _projections(o, carrier, xs):
+    """Local position of the least carrier element above each host element
+    in xs. A carrier element u above x is least iff the carrier elements
+    above u are exactly those above x, which their counts decide; a host
+    element with no such u raises bad-projection."""
+    leq = o.poset.leq
+    above = leq[np.ix_(xs, carrier)]
+    least = above & (leq[np.ix_(carrier, carrier)].sum(axis=1) == above.sum(axis=1, keepdims=True))
+    found = least.any(axis=1)
+    if not found.all():
+        x = xs[int(np.argmin(found))]
+        raise InternalCheckError("bad-projection", f"no least carrier element above {o.elements[x]!r}", (o.elements[x],))
+    return least.argmax(axis=1)
 
-    Folds host meets over every carrier element above x, mirroring the
-    big-meet definition; the result is checked to dominate x and to be
-    least among the candidates.
-    """
-    above = [y for y in sub.carrier if o.poset.leq[x, y]]
-    acc = o.greatest
-    for y in above:
-        acc = o.meet(acc, y)
-        if acc is None or acc not in sub.carrier:
-            break
-    else:
-        if o.poset.leq[x, acc] and all(o.poset.leq[acc, y] for y in above):
-            return acc
-    raise InternalCheckError("bad-projection", f"no least carrier element above {o.elements[x]!r}", (o.elements[x],))
+
+def upper_projection(o, sub, x):
+    """Least element of the subalgebra dominating x, checked to dominate x
+    and to lie below every carrier element that does."""
+    return sub.carrier[int(_projections(o, sub.carrier, [x])[0])]
 
 
 def build_canonical_rs(o, cap=32, subs=None):
@@ -164,9 +186,9 @@ def build_canonical_rs(o, cap=32, subs=None):
         orthos.append(OrthoPoset(induced, [pos[o.ortho[i]] for i in sub.carrier]))
     transforms = {}
     for vi, bi in zip(views, subs):
-        pos_i = {host: k for k, host in enumerate(bi.carrier)}
+        proj = _projections(o, bi.carrier, np.arange(o.n))
         for vj, bj in zip(views, subs):
-            transforms[(vi, vj)] = tuple(pos_i[upper_projection(o, bi, x)] for x in bj.carrier)
+            transforms[(vi, vj)] = tuple(proj[list(bj.carrier)].tolist())
     rs = make_rs(views, posets, transforms, fill_identity=False)
     validate_rs(rs)
     v = check_boolean_rs_axioms(rs, tuple(orthos))

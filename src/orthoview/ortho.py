@@ -90,19 +90,27 @@ def is_lattice(o):
     return _cached(o, "lattice", o.poset.is_lattice)
 
 
-def _distributive_lattice(p):
-    """A lattice with x ^ (y v z) = (x ^ y) v (x ^ z) on all triples, first
-    failure in index order; one n x n gather per x, never an n^3 array."""
-    lat = p.is_lattice()
-    if not lat:
-        return Verdict(False, "not-lattice", lat.witness)
-    join, meet = p.tables()
-    for x in range(p.n):
+def distributivity_failure(join, meet):
+    """First triple (x, y, z) in index order breaking x ^ (y v z) =
+    (x ^ y) v (x ^ z) in total join/meet tables, or None; one n x n gather
+    per x, never an n^3 array."""
+    for x in range(len(join)):
         mx = meet[x]
         bad = mx[join] != join[np.ix_(mx, mx)]
         if bad.any():
             y, z = map(int, np.argwhere(bad)[0])
-            return Verdict(False, "not-distributive", (p.elements[x], p.elements[y], p.elements[z]))
+            return x, y, z
+    return None
+
+
+def _distributive_lattice(p):
+    """A lattice whose tables pass `distributivity_failure`."""
+    lat = p.is_lattice()
+    if not lat:
+        return Verdict(False, "not-lattice", lat.witness)
+    bad = distributivity_failure(*p.tables())
+    if bad is not None:
+        return Verdict(False, "not-distributive", tuple(p.elements[i] for i in bad))
     return OK
 
 

@@ -353,3 +353,66 @@ def reference_boolean_rs_axioms(rs, orthos):
                     if oi.poset.leq[fwd[x], y] and not oj.poset.leq[back[oi.ortho[y]], oj.ortho[x]]:
                         return False, "ortho-adjunction", (i, j, oj.elements[x], oi.elements[y])
     return True, "", ()
+
+
+def reference_close(o, seed):
+    """Closure of seed and the bounds under complement and host joins and
+    meets, round by round; None once some pair has no join or meet."""
+    cur = set(seed) | {o.least, o.greatest}
+    while True:
+        nxt = cur | {o.ortho[i] for i in cur}
+        for i in cur:
+            for j in cur:
+                jn, mt = o.join(i, j), o.meet(i, j)
+                if jn is None or mt is None:
+                    return None
+                nxt |= {jn, mt}
+        if nxt == cur:
+            return frozenset(cur)
+        cur = nxt
+
+
+def reference_enumerate_boolean_subalgebras(o):
+    """The seed-pair enumeration as plain loops: close {x} for every x, then
+    re-close the union of every two distinct found carriers, round after
+    round, until a round adds nothing. A closure is kept iff `subalgebra`
+    accepts it; the result is validated by `subalgebra` again, in
+    (size, carrier) order."""
+    from orthoview import ValidationError, subalgebra
+
+    def admit(carrier):
+        if carrier is None:
+            return None
+        try:
+            subalgebra(o, carrier)
+        except ValidationError:
+            return None
+        return carrier
+
+    found = {c for c in (admit(reference_close(o, {x})) for x in range(o.n)) if c is not None}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in [(a, b) for a in found for b in found if a != b]:
+            c = admit(reference_close(o, a | b))
+            if c is not None and c not in found:
+                found.add(c)
+                changed = True
+    ordered = sorted(found, key=lambda c: (len(c), tuple(sorted(c))))
+    return tuple(subalgebra(o, c) for c in ordered)
+
+
+def reference_subalgebra_pairs(o, carrier):
+    """The pair scan `subalgebra` runs on an ortho-closed carrier holding the
+    bounds, as loops with oracle joins and meets: the first pair in carrier
+    order lacking a host join or meet, or whose join or meet leaves it."""
+    carrier = sorted(carrier)
+    leq, els = o.poset.leq, o.elements
+    for i in carrier:
+        for j in carrier:
+            jn, mt = oracle_join(leq, i, j), oracle_meet(leq, i, j)
+            if jn is None or mt is None:
+                return False, "join-meet-missing", (els[i], els[j])
+            if jn not in carrier or mt not in carrier:
+                return False, "not-closed", (els[i], els[j])
+    return True, "", ()

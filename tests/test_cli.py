@@ -143,6 +143,20 @@ def test_amp_with_sasaki(capsys):
     assert by_check["amp_vs_sasaki"]["data"]["agreement"] == 1.0
 
 
+def test_amp_computes_the_closure_table_once(capsys, monkeypatch):
+    import orthoview.cli as cli
+    import orthoview.conditions as cond
+    from orthoview.sums import closure_table
+
+    calls = []
+    counting = lambda s, rs: calls.append(1) or closure_table(s, rs)
+    for module in (cli, cond):
+        monkeypatch.setattr(module, "closure_table", counting)
+    code, records, _ = run(capsys, "amp", "zoo:greechie_cycle_5", "--vs-sasaki")
+    assert code == 0 and [r["check"] for r in records][:3] == ["condition_omp", "condition_oml", "amp_axioms"]
+    assert len(calls) == 1
+
+
 def test_amp_on_hexagon_reports_condition_failure(capsys):
     code, records, _ = run(capsys, "amp", "zoo:O6")
     assert code == 1

@@ -101,9 +101,22 @@ def test_amp_on_mo2():
 
 def test_build_amp_refuses_hexagon():
     brs, s = canonical("O6")
-    with pytest.raises(ValidationError) as err:
-        build_amp(s, brs.rs)
-    assert err.value.code == "condition-omp"
+    for table in (None, closure_table(s, brs.rs)):
+        with pytest.raises(ValidationError) as err:
+            build_amp(s, brs.rs, table)
+        assert err.value.code == "condition-omp"
+
+
+def test_build_amp_with_a_given_closure_table(monkeypatch):
+    import orthoview.conditions as cond
+
+    brs, s = canonical("greechie_cycle_5")
+    expected = build_amp(s, brs.rs)
+    table = closure_table(s, brs.rs)
+    monkeypatch.setattr(cond, "closure_table", lambda *a: pytest.fail("table recomputed"))
+    amp = build_amp(s, brs.rs, table)
+    assert (amp.table == expected.table).all() and (amp.chosen_view == expected.chosen_view).all()
+    assert check_condition_omp(s, brs.rs, table).ok and check_condition_oml(s, brs.rs, table).ok
 
 
 def test_amp_axioms_pass_on_mo2():

@@ -19,7 +19,19 @@ from orthoview import (
     zoo_model,
 )
 
-from _models import as_orthoposet, boolean_algebra, brute_force_subalgebras, random_orthoposet
+from _models import (
+    as_orthoposet,
+    boolean_algebra,
+    brute_force_subalgebras,
+    double_chain,
+    greechie_cycle,
+    mo,
+    random_orthoposet,
+    reference_close,
+    reference_enumerate_boolean_subalgebras,
+    reference_subalgebra_pairs,
+    shuffled,
+)
 
 
 def zoo_ortho(name):
@@ -81,6 +93,61 @@ def test_enumeration_matches_brute_force_on_random_models():
         assert lib == brute_force_subalgebras(o)
 
 
+def assert_matches_reference(o):
+    subs = enumerate_boolean_subalgebras(o)
+    # carriers, atoms and (size, carrier) order all agree
+    assert subs == reference_enumerate_boolean_subalgebras(o)
+    for sub in subs:
+        assert subalgebra(o, sub.carrier) == sub
+
+
+def test_enumeration_matches_reference_on_zoo():
+    for m in zoo().values():
+        if m.kind == "orthoposet":
+            assert_matches_reference(build_orthoposet(m.doc))
+
+
+def test_enumeration_matches_reference_on_random_models():
+    rng = random.Random(41)
+    for _ in range(40):
+        assert_matches_reference(random_orthoposet(rng))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [greechie_cycle(k) for k in (4, 5, 6, 7)] + [mo(15), double_chain(7), double_chain(15), boolean_algebra(4)],
+    ids=["greechie_cycle_4", "greechie_cycle_5", "greechie_cycle_6", "greechie_cycle_7", "MO15", "double_chain_7", "double_chain_15", "boolean_16"],
+)
+def test_enumeration_matches_reference_on_relabelled_families(model):
+    assert_matches_reference(as_orthoposet(shuffled(model, random.Random(len(model[0])))))
+
+
+def test_closure_matches_reference():
+    from orthoview.decompose import _close
+
+    rng = random.Random(13)
+    hosts = [as_orthoposet(shuffled(greechie_cycle(4), rng)) for _ in range(3)]
+    hosts += [random_orthoposet(rng) for _ in range(20)]
+    outcomes = set()
+    for o in hosts:
+        for _ in range(10):
+            seed = {rng.randrange(o.n) for _ in range(rng.randint(1, 3))}
+            closed = _close(o, seed)
+            assert closed == reference_close(o, seed)
+            outcomes.add(closed is None)
+    assert outcomes == {True, False}
+
+
+def test_enumeration_validates_each_result_once(monkeypatch):
+    import orthoview.decompose as dec
+
+    calls = []
+    original = dec.subalgebra
+    monkeypatch.setattr(dec, "subalgebra", lambda o, c: calls.append(c) or original(o, c))
+    subs = enumerate_boolean_subalgebras(zoo_ortho("greechie_cycle_5"))
+    assert len(calls) == len(subs) == 16
+
+
 def test_cap_exceeded():
     o = zoo_ortho("greechie_cycle_5")
     with pytest.raises(ValidationError) as err:
@@ -99,6 +166,36 @@ def test_subalgebra_validation_errors():
     with pytest.raises(ValidationError) as err:
         subalgebra(o, [o.idx("0"), o.idx("a"), o.idx("a'"), o.idx("b"), o.idx("b'"), o.idx("1")])
     assert err.value.code == "not-boolean"
+    o = zoo_ortho("greechie_cycle_4")
+    with pytest.raises(ValidationError) as err:
+        subalgebra(o, [o.idx(e) for e in ("0", "a0", "a0'", "a2", "a2'", "1")])
+    assert (err.value.code, err.value.witness) == ("join-meet-missing", ("a0", "a2"))
+    o = as_orthoposet(boolean_algebra(3))
+    with pytest.raises(ValidationError) as err:
+        subalgebra(o, (0, 1, 2, 5, 6, 7))
+    assert (err.value.code, err.value.witness) == ("not-closed", ("s001", "s010"))
+
+
+def test_subalgebra_pair_scan_matches_reference():
+    # ortho-closed carriers with the bounds, so the pair scan decides first
+    rng = random.Random(7)
+    hosts = [as_orthoposet(shuffled(greechie_cycle(4), rng)) for _ in range(4)]
+    hosts += [random_orthoposet(rng) for _ in range(20)]
+    for o in hosts:
+        for _ in range(10):
+            carrier = {o.least, o.greatest}
+            for x in (rng.randrange(o.n) for _ in range(rng.randint(1, 3))):
+                carrier |= {x, o.ortho[x]}
+            ok, code, witness = reference_subalgebra_pairs(o, carrier)
+            try:
+                subalgebra(o, carrier)
+                got = (True, "", ())
+            except ValidationError as err:
+                got = (False, err.code, err.witness)
+            if ok:
+                assert got[1] not in ("join-meet-missing", "not-closed")
+            else:
+                assert got == (ok, code, witness)
 
 
 def test_upper_projection_values():
@@ -127,6 +224,32 @@ def test_upper_projection_outside_a_subalgebra_is_internal():
     with pytest.raises(InternalCheckError) as err:
         upper_projection(o, fake, 2)
     assert err.value.code == "bad-projection"
+
+
+def test_canonical_tables_are_least_carrier_elements_above():
+    # every table entry, re-derived by a plain scan of the order matrix
+    for o in (zoo_ortho("greechie_cycle_4"), zoo_ortho("O6"), as_orthoposet(boolean_algebra(3))):
+        subs = enumerate_boolean_subalgebras(o)
+        brs = build_canonical_rs(o, subs=subs)
+        leq = o.poset.leq
+        for vi, bi in zip(brs.views, subs):
+            for vj, bj in zip(brs.views, subs):
+                for k, x in enumerate(bj.carrier):
+                    above = [y for y in bi.carrier if leq[x, y]]
+                    least = [u for u in above if all(leq[u, y] for y in above)]
+                    assert bi.carrier[brs.rs.transforms[(vi, vj)][k]] == least[0] == upper_projection(o, bi, x)
+
+
+def test_canonical_rs_over_a_non_subalgebra_is_internal():
+    from orthoview import BooleanSubalgebra, InternalCheckError
+
+    o = as_orthoposet(boolean_algebra(3))
+    # {0, a, b, a', b', 1} is ortho-closed, but c sits under both a' and b'
+    fake = BooleanSubalgebra((0, 1, 2, 5, 6, 7), (1, 2))
+    with pytest.raises(InternalCheckError) as err:
+        build_canonical_rs(o, subs=(fake,))
+    assert err.value.code == "bad-projection"
+    assert err.value.witness == (o.elements[4],)
 
 
 def test_canonical_rs_validates():
