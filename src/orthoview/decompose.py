@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poset import InternalCheckError, ValidationError
-from .ortho import OrthoPoset, distributivity_failure, is_boolean_algebra
+from .ortho import OrthoPoset, distributivity_failure
 from .repsys import BooleanRepresentationSystem, check_boolean_rs_axioms, make_rs, validate_rs
 from .sums import build_presum, quotient_sum, sum_as_orthoposet
 
@@ -55,22 +55,29 @@ def subalgebra(o, carrier):
         if missing[a, b]:
             raise ValidationError("join-meet-missing", f"{els[i]!r}, {els[j]!r} lack a host join or meet", (els[i], els[j]))
         raise ValidationError("not-closed", f"join/meet of {els[i]!r}, {els[j]!r} leaves the carrier", (els[i], els[j]))
-    induced = o.poset.induced(carrier)
-    pos = {host: k for k, host in enumerate(carrier)}
-    sub_ortho = OrthoPoset(induced, [pos[o.ortho[i]] for i in carrier])
-    b = is_boolean_algebra(sub_ortho)
-    if not b:
-        raise ValidationError("not-boolean", f"induced order is not boolean: {b.code}", b.witness)
-    atoms = _atoms(o, carrier)
+    return BooleanSubalgebra(carrier, _boolean_atoms(o, carrier))
+
+
+def _boolean_atoms(o, carrier):
+    """Atoms of a carrier that holds the bounds, its complements and the
+    host joins and meets of its pairs, else not-boolean or bad-cardinality.
+    Its induced order is then a lattice whose joins and meets are the
+    host's, so distributivity and 2^|atoms| elements, read from the host
+    tables restricted to the carrier, decide whether it is boolean."""
+    join, meet = o.poset.tables()
+    local = np.full(o.n, -1, dtype=np.intp)
+    local[list(carrier)] = np.arange(len(carrier))
+    grid = np.ix_(carrier, carrier)
+    bad = distributivity_failure(local[join[grid]], local[meet[grid]])
+    if bad is not None:
+        witness = tuple(o.elements[carrier[k]] for k in bad)
+        raise ValidationError("not-boolean", "induced order is not boolean: not-distributive", witness)
+    # atoms: only the bottom strictly below them in the carrier
+    below = o.poset.leq[grid].sum(axis=0)
+    atoms = tuple(int(i) for i, k in zip(carrier, below) if k == 2)
     if len(carrier) != 2 ** len(atoms):
         raise ValidationError("bad-cardinality", f"|carrier|={len(carrier)} != 2^{len(atoms)}")
-    return BooleanSubalgebra(carrier, atoms)
-
-
-def _atoms(o, carrier):
-    """Carrier elements with only the bottom strictly below them in the carrier."""
-    below = o.poset.leq[np.ix_(carrier, carrier)].sum(axis=0)
-    return tuple(int(i) for i, k in zip(carrier, below) if k == 2)
+    return atoms
 
 
 def _close(o, seed):
@@ -95,22 +102,6 @@ def _close(o, seed):
         cur = nxt
 
 
-def _boolean_carrier(o, carrier):
-    """Whether a closed carrier is boolean: distributive, with 2^|atoms|
-    elements, both read from the host tables restricted to the carrier.
-    Closure already gives the bounds, the complements and host joins and
-    meets inside the carrier, so its induced order is a lattice whose
-    joins and meets are the host's."""
-    idx = np.array(sorted(carrier))
-    join, meet = o.poset.tables()
-    local = np.full(o.n, -1, dtype=np.intp)
-    local[idx] = np.arange(len(idx))
-    grid = np.ix_(idx, idx)
-    if distributivity_failure(local[join[grid]], local[meet[grid]]) is not None:
-        return False
-    return len(idx) == 2 ** len(_atoms(o, idx))
-
-
 def enumerate_boolean_subalgebras(o, cap=32):
     """All boolean subalgebras, in (size, carrier) order.
 
@@ -124,21 +115,25 @@ def enumerate_boolean_subalgebras(o, cap=32):
     """
     if o.n > cap:
         raise ValidationError("cap-exceeded", f"{o.n} elements exceeds the cap of {cap}")
-    found, seen = [], set()
+    found, tried, closures = [], set(), set()
 
-    def consider(seed):
-        seen.add(seed)
-        c = _close(o, seed)
-        if c is not None and c not in seen:
-            seen.add(c)
-            if _boolean_carrier(o, c):
-                found.append(c)
+    def consider(union):
+        tried.add(union)
+        c = _close(o, union)
+        if c is None or c in closures:
+            return
+        closures.add(c)
+        try:
+            _boolean_atoms(o, sorted(c))
+        except ValidationError:
+            return
+        found.append(c)
 
     for x in range(o.n):
         consider(frozenset((x,)))
     for k, c in enumerate(found):  # grows while it is walked
         for d in found[:k + 1]:
-            if c | d not in seen:
+            if c | d not in tried and c | d not in closures:
                 consider(c | d)
     ordered = sorted(found, key=lambda c: (len(c), tuple(sorted(c))))
     return tuple(subalgebra(o, c) for c in ordered)

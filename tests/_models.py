@@ -372,20 +372,31 @@ def reference_close(o, seed):
         cur = nxt
 
 
+def reference_boolean_carrier(o, carrier):
+    """The seed's boolean check on a carrier closed under the bounds,
+    complement and host joins and meets: distributivity of the induced
+    order, then 2^|atoms| elements. Returns (ok, code, witness, atoms)."""
+    carrier = sorted(carrier)
+    leq = o.poset.leq[np.ix_(carrier, carrier)]
+    ok, _, witness = reference_distributivity(leq, [o.elements[i] for i in carrier])
+    if not ok:
+        return False, "not-boolean", witness, ()
+    atoms = tuple(i for k, i in enumerate(carrier) if sum(leq[:, k]) == 2)
+    if len(carrier) != 2 ** len(atoms):
+        return False, "bad-cardinality", (), ()
+    return True, "", (), atoms
+
+
 def reference_enumerate_boolean_subalgebras(o):
     """The seed-pair enumeration as plain loops: close {x} for every x, then
     re-close the union of every two distinct found carriers, round after
-    round, until a round adds nothing. A closure is kept iff `subalgebra`
-    accepts it; the result is validated by `subalgebra` again, in
+    round, until a round adds nothing. A closure is kept iff
+    `reference_boolean_carrier` accepts it; the result is in
     (size, carrier) order."""
-    from orthoview import ValidationError, subalgebra
+    from orthoview import BooleanSubalgebra
 
     def admit(carrier):
-        if carrier is None:
-            return None
-        try:
-            subalgebra(o, carrier)
-        except ValidationError:
+        if carrier is None or not reference_boolean_carrier(o, carrier)[0]:
             return None
         return carrier
 
@@ -399,7 +410,7 @@ def reference_enumerate_boolean_subalgebras(o):
                 found.add(c)
                 changed = True
     ordered = sorted(found, key=lambda c: (len(c), tuple(sorted(c))))
-    return tuple(subalgebra(o, c) for c in ordered)
+    return tuple(BooleanSubalgebra(tuple(sorted(c)), reference_boolean_carrier(o, c)[3]) for c in ordered)
 
 
 def reference_subalgebra_pairs(o, carrier):

@@ -27,6 +27,7 @@ from _models import (
     greechie_cycle,
     mo,
     random_orthoposet,
+    reference_boolean_carrier,
     reference_close,
     reference_enumerate_boolean_subalgebras,
     reference_subalgebra_pairs,
@@ -85,6 +86,16 @@ def test_enumeration_matches_brute_force_on_zoo():
         assert lib == brute_force_subalgebras(o)
 
 
+def test_one_element_host_is_its_own_subalgebra():
+    # least == greatest: the closure of the only seed is the seed itself
+    o = as_orthoposet(boolean_algebra(0))
+    subs = enumerate_boolean_subalgebras(o)
+    assert [(s.carrier, s.atoms) for s in subs] == [((0,), ())]
+    assert {frozenset(s.carrier) for s in subs} == brute_force_subalgebras(o)
+    assert_matches_reference(o)
+    assert build_canonical_rs(o, subs=subs).rs.views == ("B0",)
+
+
 def test_enumeration_matches_brute_force_on_random_models():
     rng = random.Random(23)
     for _ in range(10):
@@ -135,6 +146,30 @@ def test_closure_matches_reference():
             closed = _close(o, seed)
             assert closed == reference_close(o, seed)
             outcomes.add(closed is None)
+    assert outcomes == {True, False}
+
+
+def test_subalgebra_boolean_check_matches_reference():
+    # closed carriers, so only distributivity and the cardinality decide
+    from orthoview.decompose import _close
+
+    rng = random.Random(29)
+    hosts = [as_orthoposet(shuffled(greechie_cycle(4), rng)) for _ in range(3)]
+    hosts += [as_orthoposet(shuffled(mo(3), rng)), as_orthoposet(shuffled(boolean_algebra(3), rng))]
+    hosts += [random_orthoposet(rng) for _ in range(20)]
+    outcomes = set()
+    for o in hosts:
+        for _ in range(10):
+            carrier = _close(o, {rng.randrange(o.n) for _ in range(rng.randint(1, 3))})
+            if carrier is None:
+                continue
+            ok, code, witness, atoms = reference_boolean_carrier(o, carrier)
+            try:
+                got = (True, "", (), subalgebra(o, carrier).atoms)
+            except ValidationError as err:
+                got = (False, err.code, err.witness, ())
+            assert got == (ok, code, witness, atoms)
+            outcomes.add(ok)
     assert outcomes == {True, False}
 
 
