@@ -50,6 +50,7 @@ from .conditions import (
     check_condition_oml,
     check_condition_omp,
     derived_meet,
+    derived_meet_table,
     verify_amp_axioms,
 )
 from .decompose import (

@@ -17,7 +17,7 @@ from .poset import OK, InternalCheckError, ValidationError, Verdict
 from .ortho import classify, derive_boolean_ortho, OrthoPoset
 from .repsys import check_boolean_rs_axioms, check_rs_axioms, BooleanRepresentationSystem
 from .sums import build_presum, closure_table, quotient_sum, sum_as_orthoposet, verify_closure_properties
-from .conditions import amp_vs_sasaki, build_amp, check_condition_oml, check_condition_omp, derived_meet, verify_amp_axioms
+from .conditions import amp_vs_sasaki, build_amp, check_condition_oml, check_condition_omp, derived_meet_table, verify_amp_axioms
 from .decompose import build_canonical_rs, enumerate_boolean_subalgebras, roundtrip_check
 from . import modelio
 from .modelio import ParseError, Record, record_from_verdict
@@ -184,7 +184,7 @@ def _cmd_amp(args):
     ]
     if not (omp and oml):
         return records
-    amp = build_amp(s, rs, table)
+    amp = build_amp(s, rs, table, omp, oml)
     so = sum_as_orthoposet(s, brs)
     report = verify_amp_axioms(amp, so)
     records.append(
@@ -196,9 +196,7 @@ def _cmd_amp(args):
         )
     )
     if report.ok:
-        for x in range(so.n):
-            for y in range(so.n):
-                derived_meet(amp, so, x, y)
+        derived_meet_table(amp, so)
         records.append(Record("derived_meet_total", True, counts={"pairs": so.n * so.n}))
     if args.vs_sasaki:
         cmp = amp_vs_sasaki(amp, so)

@@ -15,35 +15,53 @@ def check_condition_omp(s, rs, table=None):
     """Every comparable pair of classes must be fixed by a common view.
 
     With this condition the sum of a boolean system is orthomodular as a
-    poset; the witness is a comparable pair no single view can observe.
-    `table` is the sum's `closure_table`, computed here when not given.
+    poset; the witness is the first comparable pair, in row-major order,
+    that no single view can observe. `table` is the sum's `closure_table`,
+    computed here when not given.
     """
     table = closure_table(s, rs) if table is None else table
+    fixed = table == np.arange(s.order.n)
+    bad = np.argwhere(s.order.leq & ~(fixed.T @ fixed))
+    if len(bad):
+        a, b = bad[0]
+        return Verdict(False, "no-shared-view", (s.label(a), s.label(b)))
+    return OK
+
+
+def _preferred_views(s, table):
+    """pref[a, b]: the first view (in view order) fixing class a whose
+    closure of b lies below the closure of b under every view fixing a,
+    or -1 when there is none. One gather per class over the views fixing it."""
     n = s.order.n
+    leq = s.order.leq
     fixed = table == np.arange(n)
+    pref = np.full((n, n), -1, dtype=np.intp)
     for a in range(n):
-        for b in range(n):
-            if not s.order.leq[a, b]:
-                continue
-            if not (fixed[:, a] & fixed[:, b]).any():
-                return Verdict(False, "no-shared-view", (s.label(a), s.label(b)))
+        fixing = np.flatnonzero(fixed[:, a])
+        if not fixing.size:
+            continue
+        t = table[fixing]
+        best = leq[t[:, None], t[None]].all(axis=1)  # best[k, b]: view fixing[k] is below all for b
+        found = best.any(axis=0)
+        pref[a, found] = fixing[best.argmax(axis=0)[found]]
+    return pref
+
+
+def _oml_verdict(s, pref):
+    bad = np.argwhere(pref < 0)
+    if len(bad):
+        a, b = bad[0]
+        return Verdict(False, "no-preferred-view", (s.label(a), s.label(b)))
     return OK
 
 
 def check_condition_oml(s, rs, table=None):
     """For every pair (a, b) some view must fix a while approximating b at
-    least as well as any other view fixing a. The witness is a pair with no
-    such preferred view. `table` as in `check_condition_omp`."""
+    least as well as any other view fixing a. The witness is the first
+    pair, in row-major order, with no such preferred view. `table` as in
+    `check_condition_omp`."""
     table = closure_table(s, rs) if table is None else table
-    n = s.order.n
-    leq = s.order.leq
-    fixed = table == np.arange(n)
-    for a in range(n):
-        fixing = np.flatnonzero(fixed[:, a])
-        for b in range(n):
-            if not any(all(leq[table[i, b], table[j, b]] for j in fixing) for i in fixing):
-                return Verdict(False, "no-preferred-view", (s.label(a), s.label(b)))
-    return OK
+    return _oml_verdict(s, _preferred_views(s, table))
 
 
 @dataclass(frozen=True)
@@ -56,55 +74,41 @@ class AmpOperation:
     chosen_view: np.ndarray
 
 
-def build_amp(s, rs, table=None):
+def build_amp(s, rs, table=None, omp=None, oml=None):
     """Construct a & b = rho_i(a) ^ b with i the preferred view for b.
 
     Mirrors the preferred-view condition with the roles of a and b swapped;
     the swap is licensed because the condition quantifies over all pairs.
-    Both conditions are re-checked up front, and the meet is computed (and
-    required to exist) in the sum itself. `table` as in
+    `omp` and `oml` are the verdicts of the two conditions; each one not
+    given is checked here, and a false one is refused. The meet is computed
+    (and required to exist) in the sum itself. `table` as in
     `check_condition_omp`; it is computed once and shared by both checks.
     """
     table = closure_table(s, rs) if table is None else table
-    omp = check_condition_omp(s, rs, table)
+    omp = check_condition_omp(s, rs, table) if omp is None else omp
     if not omp:
         raise ValidationError("condition-omp", "comparable classes lack a shared view", omp.witness)
-    oml = check_condition_oml(s, rs, table)
+    pref = _preferred_views(s, table)  # pref[b, a]: the view chosen for a & b
+    oml = _oml_verdict(s, pref) if oml is None else oml
     if not oml:
         raise ValidationError("condition-oml", "no preferred view for some pair", oml.witness)
     n = s.order.n
-    leq = s.order.leq
-    fixed = table == np.arange(n)
-    amp = np.empty((n, n), dtype=int)
-    chosen = np.empty((n, n), dtype=int)
-    for b in range(n):
-        fixing = np.flatnonzero(fixed[:, b])
-        for a in range(n):
-            best = next(
-                (int(i) for i in fixing if all(leq[table[i, a], table[j, a]] for j in fixing)),
-                None,
-            )
-            if best is None:
-                raise InternalCheckError(
-                    "no-preferred-view",
-                    f"conditions verified but no preferred view for ({s.label(a)!r}, {s.label(b)!r})",
-                    (s.label(a), s.label(b)),
-                )
-            m = s.order.meet(int(table[best, a]), b)
-            if m is None:
-                raise InternalCheckError(
-                    "amp-meet-missing",
-                    f"rho(a) ^ b missing in the sum for ({s.label(a)!r}, {s.label(b)!r})",
-                    (s.label(a), s.label(b)),
-                )
-            amp[a, b] = m
-            chosen[a, b] = best
+    cols = np.arange(n)[:, None]
+    meet = s.order.tables()[1][table[pref, cols.T], cols]  # meet[b, a] = rho_pref(a) ^ b
+    bad = np.argwhere((pref < 0) | (meet < 0))  # first failure in the order b, then a
+    if len(bad):
+        b, a = bad[0]
+        if pref[b, a] < 0:
+            code, what = "no-preferred-view", "conditions verified but no preferred view"
+        else:
+            code, what = "amp-meet-missing", "rho(a) ^ b missing in the sum"
+        raise InternalCheckError(code, f"{what} for ({s.label(a)!r}, {s.label(b)!r})", (s.label(a), s.label(b)))
+    amp, chosen = meet.T, pref.T
     amp.flags.writeable = False
     chosen.flags.writeable = False
     return AmpOperation(amp, chosen)
 
 
-_AXIOMS = ("monotony", "reduction", "orthomodularity", "galois")
 WITNESS_CAP = 16
 
 
@@ -120,47 +124,30 @@ class AmpAxiomReport:
 
 
 def verify_amp_axioms(amp, o):
-    """Scan all pairs/triples of o against the four & axioms."""
+    """Scan all pairs/triples of o against the four & axioms, each as one
+    array pass whose violations are listed in lexicographic order."""
     n = o.n
     leq = o.poset.leq
     t = amp.table
-    els = o.elements
-    counts = {a: 0 for a in _AXIOMS}
-    violations = {a: [] for a in _AXIOMS}
-    checked = {"monotony": 0, "reduction": 0, "orthomodularity": 0, "galois": 0}
-
-    def record(axiom, witness):
-        counts[axiom] += 1
-        if len(violations[axiom]) < WITNESS_CAP:
-            violations[axiom].append(witness)
-
-    for x1 in range(n):
-        for x2 in range(n):
-            if not leq[x1, x2]:
-                continue
-            for y in range(n):
-                checked["monotony"] += 1
-                if not leq[t[x1, y], t[x2, y]]:
-                    record("monotony", (els[x1], els[x2], els[y]))
-    for x in range(n):
-        for y in range(n):
-            checked["reduction"] += 1
-            if not leq[t[x, y], y]:
-                record("reduction", (els[x], els[y]))
-            if leq[x, y]:
-                checked["orthomodularity"] += 1
-                if t[x, y] != x:
-                    record("orthomodularity", (els[x], els[y]))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not leq[t[x, y], z]:
-                    continue
-                checked["galois"] += 1
-                if not leq[t[o.ortho[z], y], o.ortho[x]]:
-                    record("galois", (els[x], els[y], els[z]))
+    ortho = np.array(o.ortho)
+    x1, x2 = np.nonzero(leq)
+    y = np.arange(n)
+    galois = leq[t]  # galois[x, y, z]: x & y <= z
+    # scanned: (x1, x2, y) with x1 <= x2; (x, y); (x, y) with x <= y; (x, y, z) with x & y <= z
+    scans = {
+        "monotony": (np.ones((len(x1), n), dtype=bool), ~leq[t[x1], t[x2]], lambda k, y: (x1[k], x2[k], y)),
+        "reduction": (np.ones((n, n), dtype=bool), ~leq[t, y], lambda x, y: (x, y)),
+        "orthomodularity": (leq, leq & (t != y[:, None]), lambda x, y: (x, y)),
+        # x' against z' & y, gathered as [z, y, x] and moved to [x, y, z]
+        "galois": (galois, galois & ~leq[:, ortho][t[ortho]].transpose(2, 1, 0), lambda x, y, z: (x, y, z)),
+    }
+    counts, violations, checked = {}, {}, {}
+    for axiom, (scanned, bad, witness) in scans.items():
+        checked[axiom] = int(scanned.sum())
+        counts[axiom] = int(bad.sum())
+        violations[axiom] = tuple(tuple(o.elements[e] for e in witness(*w)) for w in np.argwhere(bad)[:WITNESS_CAP])
     ok = not any(counts.values())
-    return AmpAxiomReport(ok, counts, {k: tuple(v) for k, v in violations.items()}, checked)
+    return AmpAxiomReport(ok, counts, violations, checked)
 
 
 def derived_meet(amp, o, x, y):
@@ -182,6 +169,20 @@ def derived_meet(amp, o, x, y):
             f"derived meet of {o.elements[x]!r}, {o.elements[y]!r} fails at {o.elements[bad]!r}",
             (o.elements[x], o.elements[y], o.elements[bad]),
         )
+    return result
+
+
+def derived_meet_table(amp, o):
+    """`derived_meet` for every pair at once. A derived meet passes exactly
+    when it is the meet in o's meet table, so the first pair in row-major
+    order where the two differ is handed to `derived_meet`, which raises
+    not-a-meet with its witness."""
+    t = amp.table
+    ortho = np.array(o.ortho)
+    result = t[ortho[t[ortho]], np.arange(o.n)]
+    bad = np.argwhere(result != o.poset.tables()[1])
+    if len(bad):
+        derived_meet(amp, o, *map(int, bad[0]))
     return result
 
 

@@ -235,6 +235,7 @@ def parse(text):
         views = []
         view_docs = {}
         maps = []
+        map_keys = set()
         while True:
             tok = ts.peek()
             if tok is None:
@@ -262,8 +263,9 @@ def parse(text):
                 view_docs[vname] = vdoc
             elif head.text == "map":
                 mspec = _parse_map(ts, view_docs)
-                if any(m.target == mspec.target and m.source == mspec.source for m in maps):
+                if (mspec.target, mspec.source) in map_keys:
                     raise ParseError(f"duplicate map {mspec.target}<{mspec.source}", head.line, head.col)
+                map_keys.add((mspec.target, mspec.source))
                 maps.append(mspec)
             else:
                 raise ParseError(f"unknown section {head.text!r} in repsys", head.line, head.col)

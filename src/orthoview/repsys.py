@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +16,8 @@ class RepresentationSystem:
     """Views, one poset per view, and a total element map for every ordered
     pair of views. transforms[(i, j)][x] is the index, in view i's poset, of
     the translation of element x of view j. Tables are fully materialized;
-    any completion rule is applied before construction.
+    any completion rule is applied before construction, and none changes
+    after it (`stacked` keeps a copy of them).
     """
 
     views: tuple
@@ -40,6 +42,35 @@ class RepresentationSystem:
         except KeyError:
             raise ValidationError("missing-transform", f"no table for ({i!r}, {j!r})", (i, j)) from None
 
+    @cached_property
+    def stacked(self):
+        """The tables as one index array per target view, built on first use.
+
+        (off, g): pairs (view k, element x) are numbered a = off[k] + x, by
+        view and then by element (the pre-sum order), and g[i, a] is the
+        view-i image of pair a, so g[i, off[j]:off[j + 1]] is the table
+        (i, j). Raises missing-transform or bad-transform for the first pair
+        of views, in view order, whose table is absent or does not map view
+        j into view i.
+        """
+        off = np.concatenate(([0], np.cumsum([p.n for p in self.posets]))).astype(np.intp)
+        g = np.empty((len(self.views), off[-1]), dtype=np.intp)
+        for vi, (i, dst) in enumerate(zip(self.views, self.posets)):
+            for vj, (j, src) in enumerate(zip(self.views, self.posets)):
+                t = self.transforms.get((i, j))
+                if t is None:
+                    raise ValidationError("missing-transform", f"no table for ({i!r}, {j!r})", (i, j))
+                if len(t) != src.n or any(not 0 <= x < dst.n for x in t):
+                    raise ValidationError("bad-transform", f"table ({i!r}, {j!r}) does not map {j!r} into {i!r}", (i, j))
+                g[vi, off[vj]:off[vj + 1]] = t
+        return off, g
+
+    def pair(self, a):
+        """(view, element id) of pair a in the `stacked` numbering."""
+        off = self.stacked[0]
+        k = int(np.searchsorted(off, a, "right")) - 1
+        return self.views[k], self.posets[k].elements[a - off[k]]
+
 
 def make_rs(views, posets, transforms, fill_identity=True):
     """Assemble a RepresentationSystem, materializing identity tables."""
@@ -59,44 +90,42 @@ def apply_transform(rs, i, j, x):
     return dst.elements[rs.transform(i, j)[src.idx(x)]]
 
 
+def _within_views(rs, mats):
+    """Pair indices (a, b) of the set entries of mats[k], one n_k x n_k
+    boolean matrix per view, in view and then row-major order: the order of
+    a scan over k, x, y."""
+    off = rs.stacked[0]
+    return np.concatenate([np.argwhere(m) + off[k] for k, m in enumerate(mats)] + [np.empty((0, 2), np.intp)])
+
+
 def check_rs_axioms(rs):
     """Exhaustive check of the three transformation-table laws.
 
     Witnesses carry view and element ids in a fixed order so a failure can
-    be re-verified by direct formula evaluation.
+    be re-verified by direct formula evaluation. The scans run on the
+    `stacked` tables, one gather per target view i, and report the first
+    failure of a scan over i, j, (k,) x, (y).
     """
-    for i in rs.views:
-        for j in rs.views:
-            if (i, j) not in rs.transforms:
-                return Verdict(False, "missing-transform", (i, j))
-            table = rs.transforms[(i, j)]
-            src, dst = rs.poset_of(j), rs.poset_of(i)
-            if len(table) != src.n or any(not 0 <= t < dst.n for t in table):
-                return Verdict(False, "bad-transform", (i, j))
-    for i in rs.views:
-        table = rs.transforms[(i, i)]
-        p = rs.poset_of(i)
-        for x in range(p.n):
-            if table[x] != x:
-                return Verdict(False, "identity", (i, p.elements[x]))
-    for i in rs.views:
-        for j in rs.views:
-            table = rs.transforms[(i, j)]
-            src, dst = rs.poset_of(j), rs.poset_of(i)
-            for x in range(src.n):
-                for y in range(src.n):
-                    if src.leq[x, y] and not dst.leq[table[x], table[y]]:
-                        return Verdict(False, "monotony", (i, j, src.elements[x], src.elements[y]))
-    for i in rs.views:
-        for j in rs.views:
-            for k in rs.views:
-                direct = rs.transforms[(i, k)]
-                first = rs.transforms[(j, k)]
-                second = rs.transforms[(i, j)]
-                src, dst = rs.poset_of(k), rs.poset_of(i)
-                for x in range(src.n):
-                    if not dst.leq[direct[x], second[first[x]]]:
-                        return Verdict(False, "composition", (i, j, k, src.elements[x]))
+    try:
+        off, g = rs.stacked
+    except ValidationError as e:
+        return Verdict(False, e.code, e.witness)
+    for i, p, t, start in zip(rs.views, rs.posets, g, off):
+        bad = np.flatnonzero(t[start:start + p.n] != np.arange(p.n))
+        if bad.size:
+            return Verdict(False, "identity", (i, p.elements[bad[0]]))
+    below = _within_views(rs, [p.leq for p in rs.posets])
+    for i, dst, t in zip(rs.views, rs.posets, g):
+        bad = np.flatnonzero(~dst.leq[t[below[:, 0]], t[below[:, 1]]])
+        if bad.size:
+            (j, x), (_, y) = map(rs.pair, below[bad[0]])
+            return Verdict(False, "monotony", (i, j, x, y))
+    for i, dst, t in zip(rs.views, rs.posets, g):
+        routed = t[off[:-1, None] + g]  # routed[j, a] = f_(i|j)(f_(j|k)(x)) for a = (k, x)
+        bad = np.argwhere(~dst.leq[t, routed])
+        if len(bad):
+            j, a = bad[0]
+            return Verdict(False, "composition", (i, rs.views[j]) + rs.pair(a))
     return OK
 
 
@@ -133,22 +162,28 @@ def check_boolean_rs_axioms(rs, orthos):
         b = is_boolean_algebra(o)
         if not b:
             return Verdict(False, "view-not-boolean", (v, b.code) + b.witness)
-    for i, oi in zip(rs.views, orthos):
-        for j, oj in zip(rs.views, orthos):
-            t = np.array(rs.transforms[(i, j)])
-            bad = t[oj.poset.tables()[0]] != oi.poset.tables()[0][np.ix_(t, t)]
-            if bad.any():
-                x, y = (oj.elements[k] for k in np.argwhere(bad)[0])
-                return Verdict(False, "join-preservation", (i, j, x, y))
-    for i, oi in zip(rs.views, orthos):
-        for j, oj in zip(rs.views, orthos):
-            fwd = rs.transforms[(i, j)]
-            back = rs.transforms[(j, i)]
-            src, dst = oj, oi
-            for x in range(src.n):
-                for y in range(dst.n):
-                    if dst.poset.leq[fwd[x], y] and not src.poset.leq[back[dst.ortho[y]], src.ortho[x]]:
-                        return Verdict(False, "ortho-adjunction", (i, j, src.elements[x], dst.elements[y]))
+    off, g = rs.stacked
+    tables = [o.poset.tables()[0] for o in orthos]
+    pairs = _within_views(rs, [np.ones(jn.shape, bool) for jn in tables])
+    joined = np.concatenate([jn.ravel() + off[k] for k, jn in enumerate(tables)] + [np.empty(0, np.intp)])
+    for i, oi, t, jn in zip(rs.views, orthos, g, tables):
+        bad = np.flatnonzero(t[joined] != jn[t[pairs[:, 0]], t[pairs[:, 1]]])
+        if bad.size:
+            (j, x), (_, y) = map(rs.pair, pairs[bad[0]])
+            return Verdict(False, "join-preservation", (i, j, x, y))
+    # the source orders as one flat array: leq_k[u, v] = flat[base[k] + u * n_k + v]
+    sizes = np.diff(off)
+    flat = np.concatenate([o.poset.leq.ravel() for o in orthos] + [np.empty(0, bool)])
+    base = np.concatenate(([0], np.cumsum(sizes * sizes)))[:-1]
+    owner = np.repeat(np.arange(len(rs.views)), sizes)
+    comp = np.concatenate([np.array(o.ortho, dtype=np.intp) for o in orthos] + [np.empty(0, np.intp)])
+    row = base[owner] + comp  # row[a] + u * n_k addresses leq_k[u, x'] for a = (k, x)
+    for vi, (i, oi, t) in enumerate(zip(rs.views, orthos, g)):
+        back = g[owner[:, None], off[vi] + np.array(oi.ortho)]  # back[a, y] = f_(k|i)(y') for a = (k, x)
+        bad = np.argwhere(oi.poset.leq[t] & ~flat[row[:, None] + back * sizes[owner][:, None]])
+        if len(bad):
+            a, y = bad[0]
+            return Verdict(False, "ortho-adjunction", (i,) + rs.pair(a) + (oi.elements[y],))
     return OK
 
 

@@ -25,19 +25,13 @@ def build_presum(rs):
     """Materialize the tagged pairs and their relation matrix.
 
     Reflexivity and transitivity are re-asserted from the matrix; a failure
-    here means an invalid system slipped past validation.
+    here means an invalid system slipped past validation. Pairs are in the
+    `stacked` order of the system's tables.
     """
-    pairs = []
-    for v, p in zip(rs.views, rs.posets):
-        pairs.extend((v, e) for e in p.elements)
-    pairs = tuple(pairs)
-    m = len(pairs)
-    rel = np.zeros((m, m), dtype=bool)
-    for a, (i, x) in enumerate(pairs):
-        xi = rs.poset_of(i).idx(x)
-        for b, (j, y) in enumerate(pairs):
-            pj = rs.poset_of(j)
-            rel[a, b] = pj.leq[rs.transforms[(j, i)][xi], pj.idx(y)]
+    g = rs.stacked[1]
+    pairs = tuple((v, e) for v, p in zip(rs.views, rs.posets) for e in p.elements)
+    # block column j: leq_j between the view-j images and view j's elements
+    rel = np.hstack([p.leq[t] for p, t in zip(rs.posets, g)] + [np.empty((len(pairs), 0), bool)])
     if not rel.diagonal().all():
         a = int(np.flatnonzero(~rel.diagonal())[0])
         raise InternalCheckError("preorder", "pre-sum relation is not reflexive", pairs[a])
@@ -75,74 +69,83 @@ class SumPoset:
 
 
 def quotient_sum(ps):
-    """Group mutually comparable pairs and order the classes."""
-    m = len(ps.pairs)
+    """Group mutually comparable pairs and order the classes, each class
+    named after and ordered by its first member."""
     mutual = ps.rel & ps.rel.T
-    seen = [False] * m
-    classes = []
-    for a in range(m):
-        if seen[a]:
-            continue
-        members = [int(b) for b in np.flatnonzero(mutual[a])]
-        for b in members:
-            seen[b] = True
-        classes.append(tuple(members))
-    reps = [c[0] for c in classes]
-    order_rel = ps.rel[np.ix_(reps, reps)]
-    order = FinitePoset([_label(ps.pairs[r]) for r in reps], order_rel)
-    embed = {}
-    for c, members in enumerate(classes):
-        for b in members:
-            embed[ps.pairs[b]] = c
-    member_pairs = tuple(tuple(ps.pairs[b] for b in members) for members in classes)
-    return SumPoset(member_pairs, order, embed)
+    first = mutual.argmax(axis=1) if len(mutual) else np.empty(0, np.intp)
+    reps, klass = np.unique(first, return_inverse=True)
+    order = FinitePoset([_label(ps.pairs[r]) for r in reps], ps.rel[np.ix_(reps, reps)])
+    members = [[] for _ in reps]
+    for pair, c in zip(ps.pairs, klass.tolist()):
+        members[c].append(pair)
+    return SumPoset(tuple(map(tuple, members)), order, dict(zip(ps.pairs, klass.tolist())))
+
+
+def _pair_classes(s, rs):
+    """The class of every pair of rs, in its `stacked` numbering."""
+    pairs = ((v, e) for v, p in zip(rs.views, rs.posets) for e in p.elements)
+    return np.fromiter((s.embed[pair] for pair in pairs), np.intp, rs.stacked[0][-1])
+
+
+def _ill_defined_closure(s, view, c):
+    return InternalCheckError(
+        "ill-defined-closure",
+        f"closure of class {s.label(c)!r} under view {view!r} depends on the representative",
+        (view, s.label(c)),
+    )
 
 
 def view_closure(s, rs, view, c):
     """Best approximation of class c visible from the given view.
 
-    Computed from a representative and asserted identical across all
-    representatives; a disagreement means the system was invalid.
+    The view's image of every member of the class is taken and asserted
+    to land in one class; a disagreement means the system was invalid.
     """
-    results = set()
-    for j, x in s.classes[c]:
-        xi = rs.poset_of(j).idx(x)
-        target = rs.poset_of(view).elements[rs.transforms[(view, j)][xi]]
-        results.add(s.embed[(view, target)])
+    vi = rs.view_index(view)
+    off, g = rs.stacked
+    klass = _pair_classes(s, rs)
+    results = np.unique(klass[off[vi] + g[vi, klass == c]])
     if len(results) != 1:
-        raise InternalCheckError(
-            "ill-defined-closure",
-            f"closure of class {s.label(c)!r} under view {view!r} depends on the representative",
-            (view, s.label(c)),
-        )
-    return results.pop()
+        raise _ill_defined_closure(s, view, c)
+    return int(results[0])
 
 
 def closure_table(s, rs):
-    """view_closure for every (view, class), as a views x classes array."""
-    n = s.order.n
-    table = np.empty((len(rs.views), n), dtype=int)
-    for vi, v in enumerate(rs.views):
-        for c in range(n):
-            table[vi, c] = view_closure(s, rs, v, c)
+    """view_closure for every (view, class), as a views x classes array.
+
+    One gather over the `stacked` tables: the class of the view-i image of
+    every pair, compared across all members of each class; the first
+    ill-defined (view, class) in row-major order raises."""
+    off, g = rs.stacked
+    klass = _pair_classes(s, rs)
+    images = klass[off[:-1, None] + g]
+    table = np.empty((len(rs.views), s.order.n), dtype=np.intp)
+    table[:, klass] = images
+    i, a = np.nonzero(images != table[:, klass])
+    if len(i):
+        i, c = min(zip(i.tolist(), klass[a].tolist()))
+        raise _ill_defined_closure(s, rs.views[i], c)
     return table
 
 
 def verify_closure_properties(s, rs):
-    """Every view closure must be inflationary, idempotent and monotone."""
+    """Every view closure must be inflationary, idempotent and monotone;
+    per view, the first class failing either of the first two, then the
+    first pair failing monotony."""
+    n = s.order.n
     leq = s.order.leq
-    table = closure_table(s, rs)
-    for vi, v in enumerate(rs.views):
-        rho = table[vi]
-        for c in range(s.order.n):
-            if not leq[c, rho[c]]:
-                return Verdict(False, "extension", (v, s.label(c)))
-            if rho[rho[c]] != rho[c]:
-                return Verdict(False, "idempotence", (v, s.label(c)))
-        for c in range(s.order.n):
-            for d in range(s.order.n):
-                if leq[c, d] and not leq[rho[c], rho[d]]:
-                    return Verdict(False, "monotony", (v, s.label(c), s.label(d)))
+    rho = closure_table(s, rs)
+    extension = ~leq[np.arange(n), rho]
+    idempotence = np.take_along_axis(rho, rho, axis=1) != rho
+    for v, r, ext, idem in zip(rs.views, rho, extension, idempotence):
+        bad = np.flatnonzero(ext | idem)
+        if bad.size:
+            c = bad[0]
+            return Verdict(False, "extension" if ext[c] else "idempotence", (v, s.label(c)))
+        bad = np.argwhere(leq & ~leq[np.ix_(r, r)])
+        if len(bad):
+            c, d = bad[0]
+            return Verdict(False, "monotony", (v, s.label(c), s.label(d)))
     return OK
 
 

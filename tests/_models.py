@@ -427,3 +427,180 @@ def reference_subalgebra_pairs(o, carrier):
             if jn not in carrier or mt not in carrier:
                 return False, "not-closed", (els[i], els[j])
     return True, "", ()
+
+
+# -- system-layer scans as plain loops -----------------------------------------
+# Loops over the transformation tables, the pre-sum pairs and the sum
+# classes, in the scan order the library's witnesses follow. The library
+# runs them as gathers on the stacked tables and must agree on every
+# verdict, witness and array.
+
+
+def reference_rs_axioms(rs):
+    """Missing or bad tables, then identity, monotony over (i, j, x, y) and
+    composition over (i, j, k, x)."""
+    for i in rs.views:
+        for j in rs.views:
+            if (i, j) not in rs.transforms:
+                return False, "missing-transform", (i, j)
+            table = rs.transforms[(i, j)]
+            src, dst = rs.poset_of(j), rs.poset_of(i)
+            if len(table) != src.n or any(not 0 <= t < dst.n for t in table):
+                return False, "bad-transform", (i, j)
+    for i in rs.views:
+        table, p = rs.transforms[(i, i)], rs.poset_of(i)
+        for x in range(p.n):
+            if table[x] != x:
+                return False, "identity", (i, p.elements[x])
+    for i in rs.views:
+        for j in rs.views:
+            table = rs.transforms[(i, j)]
+            src, dst = rs.poset_of(j), rs.poset_of(i)
+            for x in range(src.n):
+                for y in range(src.n):
+                    if src.leq[x, y] and not dst.leq[table[x], table[y]]:
+                        return False, "monotony", (i, j, src.elements[x], src.elements[y])
+    for i in rs.views:
+        for j in rs.views:
+            for k in rs.views:
+                direct, first, second = rs.transforms[(i, k)], rs.transforms[(j, k)], rs.transforms[(i, j)]
+                src, dst = rs.poset_of(k), rs.poset_of(i)
+                for x in range(src.n):
+                    if not dst.leq[direct[x], second[first[x]]]:
+                        return False, "composition", (i, j, k, src.elements[x])
+    return True, "", ()
+
+
+def reference_presum(rs):
+    """(pairs, rel): (i, x) <= (j, y) iff f_(j|i)(x) <= y in view j."""
+    pairs = [(v, e) for v, p in zip(rs.views, rs.posets) for e in p.elements]
+    rel = np.zeros((len(pairs), len(pairs)), dtype=bool)
+    for a, (i, x) in enumerate(pairs):
+        xi = rs.poset_of(i).idx(x)
+        for b, (j, y) in enumerate(pairs):
+            pj = rs.poset_of(j)
+            rel[a, b] = pj.leq[rs.transforms[(j, i)][xi], pj.idx(y)]
+    return tuple(pairs), rel
+
+
+def reference_closure_table(s, rs):
+    """The closure of every class under every view, from the images of all
+    its members; InternalCheckError ill-defined-closure on the first
+    (view, class) whose members disagree."""
+    from orthoview import InternalCheckError
+
+    table = np.empty((len(rs.views), s.order.n), dtype=int)
+    for vi, v in enumerate(rs.views):
+        for c in range(s.order.n):
+            results = set()
+            for j, x in s.classes[c]:
+                target = rs.poset_of(v).elements[rs.transforms[(v, j)][rs.poset_of(j).idx(x)]]
+                results.add(s.embed[(v, target)])
+            if len(results) != 1:
+                raise InternalCheckError("ill-defined-closure", "", (v, s.label(c)))
+            table[vi, c] = results.pop()
+    return table
+
+
+def reference_closure_properties(s, rs):
+    """Per view: extension and idempotence per class, then monotony per pair."""
+    leq = s.order.leq
+    table = reference_closure_table(s, rs)
+    for vi, v in enumerate(rs.views):
+        rho = table[vi]
+        for c in range(s.order.n):
+            if not leq[c, rho[c]]:
+                return False, "extension", (v, s.label(c))
+            if rho[rho[c]] != rho[c]:
+                return False, "idempotence", (v, s.label(c))
+        for c in range(s.order.n):
+            for d in range(s.order.n):
+                if leq[c, d] and not leq[rho[c], rho[d]]:
+                    return False, "monotony", (v, s.label(c), s.label(d))
+    return True, "", ()
+
+
+def _fixing(table, c):
+    return [i for i in range(len(table)) if table[i, c] == c]
+
+
+def _preferred(leq, table, fixing, b):
+    return next((i for i in fixing if all(leq[table[i, b], table[j, b]] for j in fixing)), None)
+
+
+def reference_condition_omp(s, table):
+    for a in range(s.order.n):
+        for b in range(s.order.n):
+            if s.order.leq[a, b] and not set(_fixing(table, a)) & set(_fixing(table, b)):
+                return False, "no-shared-view", (s.label(a), s.label(b))
+    return True, "", ()
+
+
+def reference_condition_oml(s, table):
+    for a in range(s.order.n):
+        fixing = _fixing(table, a)
+        for b in range(s.order.n):
+            if _preferred(s.order.leq, table, fixing, b) is None:
+                return False, "no-preferred-view", (s.label(a), s.label(b))
+    return True, "", ()
+
+
+def reference_build_amp(s, table):
+    """(amp, chosen_view) over b, then a: the first view fixing b that is
+    preferred for a, and the oracle meet of its closure of a with b;
+    InternalCheckError on the first pair lacking either."""
+    from orthoview import InternalCheckError
+
+    n, leq = s.order.n, s.order.leq
+    amp = np.empty((n, n), dtype=int)
+    chosen = np.empty((n, n), dtype=int)
+    for b in range(n):
+        fixing = _fixing(table, b)
+        for a in range(n):
+            best = _preferred(leq, table, fixing, a)
+            if best is None:
+                raise InternalCheckError("no-preferred-view", "", (s.label(a), s.label(b)))
+            m = oracle_meet(leq, table[best, a], b)
+            if m is None:
+                raise InternalCheckError("amp-meet-missing", "", (s.label(a), s.label(b)))
+            amp[a, b], chosen[a, b] = m, best
+    return amp, chosen
+
+
+def reference_amp_axioms(t, o, cap):
+    """(counts, violations capped at cap, checked) of the four & axioms."""
+    n, leq, els = o.n, o.poset.leq, o.elements
+    axioms = ("monotony", "reduction", "orthomodularity", "galois")
+    counts = {a: 0 for a in axioms}
+    violations = {a: [] for a in axioms}
+    checked = {a: 0 for a in axioms}
+
+    def record(axiom, *w):
+        counts[axiom] += 1
+        if len(violations[axiom]) < cap:
+            violations[axiom].append(tuple(els[e] for e in w))
+
+    for x1 in range(n):
+        for x2 in range(n):
+            if leq[x1, x2]:
+                for y in range(n):
+                    checked["monotony"] += 1
+                    if not leq[t[x1, y], t[x2, y]]:
+                        record("monotony", x1, x2, y)
+    for x in range(n):
+        for y in range(n):
+            checked["reduction"] += 1
+            if not leq[t[x, y], y]:
+                record("reduction", x, y)
+            if leq[x, y]:
+                checked["orthomodularity"] += 1
+                if t[x, y] != x:
+                    record("orthomodularity", x, y)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if leq[t[x, y], z]:
+                    checked["galois"] += 1
+                    if not leq[t[o.ortho[z], y], o.ortho[x]]:
+                        record("galois", x, y, z)
+    return counts, {a: tuple(v) for a, v in violations.items()}, checked

@@ -157,6 +157,32 @@ def test_amp_computes_the_closure_table_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_amp_checks_each_condition_once(capsys, monkeypatch):
+    import orthoview.cli as cli
+    import orthoview.conditions as cond
+
+    calls = []
+    for name in ("check_condition_omp", "check_condition_oml"):
+        original = getattr(cond, name)
+        counting = lambda *a, name=name, original=original: calls.append(name) or original(*a)
+        for module in (cli, cond):
+            monkeypatch.setattr(module, name, counting)
+    code, _, _ = run(capsys, "amp", "zoo:greechie_cycle_5")
+    assert code == 0 and sorted(calls) == ["check_condition_oml", "check_condition_omp"]
+
+
+def test_system_without_views_exits_cleanly(capsys, tmp_path):
+    # every scan runs on empty stacked tables; the sum has no bounds
+    path = tmp_path / "empty.oml-model"
+    path.write_text("repsys empty {\n}\n")
+    for prop in ("rs", "boolean-rs", "closure", "eq6", "eq11"):
+        assert run(capsys, "check", str(path), "--property", prop)[0] == 0, prop
+    assert run(capsys, "validate", str(path))[0] == 0
+    for command in ("sum", "amp"):
+        code, _, out = run(capsys, command, str(path))
+        assert code == 3 and "ill-defined-bounds" in out.err
+
+
 def test_amp_on_hexagon_reports_condition_failure(capsys):
     code, records, _ = run(capsys, "amp", "zoo:O6")
     assert code == 1

@@ -101,10 +101,23 @@ def test_amp_on_mo2():
 
 def test_build_amp_refuses_hexagon():
     brs, s = canonical("O6")
-    for table in (None, closure_table(s, brs.rs)):
+    table = closure_table(s, brs.rs)
+    omp = check_condition_omp(s, brs.rs, table)
+    for args in ((None,), (table,), (table, omp), (table, omp, check_condition_oml(s, brs.rs, table))):
         with pytest.raises(ValidationError) as err:
-            build_amp(s, brs.rs, table)
+            build_amp(s, brs.rs, *args)
         assert err.value.code == "condition-omp"
+        assert err.value.witness == omp.witness
+
+
+def test_build_amp_refuses_a_given_failed_preferred_view_condition():
+    brs, s = canonical("greechie_cycle_4")
+    table = closure_table(s, brs.rs)
+    oml = check_condition_oml(s, brs.rs, table)
+    for args in ((table,), (table, check_condition_omp(s, brs.rs, table), oml)):
+        with pytest.raises(ValidationError) as err:
+            build_amp(s, brs.rs, *args)
+        assert err.value.code == "condition-oml" and err.value.witness == oml.witness
 
 
 def test_build_amp_with_a_given_closure_table(monkeypatch):

@@ -64,6 +64,24 @@ def test_parse_duplicate_view_and_unknown_view():
     assert "W" in str(err.value)
 
 
+def test_parse_duplicate_map_location():
+    text = (
+        "repsys r {\n"
+        "  view V = poset { elements x y ; covers x<y } ;\n"
+        "  view U = poset { elements u } ;\n"
+        "  map V<U { u->x } ;\n"
+        "  map U<V { * -> u } ;\n"
+        "    map V<U { u->y }\n"
+        "}\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == "line 6, column 5: duplicate map V<U"
+    assert (err.value.line, err.value.col) == (6, 5)
+    # a map between another pair of views is no duplicate
+    assert len(parse(text.replace("map V<U { u->y }", "map U<U { * -> u }")).maps) == 3
+
+
 def test_parse_map_entry_references_checked():
     base = "repsys r {{ view V = poset {{ elements x }} ; view U = poset {{ elements u }} ; map V<U {{ {entry} }} }}"
     with pytest.raises(ParseError) as err:
