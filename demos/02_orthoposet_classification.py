@@ -29,5 +29,5 @@ for model in zoo().values():
 # The hexagon fails the orthomodular law at a <= b: a v (b ^ a') stays a.
 o6 = build_orthoposet(zoo()["hexagon_O6"].doc)
 a, b = o6.idx("a"), o6.idx("b")
-recombined = o6.join(a, o6.meet(b, o6.ortho[a]))
+recombined = o6.poset.join(a, o6.poset.meet(b, o6.ortho[a]))
 print("\nhexagon: a v (b ^ a') =", o6.elements[recombined], " but b =", o6.elements[b])

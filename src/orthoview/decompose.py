@@ -184,7 +184,7 @@ def build_canonical_rs(o, cap=32, subs=None):
         proj = _projections(o, bi.carrier, np.arange(o.n))
         for vj, bj in zip(views, subs):
             transforms[(vi, vj)] = tuple(proj[list(bj.carrier)].tolist())
-    rs = make_rs(views, posets, transforms, fill_identity=False)
+    rs = make_rs(views, posets, transforms)
     validate_rs(rs)
     v = check_boolean_rs_axioms(rs, tuple(orthos))
     if not v:

@@ -1,6 +1,6 @@
 """The .oml-model text format, the builtin model zoo, and check reports.
 
-Grammar (whitespace-insensitive tokens, '#' comments to end of line):
+Grammar:
 
     poset NAME { elements e1 e2 ... ; covers a<b c<d ... }
     orthoposet NAME { elements ... ; covers ... ; ortho x:y ... }
@@ -8,18 +8,26 @@ Grammar (whitespace-insensitive tokens, '#' comments to end of line):
                   ... ;
                   map Vi<Vj { x->y ... ; * -> t } }
 
+Tokens: each line (str.splitlines) is cut at its first '#'; what is left
+splits into '{', '}', ';' and maximal runs of other non-whitespace
+characters. Errors carry the 1-based line and column of their token.
+Ids: element ids and view names are single tokens that must not contain
+'<', ':' or '->', so that covers, ortho pairs, map headers and entries
+split back into ids; a violation is a ParseError at the id's token.
+
 Covers are Hasse/comparability pairs; the order is their reflexive-
 transitive closure. Ortho entries list unordered complement pairs (a
 self-pair parses but cannot validate). `map Vi<Vj` is the table
 translating view Vj into view Vi; `* -> t` supplies the image of every
-unlisted element; tables for Vi<Vi are implicit identities. Element ids
-must not contain '<', ':', '->', braces, ';' or '#'.
+unlisted element; tables for Vi<Vi are implicit identities.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .poset import FinitePoset, ValidationError
 from .ortho import OrthoPoset
@@ -56,35 +64,21 @@ class ModelDocument:
     maps: tuple = ()
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int
 
 
-_PUNCT = "{};"
+_TOKEN = re.compile(r"[{};]|[^\s{};]+")
 
 
 def _tokenize(text):
-    tokens = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        col = 0
-        cur = []
-        start = 0
-        for col, ch in enumerate(line + " ", start=1):
-            if ch.isspace() or ch in _PUNCT:
-                if cur:
-                    tokens.append(_Token("".join(cur), ln, start))
-                    cur = []
-                if ch in _PUNCT:
-                    tokens.append(_Token(ch, ln, col))
-            else:
-                if not cur:
-                    start = col
-                cur.append(ch)
-    return tokens
+    return [
+        _Token(m.group(), ln, m.start() + 1)
+        for ln, line in enumerate(text.splitlines(), start=1)
+        for m in _TOKEN.finditer(line.split("#", 1)[0])
+    ]
 
 
 class _Stream:
@@ -112,6 +106,32 @@ class _Stream:
             raise ParseError(message, *self.end)
         raise ParseError(message, tok.line, tok.col)
 
+    def upto(self, *stops):
+        """The tokens before the next one in stops, which is not consumed."""
+        start = self.pos
+        while self.pos < len(self.tokens) and self.tokens[self.pos].text not in stops:
+            self.pos += 1
+        return self.tokens[start:self.pos]
+
+    def items(self, what):
+        """The first token of each ';'-separated item of a block, consumed;
+        the block's closing '}' is consumed too."""
+        while True:
+            tok = self.peek()
+            if tok is None:
+                self.fail(f"unterminated {what}")
+            self.pos += 1
+            if tok.text == "}":
+                return
+            if tok.text != ";":
+                yield tok
+
+
+def _id(tok, what):
+    if "<" in tok.text or ":" in tok.text or "->" in tok.text:
+        raise ParseError(f"illegal {what} {tok.text!r} (ids may not contain '<', ':' or '->')", tok.line, tok.col)
+    return tok.text
+
 
 def _split_pair(tok, sep, what):
     parts = tok.text.split(sep)
@@ -120,103 +140,74 @@ def _split_pair(tok, sep, what):
     return parts[0], parts[1]
 
 
-def _section_tokens(ts):
-    """Tokens up to the next ';' or '}' (the terminator is not consumed)."""
-    out = []
-    while True:
-        tok = ts.peek()
-        if tok is None or tok.text in ";}":
-            return out
-        out.append(ts.next())
+# section name -> the parser of each of its tokens
+_SECTIONS = {
+    "elements": lambda t: _id(t, "element id"),
+    "covers": lambda t: _split_pair(t, "<", "cover"),
+    "ortho": lambda t: _split_pair(t, ":", "ortho pair"),
+}
 
 
 def _parse_structure_body(ts, kind, name):
-    elements = covers = ortho = None
-    while True:
-        tok = ts.peek()
-        if tok is None:
-            ts.fail("unterminated block")
-        if tok.text == "}":
-            ts.next()
-            break
-        if tok.text == ";":
-            ts.next()
-            continue
-        head = ts.next()
-        body = _section_tokens(ts)
-        if head.text == "elements":
-            if elements is not None:
-                raise ParseError("duplicate elements section", head.line, head.col)
-            elements = tuple(t.text for t in body)
-        elif head.text == "covers":
-            if covers is not None:
-                raise ParseError("duplicate covers section", head.line, head.col)
-            covers = tuple(_split_pair(t, "<", "cover") for t in body)
-        elif head.text == "ortho" and kind == "orthoposet":
-            if ortho is not None:
-                raise ParseError("duplicate ortho section", head.line, head.col)
-            ortho = tuple(_split_pair(t, ":", "ortho pair") for t in body)
-        else:
+    sections = {}
+    for head in ts.items("block"):
+        body = ts.upto(";", "}")
+        if head.text not in _SECTIONS or head.text == "ortho" and kind != "orthoposet":
             raise ParseError(f"unknown section {head.text!r} in {kind}", head.line, head.col)
-    if elements is None:
+        if head.text in sections:
+            raise ParseError(f"duplicate {head.text} section", head.line, head.col)
+        sections[head.text] = tuple(map(_SECTIONS[head.text], body))
+    if "elements" not in sections:
         ts.fail(f"{kind} {name!r} lacks an elements section")
+    elements = sections["elements"]
     seen = set()
     for e in elements:
         if e in seen:
             ts.fail(f"duplicate element {e!r}")
         seen.add(e)
-    for pair in (covers or ()) + (ortho or ()):
+    covers, ortho = sections.get("covers", ()), sections.get("ortho", ())
+    for pair in covers + ortho:
         for e in pair:
             if e not in seen:
                 ts.fail(f"unknown element {e!r} in {name!r}")
-    return ModelDocument(kind, name, elements, covers or (), ortho or ())
+    return ModelDocument(kind, name, elements, covers, ortho)
 
 
 def _parse_map(ts, views):
-    header = []
-    while ts.peek() is not None and ts.peek().text != "{":
-        header.append(ts.next())
+    header = ts.upto("{")
     if not header:
         ts.fail("map needs a target<source header")
+    at = header[0].line, header[0].col
     joined = "".join(t.text for t in header)
     parts = joined.split("<")
     if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise ParseError(f"malformed map header {joined!r}", header[0].line, header[0].col)
+        raise ParseError(f"malformed map header {joined!r}", *at)
     target, source = parts
     for v in (target, source):
         if v not in views:
-            raise ParseError(f"map references unknown view {v!r}", header[0].line, header[0].col)
+            raise ParseError(f"map references unknown view {v!r}", *at)
     src_els = set(views[source].elements)
     dst_els = set(views[target].elements)
     ts.next("{")
     entries = []
     default = None
-    while True:
-        tok = ts.peek()
-        if tok is None:
-            ts.fail("unterminated map block")
-        if tok.text == "}":
-            ts.next()
-            break
-        if tok.text == ";":
-            ts.next()
-            continue
-        body = _section_tokens(ts)
-        joined = "".join(t.text for t in body)
+    for head in ts.items("map block"):
+        at = head.line, head.col
+        joined = head.text + "".join(t.text for t in ts.upto(";", "}"))
         parts = joined.split("->")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ParseError(f"malformed map entry {joined!r}", body[0].line, body[0].col)
+            raise ParseError(f"malformed map entry {joined!r}", *at)
         lhs, rhs = parts
         if lhs != "*" and lhs not in src_els:
-            raise ParseError(f"map entry uses unknown {source!r} element {lhs!r}", body[0].line, body[0].col)
+            raise ParseError(f"map entry uses unknown {source!r} element {lhs!r}", *at)
         if rhs not in dst_els:
-            raise ParseError(f"map entry uses unknown {target!r} element {rhs!r}", body[0].line, body[0].col)
-        if lhs == "*":
-            if default is not None:
-                raise ParseError("duplicate default entry", body[0].line, body[0].col)
-            default = rhs
-        else:
+            raise ParseError(f"map entry uses unknown {target!r} element {rhs!r}", *at)
+        if lhs != "*":
             entries.append((lhs, rhs))
+        elif default is not None:
+            raise ParseError("duplicate default entry", *at)
+        else:
+            default = rhs
     return MapSpec(target, source, tuple(entries), default)
 
 
@@ -232,24 +223,12 @@ def parse(text):
     if kind != "repsys":
         doc = _parse_structure_body(ts, kind, name)
     else:
-        views = []
-        view_docs = {}
-        maps = []
-        map_keys = set()
-        while True:
-            tok = ts.peek()
-            if tok is None:
-                ts.fail("unterminated repsys block")
-            if tok.text == "}":
-                ts.next()
-                break
-            if tok.text == ";":
-                ts.next()
-                continue
-            head = ts.next()
+        views = {}
+        maps = {}
+        for head in ts.items("repsys block"):
             if head.text == "view":
-                vname = ts.next().text
-                if vname in view_docs:
+                vname = _id(ts.next(), "view name")
+                if vname in views:
                     raise ParseError(f"duplicate view {vname!r}", head.line, head.col)
                 eq = ts.next()
                 if eq.text != "=":
@@ -258,18 +237,16 @@ def parse(text):
                 if vkind.text not in ("poset", "orthoposet"):
                     raise ParseError(f"view must be a poset or orthoposet, not {vkind.text!r}", vkind.line, vkind.col)
                 ts.next("{")
-                vdoc = _parse_structure_body(ts, vkind.text, vname)
-                views.append((vname, vdoc))
-                view_docs[vname] = vdoc
+                views[vname] = _parse_structure_body(ts, vkind.text, vname)
             elif head.text == "map":
-                mspec = _parse_map(ts, view_docs)
-                if (mspec.target, mspec.source) in map_keys:
+                mspec = _parse_map(ts, views)
+                key = mspec.target, mspec.source
+                if key in maps:
                     raise ParseError(f"duplicate map {mspec.target}<{mspec.source}", head.line, head.col)
-                map_keys.add((mspec.target, mspec.source))
-                maps.append(mspec)
+                maps[key] = mspec
             else:
                 raise ParseError(f"unknown section {head.text!r} in repsys", head.line, head.col)
-        doc = ModelDocument(kind, name, views=tuple(views), maps=tuple(maps))
+        doc = ModelDocument(kind, name, views=tuple(views.items()), maps=tuple(maps.values()))
     trailing = ts.peek()
     if trailing is not None:
         raise ParseError(f"trailing input {trailing.text!r}", trailing.line, trailing.col)
@@ -372,7 +349,7 @@ def build_repsys(doc):
                 (m.target, m.source, holes[0]),
             )
         transforms[(m.target, m.source)] = tuple(table)
-    rs = make_rs(names, posets, transforms, fill_identity=True)
+    rs = make_rs(names, posets, transforms)
     return rs, tuple(orthos)
 
 

@@ -67,15 +67,6 @@ class OrthoPoset:
     def idx(self, element):
         return self.poset.idx(element)
 
-    def le(self, i, j):
-        return self.poset.le(i, j)
-
-    def join(self, i, j):
-        return self.poset.join(i, j)
-
-    def meet(self, i, j):
-        return self.poset.meet(i, j)
-
     def __repr__(self):
         return f"OrthoPoset({self.n} elements)"
 
@@ -205,7 +196,7 @@ def sasaki_projection(o, x, y):
     oml = is_orthomodular_lattice(o)
     if not oml:
         raise ValidationError("not-oml", f"sasaki projection needs an orthomodular lattice: {oml.code}", oml.witness)
-    return o.meet(o.join(x, o.ortho[y]), y)
+    return o.poset.meet(o.poset.join(x, o.ortho[y]), y)
 
 
 def derive_boolean_ortho(p):

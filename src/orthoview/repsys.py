@@ -72,14 +72,13 @@ class RepresentationSystem:
         return self.views[k], self.posets[k].elements[a - off[k]]
 
 
-def make_rs(views, posets, transforms, fill_identity=True):
-    """Assemble a RepresentationSystem, materializing identity tables."""
+def make_rs(views, posets, transforms):
+    """Assemble a RepresentationSystem, materializing absent identity tables."""
     views = tuple(views)
     posets = tuple(posets)
     transforms = dict(transforms)
-    if fill_identity:
-        for v, p in zip(views, posets):
-            transforms.setdefault((v, v), tuple(range(p.n)))
+    for v, p in zip(views, posets):
+        transforms.setdefault((v, v), tuple(range(p.n)))
     return RepresentationSystem(views, posets, transforms)
 
 

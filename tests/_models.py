@@ -363,7 +363,7 @@ def reference_close(o, seed):
         nxt = cur | {o.ortho[i] for i in cur}
         for i in cur:
             for j in cur:
-                jn, mt = o.join(i, j), o.meet(i, j)
+                jn, mt = o.poset.join(i, j), o.poset.meet(i, j)
                 if jn is None or mt is None:
                     return None
                 nxt |= {jn, mt}
@@ -604,3 +604,29 @@ def reference_amp_axioms(t, o, cap):
                     if not leq[t[o.ortho[z], y], o.ortho[x]]:
                         record("galois", x, y, z)
     return counts, {a: tuple(v) for a, v in violations.items()}, checked
+
+
+# -- reference tokenizer -------------------------------------------------------
+
+
+def reference_tokenize(text):
+    """(text, line, col) of every .oml token, by the seed's per-character
+    scan: '#' starts a comment, whitespace (str.isspace) separates tokens,
+    and '{', '}' and ';' are tokens of their own."""
+    tokens = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        cur = []
+        start = 0
+        for col, ch in enumerate(line + " ", start=1):
+            if ch.isspace() or ch in "{};":
+                if cur:
+                    tokens.append(("".join(cur), ln, start))
+                    cur = []
+                if ch in "{};":
+                    tokens.append((ch, ln, col))
+            else:
+                if not cur:
+                    start = col
+                cur.append(ch)
+    return tokens

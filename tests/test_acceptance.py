@@ -177,9 +177,9 @@ def test_criterion_7_representation_theorems(corpus):
             subs = ov.enumerate_boolean_subalgebras(o)
             for a in range(o.n):
                 for b in range(o.n):
-                    witness = o.meet(o.join(a, b), o.join(a, o.ortho[b]))
+                    witness = o.poset.meet(o.poset.join(a, b), o.poset.join(a, o.ortho[b]))
                     assert witness is not None
-                    assert o.le(a, witness), system.name
+                    assert o.poset.le(a, witness), system.name
                     assert ov.compatible(o, witness, b, subs=subs), system.name
     print("ACCEPTANCE 7 representation-theorems: PASS")
 

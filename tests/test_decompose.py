@@ -301,7 +301,7 @@ def test_compatibility():
     assert not compatible(o, o.idx("a"), o.idx("b"))
     o6 = zoo_ortho("O6")
     a, b = o6.idx("a"), o6.idx("b")
-    assert o6.le(a, b)
+    assert o6.poset.le(a, b)
     assert not compatible(o6, a, b)
 
 
