@@ -8,12 +8,17 @@ Grammar:
                   ... ;
                   map Vi<Vj { x->y ... ; * -> t } }
 
-Tokens: each line (str.splitlines) is cut at its first '#'; what is left
-splits into '{', '}', ';' and maximal runs of other non-whitespace
-characters. Errors carry the 1-based line and column of their token.
+Tokens: '#' starts a comment that ends at the next line break (one of
+those str.splitlines splits at); the rest splits into '{', '}', ';' and
+maximal runs of other non-whitespace characters. The parser works on the
+token texts alone, as plain strings, and reads each section and map body
+as one slice of them. Errors carry the 1-based line and column of their
+token, which the positioned scanner `_tokenize` computes only once an
+error is raised.
 Ids: element ids and view names are single tokens that must not contain
 '<', ':' or '->', so that covers, ortho pairs, map headers and entries
-split back into ids; a violation is a ParseError at the id's token.
+split back into ids, and must not be '*', which a map entry reads as its
+default; a violation is a ParseError at the id's token.
 
 Covers are Hasse/comparability pairs; the order is their reflexive-
 transitive closure. Ortho entries list unordered complement pairs (a
@@ -71,9 +76,12 @@ class _Token(NamedTuple):
 
 
 _TOKEN = re.compile(r"[{};]|[^\s{};]+")
+# '#' to the next line break of str.splitlines
+_COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 def _tokenize(text):
+    """The tokens with their 1-based line and column."""
     return [
         _Token(m.group(), ln, m.start() + 1)
         for ln, line in enumerate(text.splitlines(), start=1)
@@ -81,175 +89,228 @@ def _tokenize(text):
     ]
 
 
-class _Stream:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.pos = 0
-        lines = text.splitlines()
-        self.end = (len(lines), len(lines[-1]) + 1 if lines else 1)
+def _scan(text):
+    """The token texts of _tokenize(text), from the whole text at once:
+    str.split and the regex's \\s split at the same code points."""
+    text = _COMMENT.sub("", text)
+    return text.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+def _find(tokens, stop, lo, hi):
+    """The index of the first stop in tokens[lo:hi], or hi."""
+    try:
+        return tokens.index(stop, lo, hi)
+    except ValueError:
+        return hi
+
+
+def _split_pairs(items, sep):
+    """(lefts, rights) of items that each split at exactly one sep into two
+    nonempty parts, or None if some item does not."""
+    if not items:
+        return (), ()
+    lefts, seps, rights = zip(*[s.partition(sep) for s in items])
+    # no empty sep: every item has one; the count: none has a second
+    if "" in lefts or "" in seps or "" in rights or " ".join(items).count(sep) != len(items):
+        return None
+    return lefts, rights
+
+
+class _Parser:
+    """A cursor over the token texts of one document. Sections and map
+    bodies are read as whole slices of the token list; the line and column
+    of a token are found only when an error is raised at it."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _scan(text)
+        self.pos = 0
+
+    def fail(self, message, at=None):
+        """Raise a ParseError at token `at` (default: the next one), or at
+        the end of the input if there is no such token."""
+        at = self.pos if at is None else at
+        if at < len(self.tokens):
+            tok = _tokenize(self.text)[at]
+            raise ParseError(message, tok.line, tok.col)
+        lines = self.text.splitlines()
+        raise ParseError(message, len(lines), len(lines[-1]) + 1 if lines else 1)
 
     def next(self, expect=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of input (wanted {expect or 'a token'})", *self.end)
+        if self.pos == len(self.tokens):
+            self.fail(f"unexpected end of input (wanted {expect or 'a token'})")
+        tok = self.tokens[self.pos]
+        if expect is not None and tok != expect:
+            self.fail(f"expected {expect!r}, found {tok!r}")
         self.pos += 1
-        if expect is not None and tok.text != expect:
-            raise ParseError(f"expected {expect!r}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    def fail(self, message):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(message, *self.end)
-        raise ParseError(message, tok.line, tok.col)
+    def block_end(self):
+        """The index of the '}' closing the block that starts at the cursor,
+        or the end of the input. Structure and map blocks nest nothing."""
+        return _find(self.tokens, "}", self.pos, len(self.tokens))
 
-    def upto(self, *stops):
-        """The tokens before the next one in stops, which is not consumed."""
-        start = self.pos
-        while self.pos < len(self.tokens) and self.tokens[self.pos].text not in stops:
-            self.pos += 1
-        return self.tokens[start:self.pos]
+    def items(self, end):
+        """(index, tokens) of each nonempty ';'-separated item before end."""
+        out = []
+        i = self.pos
+        while i < end:
+            j = _find(self.tokens, ";", i, end)
+            if j > i:
+                out.append((i, self.tokens[i:j]))
+            i = j + 1
+        return out
 
-    def items(self, what):
-        """The first token of each ';'-separated item of a block, consumed;
-        the block's closing '}' is consumed too."""
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self.fail(f"unterminated {what}")
-            self.pos += 1
-            if tok.text == "}":
-                return
-            if tok.text != ";":
-                yield tok
+    def close(self, end, what):
+        """Step past the block's '}' at end; a block without one is
+        unterminated."""
+        if end == len(self.tokens):
+            self.fail(f"unterminated {what}", end)
+        self.pos = end + 1
 
+    def ids(self, names, what, at):
+        """names, the tokens from index at, as ids; the first that breaks the
+        id rule is refused at its token."""
+        joined = " ".join(names)
+        if "<" in joined or ":" in joined or "->" in joined or "*" in names:
+            for k, name in enumerate(names):
+                if "<" in name or ":" in name or "->" in name:
+                    self.fail(f"illegal {what} {name!r} (ids may not contain '<', ':' or '->')", at + k)
+                if name == "*":
+                    self.fail(f"illegal {what} '*' (ids may not be '*', which marks a map default)", at + k)
+        return tuple(names)
 
-def _id(tok, what):
-    if "<" in tok.text or ":" in tok.text or "->" in tok.text:
-        raise ParseError(f"illegal {what} {tok.text!r} (ids may not contain '<', ':' or '->')", tok.line, tok.col)
-    return tok.text
+    def pairs(self, body, sep, what, at):
+        """The (A, B) pair of each token A{sep}B of body, the tokens from
+        index at; the first malformed one is refused at its token."""
+        split = _split_pairs(body, sep)
+        if split is None:
+            k = next(k for k, tok in enumerate(body) if _split_pairs([tok], sep) is None)
+            self.fail(f"malformed {what} {body[k]!r} (expected A{sep}B)", at + k)
+        return tuple(zip(*split))
 
+    def structure(self, kind, name):
+        end = self.block_end()
+        sections = {}
+        for at, (head, *body) in self.items(end):
+            if head not in ("elements", "covers", "ortho") or head == "ortho" and kind != "orthoposet":
+                self.fail(f"unknown section {head!r} in {kind}", at)
+            if head in sections:
+                self.fail(f"duplicate {head} section", at)
+            if head == "elements":
+                sections[head] = self.ids(body, "element id", at + 1)
+            elif head == "covers":
+                sections[head] = self.pairs(body, "<", "cover", at + 1)
+            else:
+                sections[head] = self.pairs(body, ":", "ortho pair", at + 1)
+        self.close(end, "block")
+        if "elements" not in sections:
+            self.fail(f"{kind} {name!r} lacks an elements section")
+        elements = sections["elements"]
+        seen = set(elements)
+        if len(seen) != len(elements):
+            seen = set()
+            self.fail(f"duplicate element {next(e for e in elements if e in seen or seen.add(e))!r}")
+        covers, ortho = sections.get("covers", ()), sections.get("ortho", ())
+        named = [e for pair in covers + ortho for e in pair]
+        if not seen.issuperset(named):
+            self.fail(f"unknown element {next(e for e in named if e not in seen)!r} in {name!r}")
+        return ModelDocument(kind, name, elements, covers, ortho)
 
-def _split_pair(tok, sep, what):
-    parts = tok.text.split(sep)
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise ParseError(f"malformed {what} {tok.text!r} (expected A{sep}B)", tok.line, tok.col)
-    return parts[0], parts[1]
-
-
-# section name -> the parser of each of its tokens
-_SECTIONS = {
-    "elements": lambda t: _id(t, "element id"),
-    "covers": lambda t: _split_pair(t, "<", "cover"),
-    "ortho": lambda t: _split_pair(t, ":", "ortho pair"),
-}
-
-
-def _parse_structure_body(ts, kind, name):
-    sections = {}
-    for head in ts.items("block"):
-        body = ts.upto(";", "}")
-        if head.text not in _SECTIONS or head.text == "ortho" and kind != "orthoposet":
-            raise ParseError(f"unknown section {head.text!r} in {kind}", head.line, head.col)
-        if head.text in sections:
-            raise ParseError(f"duplicate {head.text} section", head.line, head.col)
-        sections[head.text] = tuple(map(_SECTIONS[head.text], body))
-    if "elements" not in sections:
-        ts.fail(f"{kind} {name!r} lacks an elements section")
-    elements = sections["elements"]
-    seen = set()
-    for e in elements:
-        if e in seen:
-            ts.fail(f"duplicate element {e!r}")
-        seen.add(e)
-    covers, ortho = sections.get("covers", ()), sections.get("ortho", ())
-    for pair in covers + ortho:
-        for e in pair:
-            if e not in seen:
-                ts.fail(f"unknown element {e!r} in {name!r}")
-    return ModelDocument(kind, name, elements, covers, ortho)
-
-
-def _parse_map(ts, views):
-    header = ts.upto("{")
-    if not header:
-        ts.fail("map needs a target<source header")
-    at = header[0].line, header[0].col
-    joined = "".join(t.text for t in header)
-    parts = joined.split("<")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise ParseError(f"malformed map header {joined!r}", *at)
-    target, source = parts
-    for v in (target, source):
-        if v not in views:
-            raise ParseError(f"map references unknown view {v!r}", *at)
-    src_els = set(views[source].elements)
-    dst_els = set(views[target].elements)
-    ts.next("{")
-    entries = []
-    default = None
-    for head in ts.items("map block"):
-        at = head.line, head.col
-        joined = head.text + "".join(t.text for t in ts.upto(";", "}"))
-        parts = joined.split("->")
+    def map(self, views):
+        at = self.pos
+        brace = _find(self.tokens, "{", at, len(self.tokens))
+        if brace == at:
+            self.fail("map needs a target<source header")
+        joined = "".join(self.tokens[at:brace])
+        parts = joined.split("<")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ParseError(f"malformed map entry {joined!r}", *at)
-        lhs, rhs = parts
-        if lhs != "*" and lhs not in src_els:
-            raise ParseError(f"map entry uses unknown {source!r} element {lhs!r}", *at)
-        if rhs not in dst_els:
-            raise ParseError(f"map entry uses unknown {target!r} element {rhs!r}", *at)
-        if lhs != "*":
-            entries.append((lhs, rhs))
-        elif default is not None:
-            raise ParseError("duplicate default entry", *at)
-        else:
-            default = rhs
-    return MapSpec(target, source, tuple(entries), default)
+            self.fail(f"malformed map header {joined!r}", at)
+        target, source = parts
+        for v in (target, source):
+            if v not in views:
+                self.fail(f"map references unknown view {v!r}", at)
+        self.pos = brace
+        self.next("{")
+        end = self.block_end()
+        # an entry is the concatenation of its item's tokens
+        split = _split_pairs([e for e in "".join(self.tokens[self.pos:end]).split(";") if e], "->")
+        src, dst = {"*", *views[source].elements}, set(views[target].elements)
+        if split is None or not src.issuperset(split[0]) or not dst.issuperset(split[1]) or split[0].count("*") > 1:
+            self.refuse_entry(end, source, target, src, dst)
+        lefts, rights = split
+        entries = tuple(zip(lefts, rights))
+        default = None
+        if "*" in lefts:
+            default = rights[lefts.index("*")]
+            entries = tuple(e for e in entries if e[0] != "*")
+        self.close(end, "map block")
+        return MapSpec(target, source, entries, default)
+
+    def refuse_entry(self, end, source, target, src, dst):
+        """Raise at the first entry before end that is malformed, names an
+        element its view lacks, or repeats the default."""
+        default = False
+        for at, item in self.items(end):
+            entry = "".join(item)
+            if _split_pairs([entry], "->") is None:
+                self.fail(f"malformed map entry {entry!r}", at)
+            lhs, rhs = entry.split("->")
+            if lhs not in src:
+                self.fail(f"map entry uses unknown {source!r} element {lhs!r}", at)
+            if rhs not in dst:
+                self.fail(f"map entry uses unknown {target!r} element {rhs!r}", at)
+            if lhs == "*" and default:
+                self.fail("duplicate default entry", at)
+            default = default or lhs == "*"
+
+    def repsys(self, name):
+        views = {}
+        maps = {}
+        while True:
+            if self.pos == len(self.tokens):
+                self.fail("unterminated repsys block")
+            at = self.pos
+            head = self.next()
+            if head == "}":
+                break
+            if head == ";":
+                continue
+            if head == "view":
+                vname = self.next()
+                self.ids([vname], "view name", self.pos - 1)
+                if vname in views:
+                    self.fail(f"duplicate view {vname!r}", at)
+                eq = self.next()
+                if eq != "=":
+                    self.fail(f"expected '=', found {eq!r}", self.pos - 1)
+                vkind = self.next()
+                if vkind not in ("poset", "orthoposet"):
+                    self.fail(f"view must be a poset or orthoposet, not {vkind!r}", self.pos - 1)
+                self.next("{")
+                views[vname] = self.structure(vkind, vname)
+            elif head == "map":
+                mspec = self.map(views)
+                key = mspec.target, mspec.source
+                if key in maps:
+                    self.fail(f"duplicate map {mspec.target}<{mspec.source}", at)
+                maps[key] = mspec
+            else:
+                self.fail(f"unknown section {head!r} in repsys", at)
+        return ModelDocument("repsys", name, views=tuple(views.items()), maps=tuple(maps.values()))
 
 
 def parse(text):
     """Parse one model document; raises ParseError with line/column."""
-    ts = _Stream(_tokenize(text), text)
-    kind_tok = ts.next()
-    if kind_tok.text not in ("poset", "orthoposet", "repsys"):
-        raise ParseError(f"unknown model kind {kind_tok.text!r}", kind_tok.line, kind_tok.col)
-    kind = kind_tok.text
-    name = ts.next().text
-    ts.next("{")
-    if kind != "repsys":
-        doc = _parse_structure_body(ts, kind, name)
-    else:
-        views = {}
-        maps = {}
-        for head in ts.items("repsys block"):
-            if head.text == "view":
-                vname = _id(ts.next(), "view name")
-                if vname in views:
-                    raise ParseError(f"duplicate view {vname!r}", head.line, head.col)
-                eq = ts.next()
-                if eq.text != "=":
-                    raise ParseError(f"expected '=', found {eq.text!r}", eq.line, eq.col)
-                vkind = ts.next()
-                if vkind.text not in ("poset", "orthoposet"):
-                    raise ParseError(f"view must be a poset or orthoposet, not {vkind.text!r}", vkind.line, vkind.col)
-                ts.next("{")
-                views[vname] = _parse_structure_body(ts, vkind.text, vname)
-            elif head.text == "map":
-                mspec = _parse_map(ts, views)
-                key = mspec.target, mspec.source
-                if key in maps:
-                    raise ParseError(f"duplicate map {mspec.target}<{mspec.source}", head.line, head.col)
-                maps[key] = mspec
-            else:
-                raise ParseError(f"unknown section {head.text!r} in repsys", head.line, head.col)
-        doc = ModelDocument(kind, name, views=tuple(views.items()), maps=tuple(maps.values()))
-    trailing = ts.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing.text!r}", trailing.line, trailing.col)
+    p = _Parser(text)
+    kind = p.next()
+    if kind not in ("poset", "orthoposet", "repsys"):
+        p.fail(f"unknown model kind {kind!r}", 0)
+    name = p.next()
+    p.next("{")
+    doc = p.repsys(name) if kind == "repsys" else p.structure(kind, name)
+    if p.pos < len(p.tokens):
+        p.fail(f"trailing input {p.tokens[p.pos]!r}")
     return doc
 
 
@@ -286,7 +347,7 @@ def serialize(doc):
 
 def tokens_of(text):
     """Token texts, for whitespace/comment-insensitive comparisons."""
-    return [t.text for t in _tokenize(text)]
+    return _scan(text)
 
 
 # -- building core structures from documents --------------------------------
@@ -332,21 +393,27 @@ def build_repsys(doc):
             posets.append(build_poset(vdoc))
             orthos.append(None)
     by_name = dict(zip(names, posets))
+    index = {v: dict(zip(p.elements, range(p.n))) for v, p in zip(names, posets)}
     transforms = {}
     for m in doc.maps:
-        src, dst = by_name[m.source], by_name[m.target]
-        table = [None] * src.n
-        for a, b in m.entries:
-            table[src.idx(a)] = dst.idx(b)
-        if m.default is not None:
-            d = dst.idx(m.default)
-            table = [d if t is None else t for t in table]
-        holes = [src.elements[i] for i, t in enumerate(table) if t is None]
-        if holes:
+        src, dst = index[m.source], index[m.target]
+        table = [None] * len(src)
+        try:
+            for a, b in m.entries:
+                table[src[a]] = dst[b]
+            if m.default is not None:
+                d = dst[m.default]
+                table = [d if t is None else t for t in table]
+        except KeyError as e:
+            # an id one of the two views lacks: idx raises unknown-element
+            by_name[m.source].idx(e.args[0])
+            by_name[m.target].idx(e.args[0])
+        if None in table:
+            hole = by_name[m.source].elements[table.index(None)]
             raise ValidationError(
                 "incomplete-map",
-                f"map {m.target}<{m.source} misses {holes[0]!r} and has no default",
-                (m.target, m.source, holes[0]),
+                f"map {m.target}<{m.source} misses {hole!r} and has no default",
+                (m.target, m.source, hole),
             )
         transforms[(m.target, m.source)] = tuple(table)
     rs = make_rs(names, posets, transforms)

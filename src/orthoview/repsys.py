@@ -11,6 +11,13 @@ from .poset import OK, ValidationError, Verdict
 from .ortho import is_boolean_algebra
 
 
+def _table_error(i, j, missing):
+    """missing-transform, or bad-transform, for the table (i, j)."""
+    if missing:
+        return ValidationError("missing-transform", f"no table for ({i!r}, {j!r})", (i, j))
+    return ValidationError("bad-transform", f"table ({i!r}, {j!r}) does not map {j!r} into {i!r}", (i, j))
+
+
 @dataclass(frozen=True)
 class RepresentationSystem:
     """Views, one poset per view, and a total element map for every ordered
@@ -40,7 +47,7 @@ class RepresentationSystem:
         try:
             return self.transforms[(i, j)]
         except KeyError:
-            raise ValidationError("missing-transform", f"no table for ({i!r}, {j!r})", (i, j)) from None
+            raise _table_error(i, j, True) from None
 
     @cached_property
     def stacked(self):
@@ -56,13 +63,20 @@ class RepresentationSystem:
         off = np.concatenate(([0], np.cumsum([p.n for p in self.posets]))).astype(np.intp)
         g = np.empty((len(self.views), off[-1]), dtype=np.intp)
         for vi, (i, dst) in enumerate(zip(self.views, self.posets)):
+            absent = None  # (vj, missing) of the row's first absent or short table
             for vj, (j, src) in enumerate(zip(self.views, self.posets)):
                 t = self.transforms.get((i, j))
-                if t is None:
-                    raise ValidationError("missing-transform", f"no table for ({i!r}, {j!r})", (i, j))
-                if len(t) != src.n or any(not 0 <= x < dst.n for x in t):
-                    raise ValidationError("bad-transform", f"table ({i!r}, {j!r}) does not map {j!r} into {i!r}", (i, j))
+                if t is None or len(t) != src.n:
+                    absent = vj, t is None
+                    break
                 g[vi, off[vj]:off[vj + 1]] = t
+            # the first entry outside view i, in the tables before an absent one
+            row = g[vi, :off[absent[0] if absent else -1]]
+            out = np.flatnonzero((row < 0) | (row >= dst.n))
+            if out.size:
+                raise _table_error(i, self.views[int(np.searchsorted(off, out[0], "right")) - 1], False)
+            if absent:
+                raise _table_error(i, self.views[absent[0]], absent[1])
         return off, g
 
     def pair(self, a):

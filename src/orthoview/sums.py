@@ -35,10 +35,15 @@ def build_presum(rs):
     if not rel.diagonal().all():
         a = int(np.flatnonzero(~rel.diagonal())[0])
         raise InternalCheckError("preorder", "pre-sum relation is not reflexive", pairs[a])
-    bad = (rel @ rel) & ~rel
-    if bad.any():
-        a, b = map(int, np.argwhere(bad)[0])
-        raise InternalCheckError("preorder", "pre-sum relation is not transitive", pairs[a] + pairs[b])
+    # row a of rel @ rel is the OR of the rows of the pairs above a: on
+    # packed bits, the first row with a bit outside rel, then its first
+    # such bit, is the first entry of (rel @ rel) & ~rel
+    packed = np.packbits(rel, axis=1)
+    for a, (row, bits) in enumerate(zip(rel, packed)):
+        extra = np.bitwise_or.reduce(packed[row], axis=0) & ~bits
+        if extra.any():
+            b = int(np.unpackbits(extra).argmax())
+            raise InternalCheckError("preorder", "pre-sum relation is not transitive", pairs[a] + pairs[b])
     rel.flags.writeable = False
     return PreSum(pairs, rel)
 

@@ -8,6 +8,7 @@ own algorithms.
 import numpy as np
 
 from orthoview import FinitePoset, OrthoPoset
+from orthoview.modelio import MapSpec, ModelDocument, ParseError, _tokenize
 
 
 # -- literal structures, built from order rules rather than cover closure ----
@@ -630,3 +631,180 @@ def reference_tokenize(text):
                     start = col
                 cur.append(ch)
     return tokens
+
+
+# -- reference parser ----------------------------------------------------------
+#
+# The token-stream parser that `modelio.parse` replaced: a cursor over
+# positioned tokens, one generator step per block item and one `upto` scan
+# per section and map entry. Its `_ref_id` carries the `*` id rule too.
+
+
+class _RefStream:
+    def __init__(self, tokens, text):
+        self.tokens = tokens
+        self.pos = 0
+        lines = text.splitlines()
+        self.end = (len(lines), len(lines[-1]) + 1 if lines else 1)
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, expect=None):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"unexpected end of input (wanted {expect or 'a token'})", *self.end)
+        self.pos += 1
+        if expect is not None and tok.text != expect:
+            raise ParseError(f"expected {expect!r}, found {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def fail(self, message):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(message, *self.end)
+        raise ParseError(message, tok.line, tok.col)
+
+    def upto(self, *stops):
+        start = self.pos
+        while self.pos < len(self.tokens) and self.tokens[self.pos].text not in stops:
+            self.pos += 1
+        return self.tokens[start:self.pos]
+
+    def items(self, what):
+        while True:
+            tok = self.peek()
+            if tok is None:
+                self.fail(f"unterminated {what}")
+            self.pos += 1
+            if tok.text == "}":
+                return
+            if tok.text != ";":
+                yield tok
+
+
+def _ref_id(tok, what):
+    if "<" in tok.text or ":" in tok.text or "->" in tok.text:
+        raise ParseError(f"illegal {what} {tok.text!r} (ids may not contain '<', ':' or '->')", tok.line, tok.col)
+    if tok.text == "*":
+        raise ParseError(f"illegal {what} '*' (ids may not be '*', which marks a map default)", tok.line, tok.col)
+    return tok.text
+
+
+def _ref_split_pair(tok, sep, what):
+    parts = tok.text.split(sep)
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise ParseError(f"malformed {what} {tok.text!r} (expected A{sep}B)", tok.line, tok.col)
+    return parts[0], parts[1]
+
+
+_REF_SECTIONS = {
+    "elements": lambda t: _ref_id(t, "element id"),
+    "covers": lambda t: _ref_split_pair(t, "<", "cover"),
+    "ortho": lambda t: _ref_split_pair(t, ":", "ortho pair"),
+}
+
+
+def _ref_structure_body(ts, kind, name):
+    sections = {}
+    for head in ts.items("block"):
+        body = ts.upto(";", "}")
+        if head.text not in _REF_SECTIONS or head.text == "ortho" and kind != "orthoposet":
+            raise ParseError(f"unknown section {head.text!r} in {kind}", head.line, head.col)
+        if head.text in sections:
+            raise ParseError(f"duplicate {head.text} section", head.line, head.col)
+        sections[head.text] = tuple(map(_REF_SECTIONS[head.text], body))
+    if "elements" not in sections:
+        ts.fail(f"{kind} {name!r} lacks an elements section")
+    elements = sections["elements"]
+    seen = set()
+    for e in elements:
+        if e in seen:
+            ts.fail(f"duplicate element {e!r}")
+        seen.add(e)
+    covers, ortho = sections.get("covers", ()), sections.get("ortho", ())
+    for pair in covers + ortho:
+        for e in pair:
+            if e not in seen:
+                ts.fail(f"unknown element {e!r} in {name!r}")
+    return ModelDocument(kind, name, elements, covers, ortho)
+
+
+def _ref_map(ts, views):
+    header = ts.upto("{")
+    if not header:
+        ts.fail("map needs a target<source header")
+    at = header[0].line, header[0].col
+    joined = "".join(t.text for t in header)
+    parts = joined.split("<")
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise ParseError(f"malformed map header {joined!r}", *at)
+    target, source = parts
+    for v in (target, source):
+        if v not in views:
+            raise ParseError(f"map references unknown view {v!r}", *at)
+    src_els = set(views[source].elements)
+    dst_els = set(views[target].elements)
+    ts.next("{")
+    entries = []
+    default = None
+    for head in ts.items("map block"):
+        at = head.line, head.col
+        joined = head.text + "".join(t.text for t in ts.upto(";", "}"))
+        parts = joined.split("->")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ParseError(f"malformed map entry {joined!r}", *at)
+        lhs, rhs = parts
+        if lhs != "*" and lhs not in src_els:
+            raise ParseError(f"map entry uses unknown {source!r} element {lhs!r}", *at)
+        if rhs not in dst_els:
+            raise ParseError(f"map entry uses unknown {target!r} element {rhs!r}", *at)
+        if lhs != "*":
+            entries.append((lhs, rhs))
+        elif default is not None:
+            raise ParseError("duplicate default entry", *at)
+        else:
+            default = rhs
+    return MapSpec(target, source, tuple(entries), default)
+
+
+def reference_parse(text):
+    """The model document of text, or a ParseError with line and column."""
+    ts = _RefStream(_tokenize(text), text)
+    kind_tok = ts.next()
+    if kind_tok.text not in ("poset", "orthoposet", "repsys"):
+        raise ParseError(f"unknown model kind {kind_tok.text!r}", kind_tok.line, kind_tok.col)
+    kind = kind_tok.text
+    name = ts.next().text
+    ts.next("{")
+    if kind != "repsys":
+        doc = _ref_structure_body(ts, kind, name)
+    else:
+        views = {}
+        maps = {}
+        for head in ts.items("repsys block"):
+            if head.text == "view":
+                vname = _ref_id(ts.next(), "view name")
+                if vname in views:
+                    raise ParseError(f"duplicate view {vname!r}", head.line, head.col)
+                eq = ts.next()
+                if eq.text != "=":
+                    raise ParseError(f"expected '=', found {eq.text!r}", eq.line, eq.col)
+                vkind = ts.next()
+                if vkind.text not in ("poset", "orthoposet"):
+                    raise ParseError(f"view must be a poset or orthoposet, not {vkind.text!r}", vkind.line, vkind.col)
+                ts.next("{")
+                views[vname] = _ref_structure_body(ts, vkind.text, vname)
+            elif head.text == "map":
+                mspec = _ref_map(ts, views)
+                key = mspec.target, mspec.source
+                if key in maps:
+                    raise ParseError(f"duplicate map {mspec.target}<{mspec.source}", head.line, head.col)
+                maps[key] = mspec
+            else:
+                raise ParseError(f"unknown section {head.text!r} in repsys", head.line, head.col)
+        doc = ModelDocument(kind, name, views=tuple(views.items()), maps=tuple(maps.values()))
+    trailing = ts.peek()
+    if trailing is not None:
+        raise ParseError(f"trailing input {trailing.text!r}", trailing.line, trailing.col)
+    return doc

@@ -1,16 +1,28 @@
 """The .oml parser: pinned error sites, the scanner against the seed's
-per-character scan, totality, the id rule and parse/serialize roundtrips."""
+per-character scan, totality, the id rule, parse/serialize roundtrips and
+the parser against the token-stream reference parser."""
+
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthoview import ParseError, parse, serialize, zoo
 from orthoview.cli import main
-from orthoview.modelio import MapSpec, ModelDocument, _tokenize
+from orthoview.modelio import MapSpec, ModelDocument, _scan, _tokenize
 
-from _models import reference_tokenize
+from _models import reference_parse, reference_tokenize
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _outcome(parser, text):
+    """The document, or the message, line and column of the ParseError."""
+    try:
+        return parser(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
 
 V = "view V = poset { elements x y ; covers x<y }"
 U = "view U = poset { elements u }"
@@ -71,9 +83,10 @@ def test_parse_error_sites_are_pinned(text, message, line, col):
         parse(text)
     assert str(err.value) == message
     assert (err.value.line, err.value.col) == (line, col)
+    assert _outcome(reference_parse, text) == (message, line, col)
 
 
-# Element ids and view names may not contain '<', ':' or '->'.
+# Element ids and view names may not contain '<', ':' or '->', nor be '*'.
 ID_RULE_CASES = [
     ("poset p { elements x a<b }", "line 1, column 22: illegal element id 'a<b' (ids may not contain '<', ':' or '->')", 1, 22),
     ("orthoposet o {\n  elements 0 a:b 1 ; ortho 0:1 }", "line 2, column 14: illegal element id 'a:b' (ids may not contain '<', ':' or '->')", 2, 14),
@@ -81,6 +94,7 @@ ID_RULE_CASES = [
     (f"repsys r {{ {V} ; view V<W = poset {{ elements z }} }}", "line 1, column 64: illegal view name 'V<W' (ids may not contain '<', ':' or '->')", 1, 64),
     ("repsys r { view V:W = poset { elements z } }", "line 1, column 17: illegal view name 'V:W' (ids may not contain '<', ':' or '->')", 1, 17),
     ("repsys r { view ->W = poset { elements z } }", "line 1, column 17: illegal view name '->W' (ids may not contain '<', ':' or '->')", 1, 17),
+    (f"repsys r {{ {V} ;\n view U = poset {{ elements u * }} ; map V<U {{ *->x ; u->y }} }}", "line 2, column 30: illegal element id '*' (ids may not be '*', which marks a map default)", 2, 30),
 ]
 
 
@@ -90,6 +104,7 @@ def test_id_rule_is_enforced_at_the_token(text, message, line, col):
         parse(text)
     assert str(err.value) == message
     assert (err.value.line, err.value.col) == (line, col)
+    assert _outcome(reference_parse, text) == (message, line, col)
 
 
 REPRO = (
@@ -132,6 +147,15 @@ odd_text = st.lists(st.sampled_from(_ODD) | st.text(max_size=3), max_size=40).ma
 @given(odd_text)
 def test_tokenize_matches_reference(text):
     assert [(t.text, t.line, t.col) for t in _tokenize(text)] == reference_tokenize(text)
+    assert _scan(text) == [t.text for t in _tokenize(text)]
+
+
+def test_scan_ends_comments_where_lines_end():
+    breaks = [c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2] + ["\r\n"]
+    assert len(breaks) == 11
+    for br in breaks:
+        text = f"x #c{br}y;# {{{br}}}"
+        assert _scan(text) == [t.text for t in _tokenize(text)] == ["x", "y", ";", "}"]
 
 
 def test_tokenize_matches_reference_on_the_zoo():
@@ -160,27 +184,34 @@ def test_parse_is_total(text):
     _parse_or_parse_error(text)
 
 
-@PROPERTY
-@given(st.sampled_from(sorted(zoo())), st.data())
-def test_parse_is_total_on_edited_zoo_documents(name, data):
-    tokens = [t.text for t in _tokenize(zoo()[name].text)]
+def _edited(text, data, words=_WORDS):
+    """The tokens of text after one to three drops, inserts or replacements
+    by one of words."""
+    tokens = [t.text for t in _tokenize(text)]
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, len(tokens)))
         edit = data.draw(st.sampled_from(["drop", "insert", "replace"]))
-        word = data.draw(st.sampled_from(_WORDS))
+        word = data.draw(st.sampled_from(words))
         if edit == "drop":
             del tokens[i:i + 1]
         elif edit == "insert":
             tokens.insert(i, word)
         else:
             tokens[i:i + 1] = [word]
-    _parse_or_parse_error(" ".join(tokens))
+    return tokens
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(zoo())), st.data())
+def test_parse_is_total_on_edited_zoo_documents(name, data):
+    _parse_or_parse_error(" ".join(_edited(zoo()[name].text, data)))
 
 
 # -- parse(serialize(d)) == d ---------------------------------------------------
 
-# Ids over an alphabet with '-', '>', "'" and '/' but never '<', ':' or '->'.
-ids = st.text("abxy01'_->/.", min_size=1, max_size=4).filter(lambda s: "->" not in s)
+# Ids over an alphabet with '-', '>', '*', "'" and '/' but never '<', ':' or
+# '->'; the id '*' itself is drawn too, and refused.
+ids = st.text("abxy01'_->/.*", min_size=1, max_size=4).filter(lambda s: "->" not in s)
 
 
 @st.composite
@@ -193,8 +224,8 @@ def structures(draw, kind, name):
 
 
 @st.composite
-def documents(draw):
-    kind = draw(st.sampled_from(["poset", "orthoposet", "repsys"]))
+def documents(draw, kinds=("poset", "orthoposet", "repsys")):
+    kind = draw(st.sampled_from(kinds))
     name = draw(ids)
     if kind != "repsys":
         return draw(structures(kind, name))
@@ -214,7 +245,66 @@ def documents(draw):
     return ModelDocument(kind, name, views=views, maps=tuple(maps))
 
 
+def _ids_of(doc):
+    """The element ids and view names of a document."""
+    return set(doc.elements).union(*(set(v.elements) | {name} for name, v in doc.views))
+
+
 @PROPERTY
 @given(documents())
 def test_parse_serialize_roundtrip(doc):
-    assert parse(serialize(doc)) == doc
+    if "*" in _ids_of(doc):
+        with pytest.raises(ParseError, match=r"illegal (element id|view name) '\*' \(ids may not be '\*'"):
+            parse(serialize(doc))
+    else:
+        assert parse(serialize(doc)) == doc
+
+
+# -- the parser against the token-stream reference -----------------------------
+
+
+@PROPERTY
+@given(odd_text | word_text)
+def test_parse_matches_reference(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+_SEPARATORS = [" ", "\n", "\t", " # note\n", "\r\n  ", "\x85"]
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(zoo())).map(lambda name: zoo()[name].text) | documents(["repsys"]).map(serialize), st.data())
+def test_parse_matches_reference_on_edited_documents(text, data):
+    """Zoo and generated documents under token edits (words of the
+    grammar, or tokens of the document itself, which make duplicates and
+    unknown references), rejoined over line breaks and comments."""
+    tokens = _edited(text, data, _WORDS + [t.text for t in _tokenize(text)])
+    seps = data.draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+    edited = "".join(t + sep for t, sep in zip(tokens, seps))
+    assert _outcome(parse, edited) == _outcome(reference_parse, edited)
+
+
+# Entries written as three tokens, so that one edit can also make a second
+# default, or an entry naming an id of the other view.
+_SPACED = """repsys s {  # two views
+  view A = orthoposet { elements 0 a a' 1 ; covers 0<a 0<a' a<1 a'<1 ; ortho 0:1 a:a' } ;
+  view B = poset { elements 0 b 1 ; covers 0<b b<1 } ;
+  map B<A { 0 -> 0 ; a -> b ;
+            * -> 1 } ;
+  map A<B { b -> a ; * -> 1 }
+}
+"""
+
+
+def test_parse_matches_reference_on_every_single_edit():
+    """Every drop, and every insert or replacement by a word of the grammar
+    or a token of the document, at every token of two systems."""
+    for text in (zoo()["firefly"].text, _SPACED):
+        tokens = [t.text for t in _tokenize(text)]
+        words = sorted(set(_WORDS) | set(tokens))
+        for i in range(len(tokens) + 1):
+            edits = [tokens[:i] + tokens[i + 1:]]
+            edits += [tokens[:i] + [w] + tokens[i + j:] for w in words for j in (0, 1)]
+            for edit in edits:
+                edited = "".join(t + ("\n" if k % 4 == 3 else " ") for k, t in enumerate(edit))
+                assert _outcome(parse, edited) == _outcome(reference_parse, edited), edited
