@@ -37,7 +37,11 @@ def _load(ref):
     path = Path(ref)
     if not path.is_file():
         raise _Usage(f"no such file: {ref}")
-    return modelio.parse(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (UnicodeDecodeError, OSError) as e:
+        raise _Usage(f"cannot read {ref}: {e}") from None
+    return modelio.parse(text)
 
 
 def _orthoposet_of(doc):

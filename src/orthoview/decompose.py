@@ -221,22 +221,21 @@ def roundtrip_check(o, cap=32):
     s = quotient_sum(build_presum(brs.rs))
     sum_ortho = sum_as_orthoposet(s, brs)
     els = o.elements
-
-    mapping = []
-    for c, members in enumerate(s.classes):
-        carried = {x for _, x in members}
-        if len(carried) != 1:
-            return RoundtripResult(False, "well-defined", (s.label(c),) + tuple(sorted(carried)))
-        mapping.append((s.label(c), carried.pop()))
-    targets = [x for _, x in mapping]
-    if sorted(targets) != sorted(els):
-        return RoundtripResult(False, "bijective", tuple(sorted(set(els) ^ set(targets))))
-    t = [o.idx(x) for x in targets]
-    for a in range(s.order.n):
-        for b in range(s.order.n):
-            if bool(s.order.leq[a, b]) != bool(o.poset.leq[t[a], t[b]]):
-                return RoundtripResult(False, "order", (s.label(a), s.label(b)))
-    for a in range(s.order.n):
-        if t[sum_ortho.ortho[a]] != o.ortho[t[a]]:
-            return RoundtripResult(False, "ortho", (s.label(a),))
-    return RoundtripResult(True, isomorphism=tuple(mapping))
+    # carried[c, x]: some pair of class c carries host element x; pair a
+    # carries the a-th entry of the carriers laid end to end
+    carried = np.zeros((s.order.n, o.n), dtype=bool)
+    carried[s.klass, np.concatenate([sub.carrier for sub in subs])] = True
+    bad = np.flatnonzero(carried.sum(axis=1) != 1)
+    if bad.size:
+        witness = sorted(els[x] for x in np.flatnonzero(carried[bad[0]]))
+        return RoundtripResult(False, "well-defined", (s.label(bad[0]), *witness))
+    t = carried.argmax(axis=1)  # the host element of every class
+    if not np.array_equal(np.sort(t), np.arange(o.n)):
+        return RoundtripResult(False, "bijective", tuple(sorted(set(els) ^ {els[x] for x in t})))
+    bad = np.argwhere(s.order.leq != o.poset.leq[np.ix_(t, t)])
+    if len(bad):
+        return RoundtripResult(False, "order", tuple(s.label(c) for c in bad[0]))
+    bad = np.flatnonzero(t[np.array(sum_ortho.ortho)] != np.array(o.ortho)[t])
+    if bad.size:
+        return RoundtripResult(False, "ortho", (s.label(bad[0]),))
+    return RoundtripResult(True, isomorphism=tuple(zip(s.order.elements, (els[x] for x in t))))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,22 +53,27 @@ def _label(pair):
     return f"{pair[0]}/{pair[1]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumPoset:
     """Quotient of the pre-sum by mutual comparability.
 
-    classes[c] lists the member pairs of class c (full member sets are kept
-    so failures stay diagnosable); order is the induced poset, labelled by
-    each class's first member; embed sends a (view, element) pair to its
-    class index.
+    Pairs (view k, element x) are numbered a = off[k] + x, as in
+    `RepresentationSystem.stacked` (the pre-sum order): pairs[a] is pair a
+    as (view, element id) and klass[a], a read-only index array, its class.
+    order is the induced poset on the classes, each labelled by and
+    ordered as its first member.
     """
 
-    classes: tuple
+    pairs: tuple
+    klass: np.ndarray
     order: FinitePoset
-    embed: dict
+
+    @cached_property
+    def _pair_index(self):
+        return {pair: a for a, pair in enumerate(self.pairs)}
 
     def class_of(self, view, element):
-        return self.embed[(view, element)]
+        return int(self.klass[self._pair_index[(view, element)]])
 
     def label(self, c):
         return self.order.elements[c]
@@ -79,17 +85,9 @@ def quotient_sum(ps):
     mutual = ps.rel & ps.rel.T
     first = mutual.argmax(axis=1) if len(mutual) else np.empty(0, np.intp)
     reps, klass = np.unique(first, return_inverse=True)
+    klass.flags.writeable = False
     order = FinitePoset([_label(ps.pairs[r]) for r in reps], ps.rel[np.ix_(reps, reps)])
-    members = [[] for _ in reps]
-    for pair, c in zip(ps.pairs, klass.tolist()):
-        members[c].append(pair)
-    return SumPoset(tuple(map(tuple, members)), order, dict(zip(ps.pairs, klass.tolist())))
-
-
-def _pair_classes(s, rs):
-    """The class of every pair of rs, in its `stacked` numbering."""
-    pairs = ((v, e) for v, p in zip(rs.views, rs.posets) for e in p.elements)
-    return np.fromiter((s.embed[pair] for pair in pairs), np.intp, rs.stacked[0][-1])
+    return SumPoset(ps.pairs, klass, order)
 
 
 def _ill_defined_closure(s, view, c):
@@ -108,8 +106,7 @@ def view_closure(s, rs, view, c):
     """
     vi = rs.view_index(view)
     off, g = rs.stacked
-    klass = _pair_classes(s, rs)
-    results = np.unique(klass[off[vi] + g[vi, klass == c]])
+    results = np.unique(s.klass[off[vi] + g[vi, s.klass == c]])
     if len(results) != 1:
         raise _ill_defined_closure(s, view, c)
     return int(results[0])
@@ -122,7 +119,7 @@ def closure_table(s, rs):
     every pair, compared across all members of each class; the first
     ill-defined (view, class) in row-major order raises."""
     off, g = rs.stacked
-    klass = _pair_classes(s, rs)
+    klass = s.klass
     images = klass[off[:-1, None] + g]
     table = np.empty((len(rs.views), s.order.n), dtype=np.intp)
     table[:, klass] = images
@@ -157,27 +154,26 @@ def verify_closure_properties(s, rs):
 def sum_as_orthoposet(s, brs):
     """Carry the per-view complements and bounds over to the sum classes.
 
-    The class map (i, x) -> (i, x') must not depend on the representative,
+    The class map (k, x) -> (k, x') must not depend on the representative,
     and the bottom/top classes must not depend on the view; both facts are
-    asserted exhaustively before the result is validated as an orthoposet.
+    asserted exhaustively, the first class failing the first, before the
+    result is validated as an orthoposet.
     """
-    rs = brs.rs
-    n = s.order.n
-    ortho = [None] * n
-    for c in range(n):
-        images = set()
-        for v, x in s.classes[c]:
-            o = brs.ortho_of(v)
-            images.add(s.embed[(v, o.elements[o.ortho[o.idx(x)]])])
-        if len(images) != 1:
-            raise InternalCheckError(
-                "ill-defined-ortho",
-                f"complement of class {s.label(c)!r} depends on the representative",
-                (s.label(c),),
-            )
-        ortho[c] = images.pop()
-    bottoms = {s.embed[(v, o.elements[o.least])] for v, o in zip(rs.views, brs.orthos)}
-    tops = {s.embed[(v, o.elements[o.greatest])] for v, o in zip(rs.views, brs.orthos)}
-    if len(bottoms) != 1 or len(tops) != 1:
+    off = brs.rs.stacked[0][:-1]
+    klass = s.klass
+    comp = np.concatenate([np.asarray(o.ortho) + k for k, o in zip(off, brs.orthos)] + [np.empty(0, np.intp)])
+    images = klass[comp]
+    ortho = np.empty(s.order.n, dtype=np.intp)
+    ortho[klass] = images
+    bad = klass[images != ortho[klass]]
+    if bad.size:
+        c = int(bad.min())
+        raise InternalCheckError(
+            "ill-defined-ortho",
+            f"complement of class {s.label(c)!r} depends on the representative",
+            (s.label(c),),
+        )
+    ends = klass[off[:, None] + np.array([(o.least, o.greatest) for o in brs.orthos], np.intp).reshape(-1, 2)]
+    if not len(ends) or (ends != ends[0]).any():
         raise InternalCheckError("ill-defined-bounds", "sum bounds depend on the view", ())
     return OrthoPoset(s.order, ortho)

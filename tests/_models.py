@@ -484,6 +484,14 @@ def reference_presum(rs):
     return tuple(pairs), rel
 
 
+def sum_classes(s):
+    """The member pairs of every class of a sum, in pair order."""
+    classes = [[] for _ in range(s.order.n)]
+    for pair, c in zip(s.pairs, s.klass):
+        classes[c].append(pair)
+    return classes
+
+
 def reference_closure_table(s, rs):
     """The closure of every class under every view, from the images of all
     its members; InternalCheckError ill-defined-closure on the first
@@ -491,12 +499,13 @@ def reference_closure_table(s, rs):
     from orthoview import InternalCheckError
 
     table = np.empty((len(rs.views), s.order.n), dtype=int)
+    classes = sum_classes(s)
     for vi, v in enumerate(rs.views):
         for c in range(s.order.n):
             results = set()
-            for j, x in s.classes[c]:
+            for j, x in classes[c]:
                 target = rs.poset_of(v).elements[rs.transforms[(v, j)][rs.poset_of(j).idx(x)]]
-                results.add(s.embed[(v, target)])
+                results.add(s.class_of(v, target))
             if len(results) != 1:
                 raise InternalCheckError("ill-defined-closure", "", (v, s.label(c)))
             table[vi, c] = results.pop()
@@ -519,6 +528,56 @@ def reference_closure_properties(s, rs):
                 if leq[c, d] and not leq[rho[c], rho[d]]:
                     return False, "monotony", (v, s.label(c), s.label(d))
     return True, "", ()
+
+
+def reference_sum_as_orthoposet(s, brs):
+    """The complement of every class from the complements of all its
+    members, then the bottom and top class of every view;
+    InternalCheckError ill-defined-ortho on the first class whose members
+    disagree, ill-defined-bounds if the views disagree on a bound."""
+    from orthoview import InternalCheckError
+
+    ortho = []
+    for c, members in enumerate(sum_classes(s)):
+        images = set()
+        for v, x in members:
+            o = brs.ortho_of(v)
+            images.add(s.class_of(v, o.elements[o.ortho[o.idx(x)]]))
+        if len(images) != 1:
+            raise InternalCheckError("ill-defined-ortho", "", (s.label(c),))
+        ortho.append(images.pop())
+    bottoms = {s.class_of(v, o.elements[o.least]) for v, o in zip(brs.views, brs.orthos)}
+    tops = {s.class_of(v, o.elements[o.greatest]) for v, o in zip(brs.views, brs.orthos)}
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise InternalCheckError("ill-defined-bounds", "", ())
+    return OrthoPoset(s.order, ortho)
+
+
+def reference_roundtrip(host, s, so):
+    """(ok, stage, witness, isomorphism) of matching the sum of a canonical
+    system back onto its host, the class of (B, x) going to x: the first
+    class whose members carry several elements (or none), a class map that
+    is not a bijection, the first (a, b) whose order differs, the first
+    class whose complement differs."""
+    els = host.elements
+    mapping = []
+    for c, members in enumerate(sum_classes(s)):
+        carried = {x for _, x in members}
+        if len(carried) != 1:
+            return False, "well-defined", (s.label(c),) + tuple(sorted(carried)), ()
+        mapping.append((s.label(c), carried.pop()))
+    targets = [x for _, x in mapping]
+    if sorted(targets) != sorted(els):
+        return False, "bijective", tuple(sorted(set(els) ^ set(targets))), ()
+    t = [host.idx(x) for x in targets]
+    for a in range(s.order.n):
+        for b in range(s.order.n):
+            if bool(s.order.leq[a, b]) != bool(host.poset.leq[t[a], t[b]]):
+                return False, "order", (s.label(a), s.label(b)), ()
+    for a in range(s.order.n):
+        if t[so.ortho[a]] != host.ortho[t[a]]:
+            return False, "ortho", (s.label(a),), ()
+    return True, "", (), tuple(mapping)
 
 
 def _fixing(table, c):

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthoview import (
     build_canonical_rs,
@@ -17,6 +20,7 @@ from orthoview.cli import main
 from orthoview.modelio import MapSpec, ModelDocument
 
 from _models import mutate_random_entry
+from test_parser import _edited
 
 
 def run(capsys, *argv):
@@ -206,6 +210,13 @@ def test_parse_error_exit_code(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_non_utf8_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.oml-model"
+    path.write_bytes(b"poset p { elements \xff ; }\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invalid_model_exit_code(capsys, tmp_path):
     path = tmp_path / "cycle.oml-model"
     path.write_text("poset p { elements x y ; covers x<y y<x }")
@@ -274,3 +285,38 @@ def test_amp_on_non_boolean_views_reports_boolean_rs_axioms(capsys, tmp_path):
 def test_amp_needs_orthocomplemented_views(capsys):
     assert main(["amp", "zoo:firefly"]) == 2
     capsys.readouterr()
+
+
+_COMMANDS = [
+    ["validate"], ["classify"], ["sum"], ["sum", "--emit-model"], ["decompose"], ["decompose", "--list"],
+    ["roundtrip"], ["amp"], ["amp", "--vs-sasaki"],
+] + [["check", "--property", p] for p in ("rs", "boolean-rs", "eq6", "eq11", "closure")]
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.oml-model"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_main_exits_0_to_3_on_any_input(model_path, data):
+    """Every command and flag, on zoo references good and bad, on
+    token-edited zoo documents and on those with a byte that is not UTF-8
+    spliced in: main returns an exit code of the contract and raises
+    nothing."""
+    name = data.draw(st.sampled_from(sorted(zoo()) + ["nonesuch"]))
+    source = data.draw(st.sampled_from(["zoo", "edited", "bytes"]))
+    ref = f"zoo:{name}"
+    if source != "zoo" and name in zoo():
+        text = " ".join(_edited(zoo()[name].text, data)).encode()
+        if source == "bytes":
+            i = data.draw(st.integers(0, len(text)))
+            text = text[:i] + bytes([data.draw(st.integers(0x80, 0xFF))]) + text[i:]
+        model_path.write_bytes(text)
+        ref = str(model_path)
+    argv = data.draw(st.sampled_from(_COMMANDS)) + [ref] + data.draw(st.sampled_from([[], ["--cap", "8"]]))
+    argv = data.draw(st.sampled_from([argv, ["zoo"], ["zoo", name]]))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -3,9 +3,11 @@
 `repsys`, `sums` and `conditions` run on the stacked transformation tables;
 every verdict, witness and table here must equal the plain loop's, on the
 zoo systems, canonical systems, random single-entry mutants and broken &
-tables."""
+tables. The sum orthoposet and the decomposition roundtrip, which read the
+sum's class array, are held to the same loops, also on doctored sums."""
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -14,7 +16,10 @@ import pytest
 from orthoview import (
     AmpOperation,
     BooleanRepresentationSystem,
+    FinitePoset,
     InternalCheckError,
+    OrthoPoset,
+    PreSum,
     RepresentationSystem,
     ValidationError,
     Verdict,
@@ -30,11 +35,14 @@ from orthoview import (
     closure_table,
     derived_meet,
     derived_meet_table,
+    make_rs,
     quotient_sum,
+    roundtrip_check,
     sum_as_orthoposet,
     verify_amp_axioms,
     verify_closure_properties,
     zoo,
+    zoo_model,
 )
 from orthoview.conditions import WITNESS_CAP
 from orthoview.poset import OK
@@ -43,6 +51,7 @@ from _models import (
     as_orthoposet,
     greechie_cycle,
     mutate_random_entry,
+    random_orthoposet,
     reference_amp_axioms,
     reference_boolean_rs_axioms,
     reference_build_amp,
@@ -51,9 +60,22 @@ from _models import (
     reference_condition_oml,
     reference_condition_omp,
     reference_presum,
+    reference_roundtrip,
     reference_rs_axioms,
+    reference_sum_as_orthoposet,
     shuffled,
 )
+
+
+@lru_cache(maxsize=None)
+def hosts():
+    """(name, orthoposet): the zoo orthoposets, relabelled Greechie cycles
+    4..7, then 40 random models."""
+    out = [(name, build_orthoposet(model.doc)) for name, model in zoo().items() if model.kind != "repsys"]
+    rng = random.Random(4)
+    out += [(f"greechie_cycle_{k}_shuffled", as_orthoposet(shuffled(greechie_cycle(k), rng))) for k in range(4, 8)]
+    out += [(f"random_{k}", random_orthoposet(rng)) for k in range(40)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -61,17 +83,17 @@ def systems():
     """(name, rs, orthos or None): the zoo's repsys models, and the
     canonical systems of the zoo orthoposets and of relabelled Greechie
     cycles 4..7."""
+    host = dict(hosts())
     out = []
     for name, model in zoo().items():
         if model.kind == "repsys":
             rs, orthos = build_repsys(model.doc)
             out.append((name, rs, None if None in orthos else orthos))
         else:
-            brs = build_canonical_rs(build_orthoposet(model.doc))
+            brs = build_canonical_rs(host[name])
             out.append((name, brs.rs, brs.orthos))
-    rng = random.Random(4)
     for k in range(4, 8):
-        brs = build_canonical_rs(as_orthoposet(shuffled(greechie_cycle(k), rng)))
+        brs = build_canonical_rs(host[f"greechie_cycle_{k}_shuffled"])
         out.append((f"greechie_cycle_{k}_shuffled", brs.rs, brs.orthos))
     return tuple(out)
 
@@ -292,3 +314,94 @@ def test_derived_meet_table_matches_one_pair_calls():
         else:
             assert got[0] == "ok" and got[1].tolist() == [[c[1] for c in row] for row in calls], name
     assert failures and failures[0][0] == "not-a-meet"
+
+
+def square(a, b):
+    """The four-element boolean algebra 0 < a, b < 1."""
+    leq = np.array([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]], dtype=bool)
+    return OrthoPoset(FinitePoset(("0", a, b, "1"), leq), (3, 2, 1, 0))
+
+
+def sum_ortho_cases():
+    """(name, sum, boolean system): every system with boolean views and the
+    canonical system of every random host, with its own sum; three squares
+    whose tables break the ortho adjunction, so that the complements of two
+    classes land in two classes each; a system without views; and the
+    pre-sum of those squares with nothing identified, whose bottoms stay
+    apart."""
+    brss = [(name, BooleanRepresentationSystem(rs, orthos)) for name, rs, orthos in systems() if orthos is not None]
+    brss += [(name, build_canonical_rs(o)) for name, o in hosts() if name.startswith("random")]
+    squares = square("p", "q"), square("r", "s"), square("u", "v")
+    # p ~ r and q ~ u, but q, s apart and p, v apart; every other image is the top
+    tables = {("Y", "X"): (0, 1, 3, 3), ("X", "Y"): (0, 1, 3, 3), ("Z", "X"): (0, 3, 1, 3), ("X", "Z"): (0, 2, 3, 3)}
+    tables |= {("Z", "Y"): (0, 3, 3, 3), ("Y", "Z"): (0, 3, 3, 3)}
+    rs = make_rs(("X", "Y", "Z"), [o.poset for o in squares], tables)
+    assert check_rs_axioms(rs) and check_boolean_rs_axioms(rs, squares).code == "ortho-adjunction"
+    brss += [("broken-adjunction", BooleanRepresentationSystem(rs, squares))]
+    brss += [("no-views", BooleanRepresentationSystem(make_rs((), (), {}), ()))]
+    cases = [(name, quotient_sum(build_presum(brs.rs)), brs) for name, brs in brss]
+    pairs = build_presum(rs).pairs
+    apart = quotient_sum(PreSum(pairs, np.eye(len(pairs), dtype=bool)))
+    return cases + [("apart", apart, BooleanRepresentationSystem(rs, squares))]
+
+
+def test_sum_as_orthoposet_matches_reference():
+    seen = set()
+    for name, s, brs in sum_ortho_cases():
+        got = outcome(lambda *a: sum_as_orthoposet(*a).ortho, s, brs)
+        assert got == outcome(lambda *a: reference_sum_as_orthoposet(*a).ortho, s, brs), name
+        seen.add(got[0])
+    assert seen == {"ok", "ill-defined-ortho", "ill-defined-bounds"}
+
+
+def roundtrip(o):
+    result = roundtrip_check(o)
+    return result.ok, result.stage, result.witness, result.isomorphism
+
+
+def test_roundtrip_matches_reference():
+    for name, o in hosts():
+        brs = build_canonical_rs(o)
+        s = quotient_sum(build_presum(brs.rs))
+        assert roundtrip(o) == reference_roundtrip(o, s, sum_as_orthoposet(s, brs)), name
+
+
+def test_every_roundtrip_stage_matches_reference(monkeypatch):
+    """The roundtrip of MO2 against sums with two classes merged, a class
+    split in two, two classes swapped, and against complements with the
+    atoms a and b swapped."""
+    import orthoview.decompose as dec
+
+    o = build_orthoposet(zoo_model("MO2").doc)
+    brs = build_canonical_rs(o)
+    s = quotient_sum(build_presum(brs.rs))
+    so = sum_as_orthoposet(s, brs)
+    n, klass = s.order.n, s.klass
+    a, b, zero = s.class_of("B1", "a"), s.class_of("B2", "b"), s.class_of("B0", "0")
+    lo, hi = sorted((a, b))
+    merged = replace(s, klass=np.where(klass == hi, lo, klass))
+    moved = s.pairs.index(("B2", "0"))
+    leq = np.pad(s.order.leq, ((0, 1), (0, 1)))
+    leq[n, n] = True
+    split = replace(s, klass=np.where(np.arange(len(klass)) == moved, n, klass), order=FinitePoset(s.order.elements + ("B2/0",), leq))
+    perm = np.arange(n)
+    perm[[zero, a]] = perm[[a, zero]]
+    swapped = replace(s, klass=perm[klass])
+    sigma = np.arange(n)
+    for u, v in (("a", "b"), ("a'", "b'")):
+        cu, cv = s.class_of("B1", u), s.class_of("B2", v)
+        sigma[[cu, cv]] = sigma[[cv, cu]]
+    crossed = OrthoPoset(s.order, sigma[np.array(so.ortho)])
+    cases = [
+        (merged, so, "well-defined", (s.label(lo), "a", "b")),
+        (split, so, "bijective", ()),
+        (swapped, so, "order", None),
+        (s, crossed, "ortho", None),
+    ]
+    for doctored, doctored_ortho, stage, witness in cases:
+        with monkeypatch.context() as m:
+            m.setattr(dec, "quotient_sum", lambda ps: doctored)
+            m.setattr(dec, "sum_as_orthoposet", lambda s, brs: doctored_ortho)
+            got = roundtrip(o)
+        assert got == reference_roundtrip(o, doctored, doctored_ortho)
+        assert got[:2] == (False, stage) and witness in (None, got[2]), stage
