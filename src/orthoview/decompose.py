@@ -35,7 +35,12 @@ class BooleanSubalgebra:
 
 
 def subalgebra(o, carrier):
-    """Validate a carrier set and package it as a BooleanSubalgebra."""
+    """Validate a carrier set and package it as a BooleanSubalgebra.
+
+    Once the carrier holds the bounds, its complements and the host joins
+    and meets of its pairs, its induced order is a lattice whose joins and
+    meets are the host's, so distributivity and 2^|atoms| elements, read
+    from the host tables restricted to it, decide whether it is boolean."""
     carrier = tuple(sorted(set(int(i) for i in carrier)))
     els = o.elements
     for b in (o.least, o.greatest):
@@ -55,29 +60,16 @@ def subalgebra(o, carrier):
         if missing[a, b]:
             raise ValidationError("join-meet-missing", f"{els[i]!r}, {els[j]!r} lack a host join or meet", (els[i], els[j]))
         raise ValidationError("not-closed", f"join/meet of {els[i]!r}, {els[j]!r} leaves the carrier", (els[i], els[j]))
-    return BooleanSubalgebra(carrier, _boolean_atoms(o, carrier))
-
-
-def _boolean_atoms(o, carrier):
-    """Atoms of a carrier that holds the bounds, its complements and the
-    host joins and meets of its pairs, else not-boolean or bad-cardinality.
-    Its induced order is then a lattice whose joins and meets are the
-    host's, so distributivity and 2^|atoms| elements, read from the host
-    tables restricted to the carrier, decide whether it is boolean."""
-    join, meet = o.poset.tables()
-    local = np.full(o.n, -1, dtype=np.intp)
-    local[list(carrier)] = np.arange(len(carrier))
-    grid = np.ix_(carrier, carrier)
-    bad = distributivity_failure(local[join[grid]], local[meet[grid]])
+    bad = distributivity_failure(np.searchsorted(carrier, jn), np.searchsorted(carrier, mt))
     if bad is not None:
-        witness = tuple(o.elements[carrier[k]] for k in bad)
+        witness = tuple(els[carrier[k]] for k in bad)
         raise ValidationError("not-boolean", "induced order is not boolean: not-distributive", witness)
     # atoms: only the bottom strictly below them in the carrier
     below = o.poset.leq[grid].sum(axis=0)
     atoms = tuple(int(i) for i, k in zip(carrier, below) if k == 2)
     if len(carrier) != 2 ** len(atoms):
         raise ValidationError("bad-cardinality", f"|carrier|={len(carrier)} != 2^{len(atoms)}")
-    return atoms
+    return BooleanSubalgebra(carrier, atoms)
 
 
 def _close(o, seed):
@@ -102,41 +94,53 @@ def _close(o, seed):
         cur = nxt
 
 
+def _complements_are_joins(join, ortho, least, atoms):
+    """Whether each atom's complement is the host join of the others: the
+    join of its prefix and suffix joins. A missing join fails."""
+    pre = [least]
+    for a in atoms[:-1]:
+        pre.append(join[pre[-1], a])
+    suf = least
+    for p, a in zip(reversed(pre), reversed(atoms)):
+        if suf < 0 or join[p, suf] != ortho[a]:
+            return False
+        suf = join[a, suf]
+    return True
+
+
 def enumerate_boolean_subalgebras(o, cap=32):
     """All boolean subalgebras, in (size, carrier) order.
 
-    Seeds {x} are closed, then the union of every two carriers found, to a
-    fixpoint; every closure that stays boolean is kept. Any subalgebra is
-    reachable this way because it is the closure of its atom seeds and
-    every intermediate union-closure is itself a subalgebra. The pairs run
-    as a worklist: a carrier taken up is paired with itself and the carriers
-    taken up before it, and unions already tried or already seen as a
-    closure are skipped. Each returned carrier is validated by `subalgebra`.
+    A depth-first search over atom sets in index order proposes them: a
+    node (last atom, host join j so far, atoms) grows by each a > last,
+    a != 0, with a <= j' (orthogonal to every atom chosen) and a host join
+    with j. At j = 1, atoms that pass `_complements_are_joins` are closed
+    by `_close` and admitted by `subalgebra`.
+
+    This is complete on any host. A subalgebra's sorted atoms are pairwise
+    orthogonal and its joins are the host's, so every prefix join exists,
+    the last is 1 and each complement is the join of the other atoms; their
+    closure is the subalgebra, each element being a join of atoms. The
+    atoms of a boolean closure are its candidate's, so none comes twice.
     """
     if o.n > cap:
         raise ValidationError("cap-exceeded", f"{o.n} elements exceeds the cap of {cap}")
-    found, tried, closures = [], set(), set()
-
-    def consider(union):
-        tried.add(union)
-        c = _close(o, union)
-        if c is None or c in closures:
-            return
-        closures.add(c)
-        try:
-            _boolean_atoms(o, sorted(c))
-        except ValidationError:
-            return
-        found.append(c)
-
-    for x in range(o.n):
-        consider(frozenset((x,)))
-    for k, c in enumerate(found):  # grows while it is walked
-        for d in found[:k + 1]:
-            if c | d not in tried and c | d not in closures:
-                consider(c | d)
-    ordered = sorted(found, key=lambda c: (len(c), tuple(sorted(c))))
-    return tuple(subalgebra(o, c) for c in ordered)
+    join, _ = o.poset.tables()
+    ortho = np.array(o.ortho)
+    below = np.ascontiguousarray(o.poset.leq.T)  # below[y, a]: a <= y
+    found, stack = [], [(-1, o.least, ())]
+    while stack:
+        last, cur, atoms = stack.pop()
+        if cur != o.greatest:
+            nxt = below[ortho[cur]] & (join[cur] >= 0)
+            nxt[:last + 1] = nxt[o.least] = False
+            stack.extend((a, int(join[cur, a]), atoms + (a,)) for a in np.flatnonzero(nxt)[::-1].tolist())
+        elif _complements_are_joins(join, ortho, o.least, atoms) and (c := _close(o, atoms)) is not None:
+            try:
+                found.append(subalgebra(o, c))
+            except ValidationError:
+                pass
+    return tuple(sorted(found, key=lambda s: (s.size, s.carrier)))
 
 
 def _projections(o, carrier, xs):
@@ -172,13 +176,9 @@ def build_canonical_rs(o, cap=32, subs=None):
     if subs is None:
         subs = enumerate_boolean_subalgebras(o, cap=cap)
     views = tuple(f"B{k}" for k in range(len(subs)))
-    posets = []
-    orthos = []
-    for sub in subs:
-        induced = o.poset.induced(sub.carrier)
-        pos = {host: k for k, host in enumerate(sub.carrier)}
-        posets.append(induced)
-        orthos.append(OrthoPoset(induced, [pos[o.ortho[i]] for i in sub.carrier]))
+    ortho = np.array(o.ortho)
+    posets = [o.poset.induced(sub.carrier) for sub in subs]
+    orthos = [OrthoPoset(p, np.searchsorted(sub.carrier, ortho[list(sub.carrier)]).tolist()) for p, sub in zip(posets, subs)]
     transforms = {}
     for vi, bi in zip(views, subs):
         proj = _projections(o, bi.carrier, np.arange(o.n))

@@ -11,7 +11,7 @@ from .poset import OK, FinitePoset, InternalCheckError, Verdict
 from .ortho import OrthoPoset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreSum:
     """Tagged union of all view elements under the translated order:
     (i, x) <= (j, y) iff the view-j translation of x sits below y.

@@ -414,6 +414,37 @@ def reference_enumerate_boolean_subalgebras(o):
     return tuple(BooleanSubalgebra(tuple(sorted(c)), reference_boolean_carrier(o, c)[3]) for c in ordered)
 
 
+def reference_worklist_subalgebras(o):
+    """The pair-union worklist the atom-set search replaced: close every
+    {x}, then the union of each found carrier with itself and with every
+    carrier found before it, skipping unions already tried or already seen
+    as a closure. Every closure `subalgebra` admits is kept; the result is
+    in (size, carrier) order."""
+    from orthoview import ValidationError, subalgebra
+    from orthoview.decompose import _close
+
+    found, tried, closures = [], set(), set()
+
+    def consider(union):
+        tried.add(union)
+        c = _close(o, union)
+        if c is None or c in closures:
+            return
+        closures.add(c)
+        try:
+            found.append((c, subalgebra(o, c)))
+        except ValidationError:
+            pass
+
+    for x in range(o.n):
+        consider(frozenset((x,)))
+    for k, (c, _) in enumerate(found):  # grows while it is walked
+        for d, _ in found[:k + 1]:
+            if c | d not in tried and c | d not in closures:
+                consider(c | d)
+    return tuple(sorted((sub for _, sub in found), key=lambda sub: (sub.size, sub.carrier)))
+
+
 def reference_subalgebra_pairs(o, carrier):
     """The pair scan `subalgebra` runs on an ortho-closed carrier holding the
     bounds, as loops with oracle joins and meets: the first pair in carrier

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,7 @@ from _models import (
     reference_close,
     reference_enumerate_boolean_subalgebras,
     reference_subalgebra_pairs,
+    reference_worklist_subalgebras,
     shuffled,
 )
 
@@ -124,13 +126,63 @@ def test_enumeration_matches_reference_on_random_models():
         assert_matches_reference(random_orthoposet(rng))
 
 
-@pytest.mark.parametrize(
+FAMILIES = pytest.mark.parametrize(
     "model",
     [greechie_cycle(k) for k in (4, 5, 6, 7)] + [mo(15), double_chain(7), double_chain(15), boolean_algebra(4)],
     ids=["greechie_cycle_4", "greechie_cycle_5", "greechie_cycle_6", "greechie_cycle_7", "MO15", "double_chain_7", "double_chain_15", "boolean_16"],
 )
+
+
+@FAMILIES
 def test_enumeration_matches_reference_on_relabelled_families(model):
     assert_matches_reference(as_orthoposet(shuffled(model, random.Random(len(model[0])))))
+
+
+@FAMILIES
+def test_enumeration_closes_once_per_subalgebra(model, monkeypatch):
+    import orthoview.decompose as dec
+
+    seeds = []
+    original = dec._close
+    monkeypatch.setattr(dec, "_close", lambda o, seed: seeds.append(seed) or original(o, seed))
+    subs = enumerate_boolean_subalgebras(as_orthoposet(shuffled(model, random.Random(len(model[0])))))
+    # each closure starts from the atoms of the subalgebra it returns
+    assert sorted(map(sorted, seeds)) == sorted(sorted(s.atoms) for s in subs)
+
+
+def stirling2(k, m):
+    """Partitions of k labelled atoms into m blocks."""
+    if k == m:
+        return 1
+    if m == 0:
+        return 0
+    return m * stirling2(k - 1, m) + stirling2(k - 1, m - 1)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_boolean_algebra_has_bell_many_subalgebras(k):
+    # one subalgebra of size 2^m per partition of the k atoms into m blocks
+    subs = enumerate_boolean_subalgebras(as_orthoposet(shuffled(boolean_algebra(k), random.Random(k))), cap=128)
+    assert len(subs) == {5: 52, 6: 203, 7: 877}[k]
+    assert len({s.carrier for s in subs}) == len(subs)
+    assert Counter(s.size for s in subs) == {2 ** m: stirling2(k, m) for m in range(1, k + 1)}
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_greechie_cycle_has_3k_plus_1_subalgebras(k):
+    # the bounds, one 4-element algebra per atom, one 8-element algebra per block
+    subs = enumerate_boolean_subalgebras(as_orthoposet(shuffled(greechie_cycle(k), random.Random(k))), cap=128)
+    assert len(subs) == 3 * k + 1
+    assert len({s.carrier for s in subs}) == len(subs)
+    assert sorted(s.size for s in subs) == [2] + [4] * (2 * k) + [8] * k
+
+
+@pytest.mark.parametrize(
+    "model", [boolean_algebra(5), greechie_cycle(16), mo(63)], ids=["boolean_32", "greechie_cycle_16", "MO63"]
+)
+def test_enumeration_matches_worklist_on_large_hosts(model):
+    o = as_orthoposet(shuffled(model, random.Random(len(model[0]))))
+    assert enumerate_boolean_subalgebras(o, cap=128) == reference_worklist_subalgebras(o)
 
 
 def test_closure_matches_reference():

@@ -163,9 +163,12 @@ def test_single_view_sum_ortho_is_set_complement():
 
 
 def test_sums_compare_by_identity():
-    # the class array is no field to compare: == must not ask numpy for a truth value
+    # the class array and the pre-sum relation are no fields to compare:
+    # == must not ask numpy for a truth value
     s = quotient_sum(build_presum(firefly()))
     assert s == s and s != quotient_sum(build_presum(firefly())) and len({s}) == 1
+    p = build_presum(firefly())
+    assert p == p and p != build_presum(firefly()) and len({p}) == 1
 
 
 def test_sum_ortho_matches_host_on_mo2():
