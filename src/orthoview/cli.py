@@ -10,6 +10,7 @@ stderr. `zoo:NAME` can be used instead of a file path anywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -231,7 +232,10 @@ def _cmd_zoo(args):
     return records
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="orthoview",
         description="finite posets, orthostructures and multi-view systems, checked exhaustively",

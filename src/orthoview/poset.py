@@ -44,27 +44,50 @@ class Verdict:
 OK = Verdict(True)
 
 
+def _packed(rel):
+    """The rows of a boolean matrix as little-endian uint64 words: bit b of
+    word k of row i is rel[i, 64 * k + b]. Padding bits are 0."""
+    rows, n = rel.shape
+    padded = np.zeros((rows, -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = rel
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
 def _closure(rel):
-    """Reflexive-transitive closure by repeated squaring."""
-    rel = rel | np.eye(len(rel), dtype=bool)
-    while True:
-        nxt = rel | (rel @ rel)
-        if (nxt == rel).all():
-            return nxt
-        rel = nxt
+    """Reflexive-transitive closure: Warshall on packed rows, where step k
+    ORs row k into every row whose bit k is set."""
+    n = len(rel)
+    up = _packed(rel | np.eye(n, dtype=bool))
+    for k in range(n):
+        up[(up[:, k >> 6] >> np.uint64(k & 63)) & np.uint64(1) == 1] |= up[k]
+    return np.unpackbits(up.view(np.uint8), axis=1, count=n, bitorder="little").astype(bool)
 
 
 def _least_bounds(leq):
-    """t[i, j] = the least element above i and j, or -1. Row by row: each u
-    in U = up(i) & up(j) has up(u) within U, with equality exactly when u is
-    least in U. The transposed order gives greatest lower bounds."""
-    up = leq.sum(axis=1)
-    table = np.full(leq.shape, -1, dtype=np.intp)
-    for i, row in enumerate(leq):
-        common = row & leq
-        least = common & (up == common.sum(axis=1, keepdims=True))
-        found = least.any(axis=1)
-        table[i, found] = least.argmax(axis=1)[found]
+    """t[i, j] = the least element above i and j, or -1; the transposed
+    order gives greatest lower bounds.
+
+    Elements are relabelled into a linear extension (by down-set size), so
+    the least element of U = up(i) & up(j), if there is one, is its lowest
+    set bit, and it is least exactly when its own up-set equals U. Up-sets
+    are packed into 64-bit words; each pass works on one word of every
+    pair at once."""
+    n = len(leq)
+    perm = np.argsort(leq.sum(axis=0), kind="stable")
+    up = _packed(leq[np.ix_(perm, perm)])
+    least = np.full((n, n), -1, dtype=np.intp)
+    for k in range(up.shape[1]):
+        common = up[:, None, k] & up[None, :, k]
+        # x & -x is the lowest set bit 2^b, whose frexp exponent is b + 1 (0 for x = 0)
+        bit = np.frexp((common & -common).astype(float))[1] - 1
+        first = (least < 0) & (bit >= 0)
+        least[first] = 64 * k + bit[first]
+    found = least >= 0
+    cand = np.where(found, least, 0)
+    for k in range(up.shape[1]):
+        found &= up[cand, k] == up[:, None, k] & up[None, :, k]
+    inv = np.argsort(perm)
+    table = np.where(found, perm[cand], -1)[np.ix_(inv, inv)]
     table.flags.writeable = False
     return table
 
@@ -103,8 +126,9 @@ class FinitePoset:
                 f"cycle: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}",
                 (elements[i], elements[j]),
             )
-        if ((leq @ leq) & ~leq).any():
-            i, j = map(int, np.argwhere((leq @ leq) & ~leq)[0])
+        missing = (leq @ leq) & ~leq
+        if missing.any():
+            i, j = map(int, np.argwhere(missing)[0])
             raise ValidationError(
                 "transitivity",
                 f"missing {elements[i]!r} <= {elements[j]!r}",
@@ -222,10 +246,8 @@ def find_order_isomorphism(p, q, candidate=None):
         if sorted(candidate.keys()) != sorted(p.elements) or sorted(candidate.values()) != sorted(q.elements):
             return None
         f = [q.idx(candidate[e]) for e in p.elements]
-        for i in range(p.n):
-            for j in range(p.n):
-                if p.leq[i, j] != q.leq[f[i], f[j]]:
-                    return None
+        if not (p.leq == q.leq[np.ix_(f, f)]).all():
+            return None
         return dict(candidate)
 
     sig_p, sig_q = _signatures(p), _signatures(q)

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poset import OK, FinitePoset, InternalCheckError, Verdict
+from .poset import OK, FinitePoset, InternalCheckError, Verdict, _packed
 from .ortho import OrthoPoset
 
 
@@ -39,11 +39,11 @@ def build_presum(rs):
     # row a of rel @ rel is the OR of the rows of the pairs above a: on
     # packed bits, the first row with a bit outside rel, then its first
     # such bit, is the first entry of (rel @ rel) & ~rel
-    packed = np.packbits(rel, axis=1)
+    packed = _packed(rel)
     for a, (row, bits) in enumerate(zip(rel, packed)):
         extra = np.bitwise_or.reduce(packed[row], axis=0) & ~bits
         if extra.any():
-            b = int(np.unpackbits(extra).argmax())
+            b = int(np.unpackbits(extra.view(np.uint8), bitorder="little").argmax())
             raise InternalCheckError("preorder", "pre-sum relation is not transitive", pairs[a] + pairs[b])
     rel.flags.writeable = False
     return PreSum(pairs, rel)

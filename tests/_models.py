@@ -261,6 +261,31 @@ def brute_force_subalgebras(o):
 # (ok, code, witness): the first failure in index order.
 
 
+def reference_closure(rel):
+    """Reflexive-transitive closure by repeated boolean squaring."""
+    rel = rel | np.eye(len(rel), dtype=bool)
+    while True:
+        nxt = rel | (rel @ rel)
+        if (nxt == rel).all():
+            return nxt
+        rel = nxt
+
+
+def reference_least_bounds(leq):
+    """t[i, j] = the least element above i and j, or -1. Row by row: each u
+    in U = up(i) & up(j) has up(u) within U, with equality exactly when u is
+    least in U."""
+    up = leq.sum(axis=1)
+    table = np.full(leq.shape, -1, dtype=np.intp)
+    for i, row in enumerate(leq):
+        common = row & leq
+        least = common & (up == common.sum(axis=1, keepdims=True))
+        found = least.any(axis=1)
+        table[i, found] = least.argmax(axis=1)[found]
+    table.flags.writeable = False
+    return table
+
+
 def _oracle_tables(leq):
     n = len(leq)
     join = [[oracle_join(leq, i, j) for j in range(n)] for i in range(n)]

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orthoview
 from orthoview import (
     build_canonical_rs,
     build_orthoposet,
@@ -16,7 +21,7 @@ from orthoview import (
     zoo,
     zoo_model,
 )
-from orthoview.cli import main
+from orthoview.cli import build_parser, main
 from orthoview.modelio import MapSpec, ModelDocument
 
 from _models import mutate_random_entry
@@ -243,6 +248,43 @@ def test_record_stream_is_stable_across_runs(capsys):
     _, _, out1 = run(capsys, "classify", "zoo:O6")
     _, _, out2 = run(capsys, "classify", "zoo:O6")
     assert out1.out == out2.out
+
+
+def test_calls_in_one_process_match_calls_run_alone():
+    """The parser is built once per process; every call in a mixed sequence
+    (a usage error, a bad --property choice, failures and successes) gives
+    the exit code, stdout and stderr of the same call in a fresh process."""
+    sequence = [
+        ["classify", "zoo:O6"],
+        ["check", "zoo:firefly", "--property", "bogus"],
+        ["check", "zoo:firefly", "--property", "rs"],
+        ["classify", "zoo:MO2", "--bogus"],
+        [],
+        ["amp", "zoo:O6"],
+        ["validate", "zoo:nonesuch"],
+        ["sum", "zoo:firefly", "--emit-model"],
+        ["check", "zoo:firefly", "--property", "closure"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(orthoview.__file__).parents[1]))
+    alone = []
+    for argv in sequence:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from orthoview.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    together = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        together.append((code, out.getvalue(), err.getvalue()))
+    assert together == alone
+    assert {code for code, _, _ in alone} == {0, 1, 2}
+    assert build_parser() is build_parser()
 
 
 def write_repsys(path, rs, orthos):

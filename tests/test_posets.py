@@ -2,17 +2,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthoview import FinitePoset, ValidationError, find_order_isomorphism, zoo_model, build_orthoposet, build_repsys
+from orthoview.poset import _closure, _least_bounds
 
 from _models import (
     boolean_algebra,
     double_chain,
     greechie_chain,
+    greechie_cycle,
     mo,
     oracle_join,
     oracle_meet,
     random_orthoposet,
+    reference_closure,
+    reference_least_bounds,
 )
 
 
@@ -38,6 +43,14 @@ def test_longer_cycle_rejected():
     with pytest.raises(ValidationError) as err:
         FinitePoset.from_covers("abc", [("a", "b"), ("b", "c"), ("c", "a")])
     assert err.value.code == "antisymmetry"
+
+
+def test_intransitive_matrix_rejected_at_first_missing_pair():
+    leq = np.eye(4, dtype=bool)
+    leq[0, 1] = leq[1, 2] = leq[2, 3] = True
+    with pytest.raises(ValidationError) as err:
+        FinitePoset("abcd", leq)
+    assert (err.value.code, err.value.witness) == ("transitivity", ("a", "c"))
 
 
 def test_unknown_element_rejected():
@@ -206,3 +219,73 @@ def test_tables_match_oracle_on_every_pair():
                 jn, mt = oracle_join(p.leq, i, j), oracle_meet(p.leq, i, j)
                 assert join[i, j] == (-1 if jn is None else jn)
                 assert meet[i, j] == (-1 if mt is None else mt)
+
+
+# -- the packed order kernels against the row-loop and squaring references ---
+
+# one to three 64-bit words: each side of every word boundary up to 129
+_SIZES = (1, 2, 63, 64, 65, 127, 128, 129)
+
+
+def _relation(kind, n, rng):
+    """A random relation of the given kind on n elements, under a random
+    relabelling: "dag" is acyclic and mostly unbounded, "bounded" is a dag
+    under a new bottom and top, "lattice" a rooted tree (ancestors below)
+    under a new top, "cyclic" any relation."""
+    if kind == "cyclic":
+        rel = rng.random((n, n)) < 2 / n
+    elif kind == "lattice":
+        rel = np.zeros((n, n), dtype=bool)
+        rel[rng.integers(0, np.arange(1, n - 1)), np.arange(1, n - 1)] = True
+        rel[:, n - 1] = True
+    else:
+        rel = np.triu(rng.random((n, n)) < rng.choice([0.5, 2, 8]) / n, 1)
+        if kind == "bounded":
+            rel[0, :] = rel[:, n - 1] = True
+    perm = rng.permutation(n)
+    return rel[np.ix_(perm, perm)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_SIZES), st.sampled_from(["dag", "bounded", "lattice", "cyclic"]), st.integers(0, 2**32 - 1))
+def test_packed_kernels_match_references(n, kind, seed):
+    rel = _relation(kind, n, np.random.default_rng(seed))
+    leq = _closure(rel)
+    want = reference_closure(rel)
+    assert leq.dtype == want.dtype and leq.shape == want.shape and (leq == want).all()
+    if kind == "cyclic":
+        return
+    for order in (leq, leq.T):
+        got, want = _least_bounds(order), reference_least_bounds(order)
+        assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+        assert not got.flags.writeable
+    if kind == "lattice":
+        assert FinitePoset([f"e{i}" for i in range(n)], leq).is_lattice().ok
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_SIZES[1:]), st.integers(0, 2**32 - 1))
+def test_cyclic_covers_report_the_reference_witness(n, seed):
+    rng = np.random.default_rng(seed)
+    rel = _relation("cyclic", n, rng)
+    i = rng.integers(0, n)
+    rel[i, (i + 1) % n] = rel[(i + 1) % n, i] = True
+    els = [f"e{i}" for i in range(n)]
+    with pytest.raises(ValidationError) as want:
+        FinitePoset(els, reference_closure(rel))
+    with pytest.raises(ValidationError) as got:
+        FinitePoset.from_covers(els, [(els[a], els[b]) for a, b in np.argwhere(rel)])
+    assert got.value.code == want.value.code == "antisymmetry"
+    assert got.value.witness == want.value.witness
+
+
+def test_cycle_witness_is_its_first_pair():
+    with pytest.raises(ValidationError) as err:
+        FinitePoset.from_covers("abcd", [("a", "b"), ("c", "d"), ("d", "b"), ("b", "c")])
+    assert (err.value.code, err.value.witness) == ("antisymmetry", ("b", "c"))
+
+
+def test_packed_tables_on_the_bench_lattices():
+    for els, leq, _ in (boolean_algebra(7), mo(63), greechie_cycle(32)):
+        for order in (leq, leq.T):
+            assert (_least_bounds(order) == reference_least_bounds(order)).all()
