@@ -38,8 +38,8 @@ def subalgebra(o, carrier):
     """Validate a carrier set and package it as a BooleanSubalgebra.
 
     Once the carrier holds the bounds, its complements and the host joins
-    and meets of its pairs, its induced order is a lattice whose joins and
-    meets are the host's, so distributivity and 2^|atoms| elements, read
+    and meets of its pairs, its induced order is an ortholattice whose joins
+    and meets are the host's, so distributivity and 2^|atoms| elements, read
     from the host tables restricted to it, decide whether it is boolean."""
     carrier = tuple(sorted(set(int(i) for i in carrier)))
     els = o.elements
@@ -60,7 +60,8 @@ def subalgebra(o, carrier):
         if missing[a, b]:
             raise ValidationError("join-meet-missing", f"{els[i]!r}, {els[j]!r} lack a host join or meet", (els[i], els[j]))
         raise ValidationError("not-closed", f"join/meet of {els[i]!r}, {els[j]!r} leaves the carrier", (els[i], els[j]))
-    bad = distributivity_failure(np.searchsorted(carrier, jn), np.searchsorted(carrier, mt))
+    ortho = np.searchsorted(carrier, np.take(o.ortho, carrier))
+    bad = distributivity_failure(np.searchsorted(carrier, jn), np.searchsorted(carrier, mt), ortho)
     if bad is not None:
         witness = tuple(els[carrier[k]] for k in bad)
         raise ValidationError("not-boolean", "induced order is not boolean: not-distributive", witness)

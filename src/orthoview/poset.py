@@ -53,14 +53,23 @@ def _packed(rel):
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
+def _compose(rel):
+    """The boolean product rel @ rel on packed rows: row i ORs the packed
+    rows k with rel[i, k], one 64-bit word column at a time."""
+    up = _packed(rel)
+    out = np.empty_like(up)
+    for w in range(up.shape[1]):
+        out[:, w] = np.bitwise_or.reduce(np.where(rel, up[:, w], np.uint64(0)), axis=1)
+    return np.unpackbits(out.view(np.uint8), axis=1, count=len(rel), bitorder="little").astype(bool)
+
+
 def _closure(rel):
-    """Reflexive-transitive closure: Warshall on packed rows, where step k
-    ORs row k into every row whose bit k is set."""
-    n = len(rel)
-    up = _packed(rel | np.eye(n, dtype=bool))
-    for k in range(n):
-        up[(up[:, k >> 6] >> np.uint64(k & 63)) & np.uint64(1) == 1] |= up[k]
-    return np.unpackbits(up.view(np.uint8), axis=1, count=n, bitorder="little").astype(bool)
+    """Reflexive-transitive closure by squaring with `_compose` until
+    nothing changes: about log2(height) rounds."""
+    rel = rel | np.eye(len(rel), dtype=bool)
+    while not ((nxt := _compose(rel)) == rel).all():
+        rel = nxt
+    return rel
 
 
 def _least_bounds(leq):
@@ -126,7 +135,7 @@ class FinitePoset:
                 f"cycle: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}",
                 (elements[i], elements[j]),
             )
-        missing = (leq @ leq) & ~leq
+        missing = _compose(leq) & ~leq
         if missing.any():
             i, j = map(int, np.argwhere(missing)[0])
             raise ValidationError(
@@ -188,9 +197,8 @@ class FinitePoset:
 
     def bounds(self):
         """(least, greatest) global bounds, each None when absent."""
-        least = next((i for i in range(self.n) if self.leq[i].all()), None)
-        greatest = next((i for i in range(self.n) if self.leq[:, i].all()), None)
-        return least, greatest
+        ends = (np.flatnonzero(self.leq.all(axis=axis)) for axis in (1, 0))
+        return tuple(int(e[0]) if e.size else None for e in ends)
 
     def is_lattice(self):
         """True iff every pair has a join and a meet; witness names a failing pair."""
@@ -205,7 +213,7 @@ class FinitePoset:
     def covers(self):
         """Hasse cover pairs (i, j): i < j with nothing strictly between."""
         lt = self.leq & ~np.eye(self.n, dtype=bool)
-        cover = lt & ~(lt @ lt)
+        cover = lt & ~_compose(lt)
         return [(int(i), int(j)) for i, j in np.argwhere(cover)]
 
     def induced(self, indices):

@@ -157,7 +157,10 @@ def sum_as_orthoposet(s, brs):
     The class map (k, x) -> (k, x') must not depend on the representative,
     and the bottom/top classes must not depend on the view; both facts are
     asserted exhaustively, the first class failing the first, before the
-    result is validated as an orthoposet.
+    result is validated as an orthoposet. `ill-defined-bounds` fires only
+    for a system without views or a hand-built sum: (i, 1_i) <= (j, 1_j)
+    always puts the tops in one class, whose complements are the bottoms,
+    so bottoms in two classes fail `ill-defined-ortho` there first.
     """
     off = brs.rs.stacked[0][:-1]
     klass = s.klass

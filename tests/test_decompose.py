@@ -27,6 +27,7 @@ from _models import (
     double_chain,
     greechie_cycle,
     mo,
+    product,
     random_orthoposet,
     reference_boolean_carrier,
     reference_close,
@@ -261,6 +262,21 @@ def test_subalgebra_validation_errors():
     with pytest.raises(ValidationError) as err:
         subalgebra(o, (0, 1, 2, 5, 6, 7))
     assert (err.value.code, err.value.witness) == ("not-closed", ("s001", "s010"))
+
+
+def test_subalgebra_names_the_first_distributivity_failure():
+    # whole non-boolean hosts are closed carriers: the compatibility test
+    # fails on each, and the scan names the reference triple
+    o = zoo_ortho("MO2")
+    with pytest.raises(ValidationError) as err:
+        subalgebra(o, [o.idx(e) for e in ("0", "a", "a'", "b", "b'", "1")])
+    assert (err.value.code, err.value.witness) == ("not-boolean", ("a", "a'", "b"))
+    rng = random.Random(31)
+    models = [double_chain(3), greechie_cycle(5), product(boolean_algebra(1), mo(2)), mo(4)]
+    for o in [zoo_ortho("O6")] + [as_orthoposet(shuffled(m, rng)) for m in models]:
+        with pytest.raises(ValidationError) as err:
+            subalgebra(o, range(o.n))
+        assert (False, err.value.code, err.value.witness) == reference_boolean_carrier(o, range(o.n))[:3]
 
 
 def test_subalgebra_pair_scan_matches_reference():

@@ -16,6 +16,7 @@ from orthoview import (
     zoo,
     zoo_model,
 )
+from orthoview.ortho import distributivity_failure
 
 from _models import (
     as_orthoposet,
@@ -63,7 +64,7 @@ def test_not_involutive():
     els, leq, _ = boolean_algebra(2)
     with pytest.raises(ValidationError) as err:
         OrthoPoset(FinitePoset(els, leq), [3, 2, 3, 0])  # s01 -> s10 -> s11
-    assert err.value.code == "not-involutive"
+    assert (err.value.code, err.value.witness) == ("not-involutive", ("s01",))
 
 
 def test_self_paired_atoms_fail_complement_law():
@@ -239,6 +240,51 @@ def test_law_checks_match_reference_scans():
     assert {"no-join", "no-meet", "not-distributive", "orthogonal-join-missing", "law-violation"} <= seen
 
 
+# The compatibility test on ortholattices of each kind: not orthomodular
+# (O6, double chains), orthomodular but not distributive (MO-k, Greechie
+# cycles k >= 5, 2^k x MO2) and boolean; the zoo and random draws run in
+# test_law_checks_match_reference_scans.
+
+
+def test_boolean_test_matches_reference_scans():
+    rng = random.Random(101)
+    models = [double_chain(2), double_chain(5), mo(2), mo(6), greechie_cycle(5), greechie_cycle(7)]
+    models += [product(boolean_algebra(2), mo(2))] + [boolean_algebra(k) for k in range(6)]
+    hosts = [zoo_ortho("O6")] + [as_orthoposet(shuffled(m, rng)) for m in models for _ in range(2)]
+    seen = set()
+    for o in hosts:
+        leq, els = o.poset.leq, o.elements
+        assert reference_is_lattice(leq, els)[0]
+        want = reference_distributivity(leq, els)
+        assert _triple(is_boolean_algebra(o)) == want
+        seen.add(want[0])
+    assert seen == {True, False}
+
+
+def test_boolean_test_matches_the_distributivity_scan_at_scale():
+    # the reference loops are too slow at n = 64..130: compare with the
+    # library's n^3 scan, itself checked against them above
+    rng = random.Random(103)
+    models = [double_chain(40), mo(63), greechie_cycle(16), greechie_cycle(32), product(boolean_algebra(4), mo(2))]
+    models += [boolean_algebra(6), boolean_algebra(7)]
+    seen = set()
+    for o in (as_orthoposet(shuffled(m, rng)) for m in models):
+        bad = distributivity_failure(*o.poset.tables())
+        want = (True, "", ()) if bad is None else (False, "not-distributive", tuple(o.elements[i] for i in bad))
+        assert _triple(is_boolean_algebra(o)) == want
+        seen.add(want[0])
+    assert seen == {True, False}
+
+
+def test_compatibility_gather_alone_decides_a_pass():
+    # with every complement sent to 1, x = (x ^ y) v (x ^ 1) holds in any
+    # lattice, so the scan never runs; MO2 is not distributive
+    els, leq, _ = mo(2)
+    join, meet = FinitePoset(els, leq).tables()
+    assert distributivity_failure(join, meet) is not None
+    assert distributivity_failure(join, meet, [len(els) - 1] * len(els)) is None
+
+
 def _scrambled_complements(ortho, rng):
     """An involution that crosses the complements of two elements, or pairs
     an element with itself: usually not antitone or not a complement."""
@@ -259,8 +305,9 @@ def test_constructor_matches_reference_on_invalid_complements():
     seen = set()
     for o in _reference_hosts(rng):
         leq, els = o.poset.leq, o.elements
-        for _ in range(4):
-            ortho = _scrambled_complements(o.ortho, rng)
+        variants = [_scrambled_complements(o.ortho, rng) for _ in range(5)]
+        variants[4][rng.randrange(o.n)] = rng.randrange(o.n)  # usually not involutive
+        for ortho in variants:
             expected = reference_ortho_validation(leq, ortho, els)
             try:
                 OrthoPoset(o.poset, ortho)
@@ -269,7 +316,7 @@ def test_constructor_matches_reference_on_invalid_complements():
                 got = (False, e.code, e.witness)
             assert got == expected, (els, ortho)
             seen.add(expected[1])
-    assert {"not-antitone", "complement-law"} <= seen
+    assert {"not-involutive", "not-antitone", "complement-law"} <= seen
 
 
 def test_constructor_leaves_tables_unbuilt():

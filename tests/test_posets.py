@@ -2,10 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orthoview import FinitePoset, ValidationError, find_order_isomorphism, zoo_model, build_orthoposet, build_repsys
-from orthoview.poset import _closure, _least_bounds
+from orthoview.poset import _closure, _compose, _least_bounds
 
 from _models import (
     boolean_algebra,
@@ -150,8 +150,11 @@ def test_join_meet_laws_on_random_models():
 
 
 def test_covers_regenerate_the_order():
-    for name in ("boolean_8", "MO2", "hexagon_O6"):
-        p = build_orthoposet(zoo_model(name).doc).poset
+    posets = [build_orthoposet(zoo_model(name).doc).poset for name in ("boolean_8", "MO2", "hexagon_O6")]
+    posets += [FinitePoset(els, leq) for els, leq, _ in (boolean_algebra(7), mo(63), greechie_cycle(32), double_chain(40))]
+    for p in posets:
+        lt = p.leq & ~np.eye(p.n, dtype=bool)
+        assert p.covers() == [(int(i), int(j)) for i, j in np.argwhere(lt & ~(lt @ lt))]
         covers = [(p.elements[i], p.elements[j]) for i, j in p.covers()]
         again = FinitePoset.from_covers(p.elements, covers)
         assert (again.leq == p.leq).all()
@@ -231,8 +234,11 @@ def _relation(kind, n, rng):
     """A random relation of the given kind on n elements, under a random
     relabelling: "dag" is acyclic and mostly unbounded, "bounded" is a dag
     under a new bottom and top, "lattice" a rooted tree (ancestors below)
-    under a new top, "cyclic" any relation."""
-    if kind == "cyclic":
+    under a new top, "chain" the covers of a chain of height n - 1,
+    "cyclic" any relation."""
+    if kind == "chain":
+        rel = np.eye(n, k=1, dtype=bool)
+    elif kind == "cyclic":
         rel = rng.random((n, n)) < 2 / n
     elif kind == "lattice":
         rel = np.zeros((n, n), dtype=bool)
@@ -247,7 +253,9 @@ def _relation(kind, n, rng):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(_SIZES), st.sampled_from(["dag", "bounded", "lattice", "cyclic"]), st.integers(0, 2**32 - 1))
+@given(st.sampled_from(_SIZES), st.sampled_from(["dag", "bounded", "lattice", "chain", "cyclic"]), st.integers(0, 2**32 - 1))
+@example(65, "chain", 0)
+@example(129, "chain", 0)
 def test_packed_kernels_match_references(n, kind, seed):
     rel = _relation(kind, n, np.random.default_rng(seed))
     leq = _closure(rel)
@@ -261,6 +269,33 @@ def test_packed_kernels_match_references(n, kind, seed):
         assert not got.flags.writeable
     if kind == "lattice":
         assert FinitePoset([f"e{i}" for i in range(n)], leq).is_lattice().ok
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_SIZES), st.sampled_from([0.5, 2, 8, 32]), st.integers(0, 2**32 - 1))
+def test_compose_is_the_boolean_square(n, density, seed):
+    rel = np.random.default_rng(seed).random((n, n)) < density / n
+    got = _compose(rel)
+    assert got.dtype == bool and got.shape == (n, n)
+    assert (got == (rel @ rel)).all()
+
+
+@pytest.mark.parametrize("n", [64, 65, 129])
+@pytest.mark.parametrize("seed", range(5))
+def test_intransitive_matrix_witness_is_the_first_missing_pair(n, seed):
+    # drop random pairs and bottom <= top from a closed bounded relation:
+    # still reflexive and antisymmetric, no longer transitive
+    rng = np.random.default_rng(seed)
+    leq = _closure(_relation("bounded", n, rng))
+    leq[leq.all(axis=1).argmax(), leq.all(axis=0).argmax()] = False
+    leq &= ~(rng.random((n, n)) < 0.05)
+    np.fill_diagonal(leq, True)
+    missing = np.argwhere((leq @ leq) & ~leq)
+    assert len(missing)
+    els = [f"e{i}" for i in range(n)]
+    with pytest.raises(ValidationError) as err:
+        FinitePoset(els, leq)
+    assert (err.value.code, err.value.witness) == ("transitivity", tuple(els[k] for k in missing[0]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
