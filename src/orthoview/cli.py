@@ -54,18 +54,25 @@ def _orthoposet_of(doc):
 def _system_of(doc, cap):
     """A representation system from either a repsys document or the
     canonical decomposition of an orthoposet document. Returns (rs, orthos,
-    boolean_rs_or_None, the axiom verdicts computed on the way by name)."""
+    the rs axioms' verdict, the boolean battery's verdict or None): the
+    battery is known only for a canonical system, which passed it when
+    built; `_boolean_verdict` runs it for a repsys document."""
     if doc.kind == "repsys":
         rs, orthos = modelio.build_repsys(doc)
-        verdicts = {"rs_axioms": check_rs_axioms(rs)}
-        if verdicts["rs_axioms"] and all(o is not None for o in orthos):
-            verdicts["boolean_rs_axioms"] = check_boolean_rs_axioms(rs, orthos)
-        brs = BooleanRepresentationSystem(rs, orthos) if verdicts.get("boolean_rs_axioms") else None
-        return rs, orthos, brs, verdicts
+        return rs, orthos, check_rs_axioms(rs), None
     if doc.kind == "orthoposet":
         brs = build_canonical_rs(modelio.build_orthoposet(doc), cap=cap)
-        return brs.rs, brs.orthos, brs, {"rs_axioms": OK, "boolean_rs_axioms": OK}
+        return brs.rs, brs.orthos, OK, OK
     raise _Usage("this command needs a repsys or orthoposet model")
+
+
+def _boolean_verdict(rs, orthos, known):
+    """The boolean battery's verdict on a system whose rs axioms pass:
+    `known` if `_system_of` has it, else one run of the battery, or None
+    when some view is not an orthoposet."""
+    if known is None and all(o is not None for o in orthos):
+        return check_boolean_rs_axioms(rs, orthos)
+    return known
 
 
 def _cmd_validate(args):
@@ -96,17 +103,18 @@ def _cmd_classify(args):
 
 def _cmd_sum(args):
     doc = _load(args.input)
-    rs, orthos, brs, verdicts = _system_of(doc, args.cap)
-    if not verdicts["rs_axioms"]:
-        return [record_from_verdict("rs_axioms", verdicts["rs_axioms"])]
+    rs, orthos, v, known = _system_of(doc, args.cap)
+    if not v:
+        return [record_from_verdict("rs_axioms", v)]
+    boolean = _boolean_verdict(rs, orthos, known)
     ps = build_presum(rs)
     s = quotient_sum(ps)
     records = [
         Record("sum", True, counts={"pairs": len(ps.pairs), "classes": s.order.n}),
     ]
     sum_doc = None
-    if brs is not None:
-        so = sum_as_orthoposet(s, brs)
+    if boolean:
+        so = sum_as_orthoposet(s, BooleanRepresentationSystem(rs, orthos))
         records.append(Record("sum_orthoposet", True, counts={"elements": so.n}))
         sum_doc = modelio.doc_from_orthoposet(f"{doc.name}_sum", so)
     else:
@@ -119,11 +127,13 @@ def _cmd_sum(args):
 
 def _cmd_check(args):
     doc = _load(args.input)
-    rs, orthos, brs, verdicts = _system_of(doc, args.cap)
-    v = verdicts["rs_axioms"]
+    rs, orthos, v, known = _system_of(doc, args.cap)
     if args.property == "rs" or not v:
         return [record_from_verdict("rs_axioms", v)]
     if args.property == "boolean-rs":
+        boolean = _boolean_verdict(rs, orthos, known)
+        if boolean is not None:
+            return [record_from_verdict("boolean_rs_axioms", boolean)]
         full = []
         for view, p, o in zip(rs.views, rs.posets, orthos):
             if o is not None:
@@ -173,12 +183,14 @@ def _cmd_roundtrip(args):
 
 def _cmd_amp(args):
     doc = _load(args.input)
-    rs, orthos, brs, verdicts = _system_of(doc, args.cap)
+    rs, orthos, v, known = _system_of(doc, args.cap)
     if any(o is None for o in orthos):
         raise _Usage("amp needs boolean views (an orthoposet model or a repsys of orthoposets)")
-    for name, v in verdicts.items():
-        if not v:
-            return [record_from_verdict(name, v)]
+    if not v:
+        return [record_from_verdict("rs_axioms", v)]
+    boolean = _boolean_verdict(rs, orthos, known)
+    if not boolean:
+        return [record_from_verdict("boolean_rs_axioms", boolean)]
     s = quotient_sum(build_presum(rs))
     table = closure_table(s, rs)
     omp = check_condition_omp(s, rs, table)
@@ -190,7 +202,7 @@ def _cmd_amp(args):
     if not (omp and oml):
         return records
     amp = build_amp(s, rs, table, omp, oml)
-    so = sum_as_orthoposet(s, brs)
+    so = sum_as_orthoposet(s, BooleanRepresentationSystem(rs, orthos))
     report = verify_amp_axioms(amp, so)
     records.append(
         Record(

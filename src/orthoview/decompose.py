@@ -193,10 +193,9 @@ def build_canonical_rs(o, cap=32, subs=None):
     return BooleanRepresentationSystem(rs, tuple(orthos))
 
 
-def compatible(o, x, y, subs=None):
-    """True iff some boolean subalgebra contains both elements."""
-    if subs is None:
-        subs = enumerate_boolean_subalgebras(o)
+def compatible(o, x, y, subs):
+    """True iff some boolean subalgebra of o in subs, the result of
+    `enumerate_boolean_subalgebras(o)`, contains both elements."""
     return any(x in sub and y in sub for sub in subs)
 
 

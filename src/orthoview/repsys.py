@@ -7,8 +7,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .poset import OK, ValidationError, Verdict
+from .poset import OK, ValidationError, Verdict, _packed
 from .ortho import is_boolean_algebra
+
+_CHUNK = 8 << 20  # bytes gathered at once by the row tests
+
+
+def _chunks(n, row_bytes):
+    """Slices covering range(n), each gathering about _CHUNK bytes of rows
+    that are row_bytes long."""
+    step = max(1, _CHUNK // max(row_bytes, 1))
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def _table_error(i, j, missing):
@@ -24,7 +33,18 @@ class RepresentationSystem:
     pair of views. transforms[(i, j)][x] is the index, in view i's poset, of
     the translation of element x of view j. Tables are fully materialized;
     any completion rule is applied before construction, and none changes
-    after it (`stacked` keeps a copy of them).
+    after it.
+
+    `presum_rows` packs the pre-sum: row a = (k, x) restricted to view i's
+    block is the up-set of f_(i|k)(x). Two laws are decided on it, each
+    exactly:
+    - `monotone`: f_(i|j)(x) <= f_(i|j)(y) for every i iff
+      row(j, y) is a subset of row(j, x), so monotony is that containment
+      for every x <= y in view j;
+    - `composes`: f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) for every i iff
+      row(j, f_(j|k)(x)) is a subset of row(k, x).
+    Together they make the pre-sum transitive: (k, x) <= (j, y) <= (i, z)
+    gives f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) <= f_(i|j)(y) <= z.
     """
 
     views: tuple
@@ -79,6 +99,41 @@ class RepresentationSystem:
                 raise _table_error(i, self.views[absent[0]], absent[1])
         return off, g
 
+    @cached_property
+    def presum_rows(self):
+        """The pre-sum relation as packed rows (`poset._packed`), built on
+        first use in row chunks from `stacked`: bit b of row a is set iff
+        pair a <= pair b, that is, iff f_(j|k)(x) <= y in view j for
+        a = (k, x) and b = (j, y). Read-only."""
+        off, g = self.stacked
+        n = int(off[-1])
+        rows = np.empty((n, -(-n // 64)), dtype="<u8")
+        for c in _chunks(n, n):
+            rows[c] = _packed(np.hstack([p.leq[t[c]] for p, t in zip(self.posets, g)]))
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def monotone(self):
+        """Monotony of every table, decided on `presum_rows`: row(j, y) is a
+        subset of row(j, x) for every x <= y in view j."""
+        rows = self.presum_rows
+        below = _within_views(self, [p.leq for p in self.posets])
+        return not any((rows[below[c, 1]] & ~rows[below[c, 0]]).any() for c in _chunks(len(below), rows.itemsize * rows.shape[1]))
+
+    @cached_property
+    def composes(self):
+        """The composition law, decided on `presum_rows`: for every view j,
+        row(j, f_(j|k)(x)) is a subset of row(k, x) for every pair (k, x).
+        One gather of the pre-sum rows per view j."""
+        off, g = self.stacked
+        rows = self.presum_rows
+        for c in _chunks(len(rows), rows.itemsize * rows.shape[1]):
+            outside = ~rows[c]
+            if any((rows[start + t[c]] & outside).any() for start, t in zip(off, g)):
+                return False
+        return True
+
     def pair(self, a):
         """(view, element id) of pair a in the `stacked` numbering."""
         off = self.stacked[0]
@@ -114,10 +169,17 @@ def _within_views(rs, mats):
 def check_rs_axioms(rs):
     """Exhaustive check of the three transformation-table laws.
 
+    Identity is read off the `stacked` tables. Monotony and composition are
+    decided on the packed pre-sum rows, with no dense pair x pair matrix:
+    row a = (k, x) restricted to view i's block is the up-set of f_(i|k)(x),
+    so monotony holds iff row(j, y) is a subset of row(j, x) for every
+    x <= y in view j (`RepresentationSystem.monotone`), and composition iff
+    row(j, f_(j|k)(x)) is a subset of row(k, x) for every pair (k, x) and
+    view j (`composes`). Only when one fails does its scan run, one gather
+    per target view i, to name the first failure of a scan over i, j, (k,)
+    x, (y).
     Witnesses carry view and element ids in a fixed order so a failure can
-    be re-verified by direct formula evaluation. The scans run on the
-    `stacked` tables, one gather per target view i, and report the first
-    failure of a scan over i, j, (k,) x, (y).
+    be re-verified by direct formula evaluation.
     """
     try:
         off, g = rs.stacked
@@ -127,18 +189,20 @@ def check_rs_axioms(rs):
         bad = np.flatnonzero(t[start:start + p.n] != np.arange(p.n))
         if bad.size:
             return Verdict(False, "identity", (i, p.elements[bad[0]]))
-    below = _within_views(rs, [p.leq for p in rs.posets])
-    for i, dst, t in zip(rs.views, rs.posets, g):
-        bad = np.flatnonzero(~dst.leq[t[below[:, 0]], t[below[:, 1]]])
-        if bad.size:
-            (j, x), (_, y) = map(rs.pair, below[bad[0]])
-            return Verdict(False, "monotony", (i, j, x, y))
-    for i, dst, t in zip(rs.views, rs.posets, g):
-        routed = t[off[:-1, None] + g]  # routed[j, a] = f_(i|j)(f_(j|k)(x)) for a = (k, x)
-        bad = np.argwhere(~dst.leq[t, routed])
-        if len(bad):
-            j, a = bad[0]
-            return Verdict(False, "composition", (i, rs.views[j]) + rs.pair(a))
+    if not rs.monotone:
+        below = _within_views(rs, [p.leq for p in rs.posets])
+        for i, dst, t in zip(rs.views, rs.posets, g):
+            bad = np.flatnonzero(~dst.leq[t[below[:, 0]], t[below[:, 1]]])
+            if bad.size:
+                (j, x), (_, y) = map(rs.pair, below[bad[0]])
+                return Verdict(False, "monotony", (i, j, x, y))
+    if not rs.composes:
+        for i, dst, t in zip(rs.views, rs.posets, g):
+            routed = t[off[:-1, None] + g]  # routed[j, a] = f_(i|j)(f_(j|k)(x)) for a = (k, x)
+            bad = np.argwhere(~dst.leq[t, routed])
+            if len(bad):
+                j, a = bad[0]
+                return Verdict(False, "composition", (i, rs.views[j]) + rs.pair(a))
     return OK
 
 
@@ -168,22 +232,72 @@ class BooleanRepresentationSystem:
         return self.orthos[self.rs.view_index(view)]
 
 
+def _joins_preserved(rs, tables):
+    """Join preservation on `presum_rows`, given each view's join table:
+    row(j, x v y) == row(j, x) & row(j, y) for the index pairs x < y of
+    every view j. Both sides are symmetric in x and y and agree at x = y,
+    so half the pairs decide it."""
+    off, rows = rs.stacked[0], rs.presum_rows
+    x, y, xy = [], [], []
+    for start, jn in zip(off, tables):
+        u, v = np.triu_indices(len(jn), 1)
+        x.append(start + u)
+        y.append(start + v)
+        xy.append(start + jn[u, v])
+    x, y, xy = (np.concatenate(a + [np.empty(0, np.intp)]) for a in (x, y, xy))
+    return all(np.array_equal(rows[xy[c]], rows[x[c]] & rows[y[c]]) for c in _chunks(len(x), rows.itemsize * rows.shape[1]))
+
+
+def _adjoint(rs, orthos):
+    """The ortho-adjunction on `presum_rows`: for a = (k, x) and b = (j, y),
+    rel[a, b] is f_(j|k)(x) <= y and rel[c(b), c(a)], with c(k, x) =
+    (k, x'), is f_(k|j)(y') <= x', so the law is rel[a, b] => rel[c(b),
+    c(a)] for every a, b. The rows of view k are checked against
+    leq_k[f_(k|j)(y'), x'], one n_k x pairs gather per view."""
+    off, g = rs.stacked
+    rows = rs.presum_rows
+    n = int(off[-1])
+    comp = np.concatenate([start + np.asarray(o.ortho, dtype=np.intp) for start, o in zip(off, orthos)] + [np.empty(0, np.intp)])
+    for start, stop, p, o, t in zip(off, off[1:], rs.posets, orthos, g):
+        back = p.leq[t[comp]][:, o.ortho].T  # back[x, b] = rel[c(b), (k, x')]
+        rel = np.unpackbits(rows[start:stop].view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+        if (rel & ~back).any():
+            return False
+    return True
+
+
 def check_boolean_rs_axioms(rs, orthos):
     """Booleanness of every view, join preservation, and the adjunction
-    f_(i|j)(x) <= y  =>  f_(j|i)(y') <= x', all checked exhaustively."""
+    f_(i|j)(x) <= y  =>  f_(j|i)(y') <= x', all checked exhaustively.
+
+    Where every ortho's order is its view's, both laws are decided on the
+    packed pre-sum rows. Restricted to view i's block, row(j, x v y) is the
+    up-set of f_(i|j)(x v y) and, view i being a lattice, row(j, x) &
+    row(j, y) is that of f_(i|j)(x) v f_(i|j)(y); so join preservation holds
+    iff the two rows are equal for all x, y of every view j
+    (`_joins_preserved`). The adjunction is rel[a, b] => rel[c(b), c(a)]
+    with c(k, x) = (k, x') (`_adjoint`).
+    Only when a row test fails, or an ortho is over another order, does the
+    scan below run, one gather per target view i, deciding and naming the
+    first failure of a scan over i, j, x, y on the orthos' orders.
+    """
     for v, o in zip(rs.views, orthos):
         b = is_boolean_algebra(o)
         if not b:
             return Verdict(False, "view-not-boolean", (v, b.code) + b.witness)
     off, g = rs.stacked
+    own = all(o.poset is p or np.array_equal(o.poset.leq, p.leq) for p, o in zip(rs.posets, orthos))
     tables = [o.poset.tables()[0] for o in orthos]
-    pairs = _within_views(rs, [np.ones(jn.shape, bool) for jn in tables])
-    joined = np.concatenate([jn.ravel() + off[k] for k, jn in enumerate(tables)] + [np.empty(0, np.intp)])
-    for i, oi, t, jn in zip(rs.views, orthos, g, tables):
-        bad = np.flatnonzero(t[joined] != jn[t[pairs[:, 0]], t[pairs[:, 1]]])
-        if bad.size:
-            (j, x), (_, y) = map(rs.pair, pairs[bad[0]])
-            return Verdict(False, "join-preservation", (i, j, x, y))
+    if not (own and _joins_preserved(rs, tables)):
+        pairs = _within_views(rs, [np.ones(jn.shape, bool) for jn in tables])
+        joined = np.concatenate([jn.ravel() + off[k] for k, jn in enumerate(tables)] + [np.empty(0, np.intp)])
+        for i, oi, t, jn in zip(rs.views, orthos, g, tables):
+            bad = np.flatnonzero(t[joined] != jn[t[pairs[:, 0]], t[pairs[:, 1]]])
+            if bad.size:
+                (j, x), (_, y) = map(rs.pair, pairs[bad[0]])
+                return Verdict(False, "join-preservation", (i, j, x, y))
+    if own and _adjoint(rs, orthos):
+        return OK
     # the source orders as one flat array: leq_k[u, v] = flat[base[k] + u * n_k + v]
     sizes = np.diff(off)
     flat = np.concatenate([o.poset.leq.ravel() for o in orthos] + [np.empty(0, bool)])
@@ -205,7 +319,7 @@ def validate_boolean_rs(rs, orthos):
     validate_rs(rs)
     orthos = tuple(orthos)
     for view, p, o in zip(rs.views, rs.posets, orthos):
-        if o.poset is not p and o.poset.elements != p.elements:
+        if o.poset is not p and (o.poset.elements != p.elements or not np.array_equal(o.poset.leq, p.leq)):
             raise ValidationError("ortho-poset-mismatch", f"the orthocomplement of view {view!r} is over another poset", (view,))
     v = check_boolean_rs_axioms(rs, orthos)
     if not v:

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poset import OK, FinitePoset, InternalCheckError, Verdict, _packed
+from .poset import OK, FinitePoset, InternalCheckError, Verdict
 from .ortho import OrthoPoset
 
 
@@ -23,28 +23,33 @@ class PreSum:
 
 
 def build_presum(rs):
-    """Materialize the tagged pairs and their relation matrix.
+    """Materialize the tagged pairs and their relation matrix, unpacked from
+    the system's `presum_rows`. Pairs are in the `stacked` order of the
+    system's tables.
 
-    Reflexivity and transitivity are re-asserted from the matrix; a failure
-    here means an invalid system slipped past validation. Pairs are in the
-    `stacked` order of the system's tables.
+    The relation must be a preorder; a failure here means an invalid system
+    slipped past validation. Reflexivity is read off the diagonal.
+    Monotony and composition imply transitivity: if (k, x) <= (j, y) <=
+    (i, z), then f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) <= f_(i|j)(y) <= z. So
+    when the system's row verdicts `monotone` and `composes` both hold, the
+    relation is transitive; otherwise every row is checked, which decides
+    and names the first intransitive (a, b).
     """
-    g = rs.stacked[1]
+    rows = rs.presum_rows
     pairs = tuple((v, e) for v, p in zip(rs.views, rs.posets) for e in p.elements)
-    # block column j: leq_j between the view-j images and view j's elements
-    rel = np.hstack([p.leq[t] for p, t in zip(rs.posets, g)] + [np.empty((len(pairs), 0), bool)])
+    rel = np.unpackbits(rows.view(np.uint8), axis=1, count=len(pairs), bitorder="little").view(bool)
     if not rel.diagonal().all():
         a = int(np.flatnonzero(~rel.diagonal())[0])
         raise InternalCheckError("preorder", "pre-sum relation is not reflexive", pairs[a])
-    # row a of rel @ rel is the OR of the rows of the pairs above a: on
-    # packed bits, the first row with a bit outside rel, then its first
-    # such bit, is the first entry of (rel @ rel) & ~rel
-    packed = _packed(rel)
-    for a, (row, bits) in enumerate(zip(rel, packed)):
-        extra = np.bitwise_or.reduce(packed[row], axis=0) & ~bits
-        if extra.any():
-            b = int(np.unpackbits(extra.view(np.uint8), bitorder="little").argmax())
-            raise InternalCheckError("preorder", "pre-sum relation is not transitive", pairs[a] + pairs[b])
+    if not (rs.monotone and rs.composes):
+        # row a of rel @ rel is the OR of the rows of the pairs above a: on
+        # packed bits, the first row with a bit outside rel, then its first
+        # such bit, is the first entry of (rel @ rel) & ~rel
+        for a, (row, bits) in enumerate(zip(rel, rows)):
+            extra = np.bitwise_or.reduce(rows[row], axis=0) & ~bits
+            if extra.any():
+                b = int(np.unpackbits(extra.view(np.uint8), bitorder="little").argmax())
+                raise InternalCheckError("preorder", "pre-sum relation is not transitive", pairs[a] + pairs[b])
     rel.flags.writeable = False
     return PreSum(pairs, rel)
 

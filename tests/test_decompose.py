@@ -364,13 +364,14 @@ def test_canonical_rs_validates():
 
 def test_compatibility():
     o = zoo_ortho("MO2")
+    subs = enumerate_boolean_subalgebras(o)
     for x in range(o.n):
-        assert compatible(o, x, o.ortho[x])
-    assert not compatible(o, o.idx("a"), o.idx("b"))
+        assert compatible(o, x, o.ortho[x], subs)
+    assert not compatible(o, o.idx("a"), o.idx("b"), subs)
     o6 = zoo_ortho("O6")
     a, b = o6.idx("a"), o6.idx("b")
     assert o6.poset.le(a, b)
-    assert not compatible(o6, a, b)
+    assert not compatible(o6, a, b, enumerate_boolean_subalgebras(o6))
 
 
 def test_roundtrip_passes_on_zoo():

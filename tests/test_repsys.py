@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from orthoview import (
+    FinitePoset,
+    OrthoPoset,
     RepresentationSystem,
     ValidationError,
     apply_transform,
@@ -149,6 +152,20 @@ def test_single_boolean_view_system():
 def test_orthos_over_another_poset_rejected():
     o = as_orthoposet(boolean_algebra(2))
     other = as_orthoposet(boolean_algebra(1))
+    rs = make_rs(["V", "W"], [o.poset, o.poset], {("V", "W"): tuple(range(4)), ("W", "V"): tuple(range(4))})
+    with pytest.raises(ValidationError) as err:
+        validate_boolean_rs(rs, (o, other))
+    assert err.value.code == "ortho-poset-mismatch"
+    assert err.value.witness == ("W",)
+
+
+def test_orthos_over_the_same_ids_in_another_order_rejected():
+    # W's ortho is over the same ids, ordered as the relabelling that swaps
+    # the bottom and an atom: same ids, another order
+    o = as_orthoposet(boolean_algebra(2))
+    perm = [1, 0, 2, 3]
+    other = OrthoPoset(FinitePoset(o.elements, o.poset.leq[np.ix_(perm, perm)]), [perm.index(o.ortho[k]) for k in perm])
+    assert other.elements == o.elements
     rs = make_rs(["V", "W"], [o.poset, o.poset], {("V", "W"): tuple(range(4)), ("W", "V"): tuple(range(4))})
     with pytest.raises(ValidationError) as err:
         validate_boolean_rs(rs, (o, other))

@@ -4,7 +4,9 @@
 every verdict, witness and table here must equal the plain loop's, on the
 zoo systems, canonical systems, random single-entry mutants and broken &
 tables. The sum orthoposet and the decomposition roundtrip, which read the
-sum's class array, are held to the same loops, also on doctored sums."""
+sum's class array, are held to the same loops, also on doctored sums. The
+laws decided on packed pre-sum rows are held to the loops on table mutants
+of systems whose pair count sits at a 64-bit word edge."""
 
 import random
 from dataclasses import replace
@@ -12,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthoview import (
     AmpOperation,
@@ -49,6 +52,7 @@ from orthoview.poset import OK
 
 from _models import (
     as_orthoposet,
+    boolean_algebra,
     greechie_cycle,
     mutate_random_entry,
     random_orthoposet,
@@ -191,24 +195,129 @@ def test_boolean_rs_axioms_match_reference():
     assert {"", "join-preservation", "ortho-adjunction"} <= seen
 
 
+def presum_outcome(rs):
+    """`outcome(build_presum, rs)` from the loop: the pairs and relation of a
+    preorder; else "preorder" at the first non-reflexive pair, or at the
+    first entry of (rel @ rel) & ~rel."""
+    pairs, rel = reference_presum(rs)
+    if not rel.diagonal().all():
+        return "preorder", pairs[np.flatnonzero(~rel.diagonal())[0]]
+    bad = np.argwhere((rel.astype(int) @ rel > 0) & ~rel)
+    if len(bad):
+        return "preorder", pairs[bad[0][0]] + pairs[bad[0][1]]
+    return "ok", (pairs, rel)
+
+
+def same_presum(got, want):
+    if got[0] == want[0] == "ok":
+        return got[1].pairs == want[1][0] and np.array_equal(got[1].rel, want[1][1])
+    return got == want
+
+
 def test_presum_matches_reference():
     intransitive = 0
     for name, rs in [(n, rs) for n, rs, _, _ in mutants()] + [(n, rs) for n, rs, _ in systems()]:
-        pairs, rel = reference_presum(rs)
-        got = outcome(build_presum, rs)
-        if got[0] == "ok":
-            assert got[1].pairs == pairs and np.array_equal(got[1].rel, rel), name
-            continue
-        # only a relation that is no preorder is refused, at its first
-        # non-reflexive pair, else at the first entry of (rel @ rel) & ~rel
-        assert got[0] == "preorder", name
-        if rel.diagonal().all():
-            a, b = np.argwhere((rel.astype(int) @ rel > 0) & ~rel)[0]
-            assert got[1] == pairs[a] + pairs[b], name
-            intransitive += 1
-        else:
-            assert got[1] == pairs[np.flatnonzero(~rel.diagonal())[0]], name
+        got, want = outcome(build_presum, rs), presum_outcome(rs)
+        assert same_presum(got, want), name
+        intransitive += got[0] == "preorder" and len(got[1]) == 4
     assert intransitive >= 10
+
+
+EDGES = (63, 64, 65, 127, 128, 129)
+
+
+@lru_cache(maxsize=None)
+def edge_system(size):
+    """(rs, orthos): a system with exactly `size` pairs, made of views of a
+    relabelled 2^5's canonical system (any family of its views satisfies
+    every law, which holds view triple by view triple). Views of 8, 4 and
+    2 elements make up the even part; an odd size adds a one-element view
+    Z, first for 65 and 129, else last, whose tables send every view to
+    Z's one element and Z to every view's top. Z keeps the rs axioms and
+    the pre-sum a preorder, but breaks the ortho-adjunction (0 = 1 there,
+    so f_(V|Z)(0') = 1_V)."""
+    brs = build_canonical_rs(as_orthoposet(shuffled(boolean_algebra(5), random.Random(5))))
+    by_size = {n: [k for k, p in enumerate(brs.rs.posets) if p.n == n] for n in (2, 4, 8)}
+    even = size - size % 2
+    eights = even // 8 - 2
+    fours = (even % 8) // 4 + 4
+    rng = random.Random(size)
+    picked = sorted(rng.sample(by_size[8], eights) + rng.sample(by_size[4], fours) + by_size[2][: (even % 4) // 2])
+    views = [brs.rs.views[k] for k in picked]
+    posets = [brs.rs.posets[k] for k in picked]
+    orthos = [brs.orthos[k] for k in picked]
+    tables = {(i, j): brs.rs.transforms[(i, j)] for i in views for j in views}
+    if size % 2:
+        z = OrthoPoset(FinitePoset(("z",), np.ones((1, 1), bool)), (0,))
+        for v, o in zip(views, orthos):
+            tables[(v, "Z")] = (o.greatest,)
+            tables[("Z", v)] = (0,) * o.n
+        at = 0 if size in (65, 129) else len(views)
+        views.insert(at, "Z")
+        posets.insert(at, z.poset)
+        orthos.insert(at, z)
+    rs = make_rs(views, posets, tables)
+    assert sum(p.n for p in rs.posets) == size
+    return rs, tuple(orthos)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(EDGES), st.integers(0, 2), st.data())
+def test_row_decisions_match_reference_at_word_edges(size, edits, data):
+    """Zero, one or two table entries rewired: the rs axioms, the boolean
+    battery and the pre-sum give the loops' verdict, code and witness."""
+    rs, orthos = edge_system(size)
+    transforms = dict(rs.transforms)
+    for _ in range(edits):
+        i, j = data.draw(st.sampled_from(sorted(transforms)))
+        table = list(transforms[(i, j)])
+        table[data.draw(st.integers(0, len(table) - 1))] = data.draw(st.integers(0, rs.poset_of(i).n - 1))
+        transforms[(i, j)] = tuple(table)
+    mutant = RepresentationSystem(rs.views, rs.posets, transforms)
+    assert outcome(check_rs_axioms, mutant) == ("ok", reference_rs_axioms(mutant))
+    assert same_presum(outcome(build_presum, mutant), presum_outcome(mutant))
+    assert outcome(check_boolean_rs_axioms, mutant, orthos) == ("ok", reference_boolean_rs_axioms(mutant, orthos))
+
+
+def test_edge_systems_pass_their_laws():
+    for size in EDGES:
+        rs, orthos = edge_system(size)
+        assert check_rs_axioms(rs) and rs.monotone and rs.composes
+        assert presum_outcome(rs)[0] == "ok"
+        want = reference_boolean_rs_axioms(rs, orthos)
+        assert outcome(check_boolean_rs_axioms, rs, orthos) == ("ok", want)
+        assert want[:2] == ((False, "ortho-adjunction") if size % 2 else (True, ""))
+
+
+def test_ortho_over_another_order_is_decided_by_the_scan():
+    # an ortho over a relabelling of the square 0 < a, b < 1 that swaps the
+    # bottom with an atom and the top with the other atom: on the system's
+    # own orders the identity tables pass both laws, on the orthos' they
+    # preserve no join
+    o = as_orthoposet(boolean_algebra(2))
+    perm = [1, 0, 3, 2]
+    other = OrthoPoset(FinitePoset(o.elements, o.poset.leq[np.ix_(perm, perm)]), [perm.index(o.ortho[k]) for k in perm])
+    rs = make_rs(["V", "W"], [o.poset, o.poset], {("V", "W"): tuple(range(4)), ("W", "V"): tuple(range(4))})
+    assert check_boolean_rs_axioms(rs, (o, o)) == OK
+    got = outcome(check_boolean_rs_axioms, rs, (o, other))
+    assert got == ("ok", reference_boolean_rs_axioms(rs, (o, other)))
+    assert got[1][1] == "join-preservation"
+    # tables without the identity law, on which the row tests, read on the
+    # system's orders, would name an ortho-adjunction failure instead
+    tables = {("V", "V"): (3, 3, 3, 3), ("W", "W"): (1, 3, 1, 3), ("V", "W"): (0, 3, 3, 3), ("W", "V"): (1, 0, 3, 2)}
+    rs = make_rs(["V", "W"], [o.poset, o.poset], tables)
+    got = outcome(check_boolean_rs_axioms, rs, (other, o))
+    assert got == ("ok", reference_boolean_rs_axioms(rs, (other, o))) == ("ok", (False, "join-preservation", ("V", "W", "s00", "s01")))
+
+
+def test_boolean_64_roundtrip():
+    """2^6, relabelled, at cap 64: Bell(6) = 203 views, 2430 pairs (the sum
+    of 2^m over the set partitions of six atoms into m blocks), 64 classes."""
+    o = as_orthoposet(shuffled(boolean_algebra(6), random.Random(6)))
+    result = roundtrip_check(o, cap=64)
+    assert result.ok and len(result.isomorphism) == 64
+    brs = build_canonical_rs(o, cap=64)
+    assert len(brs.views) == 203 and len(build_presum(brs.rs).pairs) == 2430
 
 
 def closure_cases():
