@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import InternalCheckError, ValidationError
-from .ortho import OrthoPoset, distributivity_failure
+from .poset import InternalCheckError, ValidationError, poset_stack, size_groups
+from .ortho import OrthoPoset, distributivity_failure, ortho_stack
 from .repsys import BooleanRepresentationSystem, check_boolean_rs_axioms, make_rs, validate_rs
 from .sums import build_presum, quotient_sum, sum_as_orthoposet
 
@@ -165,6 +165,31 @@ def upper_projection(o, sub, x):
     return sub.carrier[int(_projections(o, sub.carrier, [x])[0])]
 
 
+def _views(o, subs):
+    """(posets, orthoposets) induced on the carriers of subs, those of one
+    size built as one stack (`poset_stack`, `ortho_stack`): the host order
+    and complement, gathered on the carriers and renumbered to carrier
+    positions. When a stack fails, every view is built on its own, which
+    raises the first failure."""
+    els = np.array(o.elements, dtype=object)
+    posets, orthos = [None] * len(subs), [None] * len(subs)
+    for n, ks in size_groups([sub.size for sub in subs]).items():
+        carriers = np.array([subs[k].carrier for k in ks], dtype=np.intp)
+        rows = np.arange(len(ks))[:, None]
+        local = np.zeros((len(ks), o.n), dtype=np.intp)  # local[k, x]: the position of x in carrier k
+        local[rows, carriers] = np.arange(n)
+        comp = local[rows, np.array(o.ortho, dtype=np.intp)[carriers]]
+        ps = poset_stack([tuple(c) for c in els[carriers].tolist()], o.poset.leq[carriers[:, :, None], carriers[:, None, :]])
+        qs = ps and ortho_stack(ps, comp)
+        if not qs:
+            ortho = np.array(o.ortho)
+            posets = [o.poset.induced(sub.carrier) for sub in subs]
+            return posets, [OrthoPoset(p, np.searchsorted(sub.carrier, ortho[list(sub.carrier)]).tolist()) for p, sub in zip(posets, subs)]
+        for k, p, q in zip(ks, ps, qs):
+            posets[k], orthos[k] = p, q
+    return posets, orthos
+
+
 def build_canonical_rs(o, cap=32, subs=None):
     """The decomposition system of a bounded orthoposet.
 
@@ -177,9 +202,7 @@ def build_canonical_rs(o, cap=32, subs=None):
     if subs is None:
         subs = enumerate_boolean_subalgebras(o, cap=cap)
     views = tuple(f"B{k}" for k in range(len(subs)))
-    ortho = np.array(o.ortho)
-    posets = [o.poset.induced(sub.carrier) for sub in subs]
-    orthos = [OrthoPoset(p, np.searchsorted(sub.carrier, ortho[list(sub.carrier)]).tolist()) for p, sub in zip(posets, subs)]
+    posets, orthos = _views(o, subs)
     transforms = {}
     for vi, bi in zip(views, subs):
         proj = _projections(o, bi.carrier, np.arange(o.n))

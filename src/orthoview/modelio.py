@@ -34,8 +34,10 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .poset import FinitePoset, ValidationError
-from .ortho import OrthoPoset
+import numpy as np
+
+from .poset import FinitePoset, ValidationError, _closure, _pair_indices, poset_stack, size_groups
+from .ortho import OrthoPoset, ortho_stack
 from .repsys import make_rs
 
 
@@ -365,33 +367,82 @@ def build_orthoposet(doc):
     p = build_poset(doc)
     comp = {}
     for a, b in doc.ortho_pairs:
-        comp[a] = b
-        comp[b] = a
+        for x, y in ((a, b), (b, a)):
+            if comp.setdefault(x, y) != y:
+                raise ValidationError(
+                    "ortho-conflict", f"{x!r} is listed with two complements, {comp[x]!r} and {y!r}", (x, comp[x], y)
+                )
     missing = [e for e in doc.elements if e not in comp]
     if missing:
         raise ValidationError("ortho-incomplete", f"no complement listed for {missing[0]!r}", (missing[0],))
     return OrthoPoset(p, [p.idx(comp[e]) for e in doc.elements])
 
 
+def _view_stacks(vdocs):
+    """[(poset, orthoposet or None)] of the view documents, the views of one
+    size built as one stack: their cover relations are closed together
+    and each law is checked once over the stack (`poset_stack`,
+    `ortho_stack`). None if some view fails, which `build_orthoposet` and
+    `build_poset` then name."""
+    built = [None] * len(vdocs)
+    for n, ks in size_groups([len(v.elements) for v in vdocs]).items():
+        docs = [vdocs[k] for k in ks]
+        # the view and the two ends of every cover and every ortho pair
+        cover_at, cover_ends, pair_at, pair_ends = [], [], [], []
+        for k, d in enumerate(docs):
+            index = {e: i for i, e in enumerate(d.elements)}
+            cover_at += [k] * len(d.covers)
+            cover_ends += _pair_indices(index, d.covers)
+            pair_at += [k] * len(d.ortho_pairs)
+            pair_ends += _pair_indices(index, d.ortho_pairs)
+        below, above = np.array(cover_ends, dtype=np.intp).reshape(-1, 2).T
+        lo, hi = np.array(pair_ends, dtype=np.intp).reshape(-1, 2).T
+        rel = np.zeros((len(docs), n, n), dtype=bool)
+        rel[cover_at, below, above] = True
+        posets = poset_stack([d.elements for d in docs], _closure(rel))
+        # each element takes one of its partners; the pairs all read back
+        # only if no element is listed with two partners
+        comp = np.full((len(docs), n), -1, dtype=np.intp)
+        comp[pair_at, lo], comp[pair_at, hi] = hi, lo
+        rows = [k for k, d in enumerate(docs) if d.kind == "orthoposet"]
+        if posets is None or (comp[rows] < 0).any() or (comp[pair_at, lo] != hi).any() or (comp[pair_at, hi] != lo).any():
+            return None
+        orthos = ortho_stack([posets[k] for k in rows], comp[rows]) if rows else []
+        if orthos is None:
+            return None
+        orthos = dict(zip(rows, orthos))
+        for j, (k, p) in enumerate(zip(ks, posets)):
+            built[k] = p, orthos.get(j)
+    return built
+
+
 def build_repsys(doc):
     """Build (RepresentationSystem, per-view ortho or None) from a document.
 
     Map entries are completed with the declared default; a missing entry
-    with no default is rejected. Identity tables are implicit.
+    with no default is rejected. Identity tables are implicit. The views
+    are built in stacks (`_view_stacks`); when some view fails, they are
+    built again one at a time, in document order, so that the first
+    failing view raises its own error.
     """
     if doc.kind != "repsys":
         raise ValidationError("wrong-kind", f"cannot build a repsys from a {doc.kind!r} document", (doc.kind,))
     names = [v for v, _ in doc.views]
-    posets = []
-    orthos = []
-    for _, vdoc in doc.views:
-        if vdoc.kind == "orthoposet":
-            o = build_orthoposet(vdoc)
-            posets.append(o.poset)
-            orthos.append(o)
-        else:
-            posets.append(build_poset(vdoc))
-            orthos.append(None)
+    vdocs = [vdoc for _, vdoc in doc.views]
+    try:
+        built = _view_stacks(vdocs)
+    except ValidationError:
+        built = None
+    if built is None:
+        built = []
+        for vdoc in vdocs:
+            if vdoc.kind == "orthoposet":
+                o = build_orthoposet(vdoc)
+                built.append((o.poset, o))
+            else:
+                built.append((build_poset(vdoc), None))
+    posets = [p for p, _ in built]
+    orthos = [o for _, o in built]
     by_name = dict(zip(names, posets))
     index = {v: dict(zip(p.elements, range(p.n))) for v, p in zip(names, posets)}
     transforms = {}

@@ -6,7 +6,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import OK, InternalCheckError, ValidationError, Verdict
+from .poset import OK, InternalCheckError, ValidationError, Verdict, _each, _relabel, _rows, size_groups, stack_tables
+
+
+def _involution_faults(ortho):
+    """x'' != x, for a complement map or each map of a stack."""
+    return _rows(ortho, ortho) != np.arange(ortho.shape[-1])
+
+
+def _antitone_faults(leq, ortho):
+    """x <= y without y' <= x', per matrix."""
+    return leq & ~np.swapaxes(_relabel(leq, ortho), -1, -2)
+
+
+def _complement_faults(leq, ortho):
+    """x and x' with a common lower bound other than 0 or a common upper
+    bound other than 1, per matrix: 0 and 1 are the only common bounds
+    exactly when x and x' have one common lower and one common upper."""
+    geq = np.swapaxes(leq, -1, -2)
+    lower = (geq & _rows(geq, ortho)).sum(axis=-1)
+    upper = (leq & _rows(leq, ortho)).sum(axis=-1)
+    return (lower != 1) | (upper != 1)
 
 
 class OrthoPoset:
@@ -28,12 +48,12 @@ class OrthoPoset:
         least, greatest = poset.bounds()
         if least is None or greatest is None:
             raise ValidationError("not-bounded", "no least/greatest element")
-        bad = np.flatnonzero(np.take(ortho, ortho) != np.arange(n))
+        comp = np.array(ortho, dtype=np.intp)
+        bad = np.flatnonzero(_involution_faults(comp))
         if bad.size:
             i = int(bad[0])
             raise ValidationError("not-involutive", f"({els[i]!r}')' != {els[i]!r}", (els[i],))
-        leq = poset.leq
-        bad = leq & ~leq[np.ix_(ortho, ortho)].T
+        bad = _antitone_faults(poset.leq, comp)
         if bad.any():
             i, j = map(int, np.argwhere(bad)[0])
             raise ValidationError(
@@ -41,9 +61,7 @@ class OrthoPoset:
                 f"{els[i]!r} <= {els[j]!r} but complements are not reversed",
                 (els[i], els[j]),
             )
-        lower = (leq & leq[:, ortho]).sum(axis=0)
-        upper = (leq & leq[ortho, :]).sum(axis=1)
-        bad = np.flatnonzero((lower != 1) | (upper != 1))
+        bad = np.flatnonzero(_complement_faults(poset.leq, comp))
         if bad.size:
             i = int(bad[0])
             raise ValidationError(
@@ -51,6 +69,19 @@ class OrthoPoset:
                 f"{els[i]!r} and its complement do not meet at 0 / join at 1",
                 (els[i],),
             )
+        self._adopt(poset, ortho, least, greatest)
+
+    @classmethod
+    def _validated(cls, poset, ortho, least, greatest):
+        """The orthoposet on poset with the complement map ortho (a tuple
+        of ints) and the given bounds, which have already passed every law
+        `__init__` checks (a row of a stack `ortho_stack` checked). Nothing
+        is checked again."""
+        o = cls.__new__(cls)
+        o._adopt(poset, ortho, least, greatest)
+        return o
+
+    def _adopt(self, poset, ortho, least, greatest):
         self.poset = poset
         self.ortho = ortho
         self.least = least
@@ -72,6 +103,26 @@ class OrthoPoset:
         return f"OrthoPoset({self.n} elements)"
 
 
+def ortho_stack(posets, ortho):
+    """The orthoposets on posets of one size n (as from `poset_stack`) with
+    the rows of ortho, an (m, n) stack of complement maps, checked against
+    the laws of `OrthoPoset.__init__` as one mask each over the whole
+    stack. None if some view breaks a law: building the views one at a
+    time then names the failure."""
+    leq = np.stack([p.leq for p in posets])
+    least, greatest = leq.all(axis=-1), leq.all(axis=-2)
+    if not (
+        least.any(axis=-1).all()
+        and greatest.any(axis=-1).all()
+        and not _involution_faults(ortho).any()
+        and not _antitone_faults(leq, ortho).any()
+        and not _complement_faults(leq, ortho).any()
+    ):
+        return None
+    bounds = zip(least.argmax(axis=-1).tolist(), greatest.argmax(axis=-1).tolist())
+    return [OrthoPoset._validated(p, tuple(row), *b) for p, row, b in zip(posets, ortho.tolist(), bounds)]
+
+
 def _cached(o, key, compute):
     if key not in o._cache:
         o._cache[key] = compute()
@@ -82,12 +133,19 @@ def is_lattice(o):
     return _cached(o, "lattice", o.poset.is_lattice)
 
 
+def _foulis_holland(join, meet, ortho):
+    """x = (x ^ y) v (x ^ y') for all x, y, per matrix of total tables (a
+    bool, or one per matrix of a stack): one n x n gather each."""
+    opposite = np.swapaxes(_rows(np.swapaxes(meet, -1, -2), ortho), -1, -2)  # x ^ y'
+    return (join[(*_each(join), meet, opposite)] == np.arange(join.shape[-1])[:, None]).all(axis=(-2, -1))
+
+
 def distributivity_failure(join, meet, ortho=None):
     """First triple (x, y, z) in index order breaking x ^ (y v z) =
     (x ^ y) v (x ^ z) in total join/meet tables, or None; one n x n gather
     per x, never an n^3 array. With the ortho of an ortholattice, one n x n
     gather decides first (see `is_boolean_algebra`)."""
-    if ortho is not None and (join[meet, meet[:, ortho]] == np.arange(len(join))[:, None]).all():
+    if ortho is not None and _foulis_holland(join, meet, np.asarray(ortho)):
         return None
     for x in range(len(join)):
         mx = meet[x]
@@ -118,6 +176,23 @@ def is_boolean_algebra(o):
     *Orthomodular Lattices*, 1983). That one n x n gather decides; the n^3
     scan runs only to name the first failing triple."""
     return _cached(o, "boolean", lambda: _distributive_lattice(o.poset, o.ortho))
+
+
+def stack_boolean(orthos):
+    """Decide `is_boolean_algebra` for many orthoposets, those of one size
+    as one stack: `stack_tables` builds (and caches) their join and meet
+    tables, then each view that is a lattice and passes the Foulis-Holland
+    gather caches OK as its verdict. The others keep no verdict, so that
+    `is_boolean_algebra` decides and names their failure on its own."""
+    todo = [o for o in orthos if "boolean" not in o._cache]
+    for ks in size_groups([o.n for o in todo]).values():
+        group = [todo[k] for k in ks]
+        join, meet = stack_tables([o.poset for o in group])
+        ortho = np.array([o.ortho for o in group], dtype=np.intp)
+        total = ((join >= 0) & (meet >= 0)).all(axis=(-2, -1))
+        for o, ok in zip(group, total & _foulis_holland(join, meet, ortho)):
+            if ok:
+                o._cache["boolean"] = OK
 
 
 def is_orthomodular_poset(o):

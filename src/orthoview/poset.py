@@ -45,60 +45,107 @@ OK = Verdict(True)
 
 
 def _packed(rel):
-    """The rows of a boolean matrix as little-endian uint64 words: bit b of
-    word k of row i is rel[i, 64 * k + b]. Padding bits are 0."""
-    rows, n = rel.shape
-    padded = np.zeros((rows, -(-n // 64) * 64), dtype=bool)
-    padded[:, :n] = rel
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    """The rows of a boolean matrix, or of each matrix of a stack, as
+    little-endian uint64 words: bit b of word k of row i is
+    rel[..., i, 64 * k + b]. Padding bits are 0."""
+    n = rel.shape[-1]
+    padded = np.zeros(rel.shape[:-1] + (-(-n // 64) * 64,), dtype=bool)
+    padded[..., :n] = rel
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
+
+def _each(a):
+    """The fancy index that picks each matrix of a stack, shaped (m, 1, 1) to
+    broadcast against index arrays over the two trailing axes; () for a
+    single matrix, so that a[(*_each(a), i, j)] is a[i, j] per matrix."""
+    return () if a.ndim == 2 else (np.arange(len(a))[:, None, None],)
+
+
+def _rows(a, idx):
+    """a[..., idx[..., i], :] at [..., i, :]: the rows of a matrix, or of
+    each matrix of a stack, taken in the order of its own index array."""
+    return a[idx] if idx.ndim == 1 else a[np.arange(len(a))[:, None], idx]
+
+
+def _relabel(a, perm):
+    """a[..., perm[i], perm[j]] at [..., i, j]: rows and columns of each
+    matrix taken in the order of its own index array perm[..., :]."""
+    return a[(*_each(a), perm[..., :, None], perm[..., None, :])]
 
 
 def _compose(rel):
-    """The boolean product rel @ rel on packed rows: row i ORs the packed
-    rows k with rel[i, k], one 64-bit word column at a time."""
+    """The boolean product rel @ rel of a matrix, or of each matrix of a
+    stack, on packed rows: row i ORs the packed rows k with rel[..., i, k],
+    one 64-bit word column at a time."""
     up = _packed(rel)
     out = np.empty_like(up)
-    for w in range(up.shape[1]):
-        out[:, w] = np.bitwise_or.reduce(np.where(rel, up[:, w], np.uint64(0)), axis=1)
-    return np.unpackbits(out.view(np.uint8), axis=1, count=len(rel), bitorder="little").astype(bool)
+    for w in range(up.shape[-1]):
+        out[..., w] = np.bitwise_or.reduce(np.where(rel, up[..., None, :, w], np.uint64(0)), axis=-1)
+    return np.unpackbits(out.view(np.uint8), axis=-1, count=rel.shape[-1], bitorder="little").astype(bool)
 
 
 def _closure(rel):
-    """Reflexive-transitive closure by squaring with `_compose` until
-    nothing changes: about log2(height) rounds."""
-    rel = rel | np.eye(len(rel), dtype=bool)
+    """Reflexive-transitive closure of a relation, or of each relation of a
+    stack, by squaring with `_compose` until nothing changes: about
+    log2(height) rounds."""
+    rel = rel | np.eye(rel.shape[-1], dtype=bool)
     while not ((nxt := _compose(rel)) == rel).all():
         rel = nxt
     return rel
 
 
+def _cycles(leq):
+    """The antisymmetry law's failures, per matrix: i != j with i <= j <= i."""
+    both = leq & np.swapaxes(leq, -1, -2)
+    diagonal = np.arange(leq.shape[-1])
+    both[..., diagonal, diagonal] = False
+    return both
+
+
+def _gaps(leq):
+    """The transitivity law's failures, per matrix: i <= k <= j without
+    i <= j."""
+    return _compose(leq) & ~leq
+
+
 def _least_bounds(leq):
-    """t[i, j] = the least element above i and j, or -1; the transposed
-    order gives greatest lower bounds.
+    """t[..., i, j] = the least element above i and j, or -1, for an order
+    matrix or each matrix of a stack; the transposed order gives greatest
+    lower bounds.
 
     Elements are relabelled into a linear extension (by down-set size), so
     the least element of U = up(i) & up(j), if there is one, is its lowest
     set bit, and it is least exactly when its own up-set equals U. Up-sets
     are packed into 64-bit words; each pass works on one word of every
-    pair at once."""
-    n = len(leq)
-    perm = np.argsort(leq.sum(axis=0), kind="stable")
-    up = _packed(leq[np.ix_(perm, perm)])
-    least = np.full((n, n), -1, dtype=np.intp)
-    for k in range(up.shape[1]):
-        common = up[:, None, k] & up[None, :, k]
+    pair of every matrix at once."""
+    n = leq.shape[-1]
+    each = _each(leq)
+    perm = np.argsort(leq.sum(axis=-2), axis=-1, kind="stable")
+    up = _packed(_relabel(leq, perm))
+    least = np.full(leq.shape, -1, dtype=np.intp)
+    for k in range(up.shape[-1]):
+        common = up[..., :, None, k] & up[..., None, :, k]
         # x & -x is the lowest set bit 2^b, whose frexp exponent is b + 1 (0 for x = 0)
         bit = np.frexp((common & -common).astype(float))[1] - 1
         first = (least < 0) & (bit >= 0)
         least[first] = 64 * k + bit[first]
     found = least >= 0
     cand = np.where(found, least, 0)
-    for k in range(up.shape[1]):
-        found &= up[cand, k] == up[:, None, k] & up[None, :, k]
-    inv = np.argsort(perm)
-    table = np.where(found, perm[cand], -1)[np.ix_(inv, inv)]
+    for k in range(up.shape[-1]):
+        found &= up[(*each, cand, k)] == up[..., :, None, k] & up[..., None, :, k]
+    table = _relabel(np.where(found, perm[(*each, cand)], -1), np.argsort(perm, axis=-1))
     table.flags.writeable = False
     return table
+
+
+def _pair_indices(index, pairs):
+    """The indices under index of the ids of pairs, flat: lo, hi, lo, hi,
+    ...; an id index lacks raises unknown-element, the first in pair order,
+    lo before hi."""
+    try:
+        return [index[e] for pair in pairs for e in pair]
+    except KeyError as e:
+        raise ValidationError("unknown-element", f"pair mentions undeclared id {e.args[0]!r}", e.args) from None
 
 
 class FinitePoset:
@@ -109,7 +156,8 @@ class FinitePoset:
     read-only boolean matrix with leq[i, j] meaning element i <= element j.
     Joins and meets are partial: operations return None when no least upper
     (greatest lower) bound exists; both come from two tables built on first
-    use, never by the constructor (see `tables`). Witnesses are always the
+    use, or for many posets at once by `stack_tables`, never by the
+    constructor (see `tables`). Witnesses are always the
     first hit in index order, which keeps reports reproducible.
     """
 
@@ -126,8 +174,7 @@ class FinitePoset:
         if not leq.diagonal().all():
             i = int(np.flatnonzero(~leq.diagonal())[0])
             raise ValidationError("reflexivity", f"{elements[i]!r} not <= itself", (elements[i],))
-        both = leq & leq.T
-        np.fill_diagonal(both, False)
+        both = _cycles(leq)
         if both.any():
             i, j = map(int, np.argwhere(both)[0])
             raise ValidationError(
@@ -135,7 +182,7 @@ class FinitePoset:
                 f"cycle: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}",
                 (elements[i], elements[j]),
             )
-        missing = _compose(leq) & ~leq
+        missing = _gaps(leq)
         if missing.any():
             i, j = map(int, np.argwhere(missing)[0])
             raise ValidationError(
@@ -143,10 +190,22 @@ class FinitePoset:
                 f"missing {elements[i]!r} <= {elements[j]!r}",
                 (elements[i], elements[j]),
             )
+        self._adopt(elements, leq)
+
+    @classmethod
+    def _validated(cls, elements, leq):
+        """The poset on `elements` ordered by leq, an order matrix that has
+        already passed every law `__init__` checks (a slice of a stack
+        `poset_stack` checked). Nothing is checked again."""
+        p = cls.__new__(cls)
+        p._adopt(tuple(elements), leq)
+        return p
+
+    def _adopt(self, elements, leq):
         leq.flags.writeable = False
         self.elements = elements
         self.leq = leq
-        self.n = n
+        self.n = len(elements)
         self._index = {e: i for i, e in enumerate(elements)}
         self._tables = None
 
@@ -158,14 +217,9 @@ class FinitePoset:
         is not antisymmetric (the error witnesses a cycle).
         """
         elements = tuple(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        rel = np.eye(n, dtype=bool)
-        for lo, hi in pairs:
-            for e in (lo, hi):
-                if e not in index:
-                    raise ValidationError("unknown-element", f"pair mentions undeclared id {e!r}", (e,))
-            rel[index[lo], index[hi]] = True
+        rel = np.eye(len(elements), dtype=bool)
+        ends = _pair_indices({e: i for i, e in enumerate(elements)}, pairs)
+        rel[ends[::2], ends[1::2]] = True
         return cls(elements, _closure(rel))
 
     def idx(self, element):
@@ -180,7 +234,8 @@ class FinitePoset:
 
     def tables(self):
         """(join, meet): read-only n x n int arrays of least upper and
-        greatest lower bounds, -1 where none exists; built on first use."""
+        greatest lower bounds, -1 where none exists; built on first use
+        unless `stack_tables` built them."""
         if self._tables is None:
             self._tables = (_least_bounds(self.leq), _least_bounds(self.leq.T))
         return self._tables
@@ -234,6 +289,44 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset({len(self.elements)} elements)"
+
+
+def poset_stack(elements, leq):
+    """The posets on m views of one size n, from their element tuples and
+    the (m, n, n) stack of their orders, checked against the laws of
+    `FinitePoset.__init__` as one mask each over the whole stack. None if
+    some view breaks a law: building the views one at a time then names
+    the failure. The stack is made read-only; each poset keeps its slice."""
+    if (
+        any(len(set(e)) != len(e) for e in elements)
+        or not np.diagonal(leq, axis1=-2, axis2=-1).all()
+        or _cycles(leq).any()
+        or _gaps(leq).any()
+    ):
+        return None
+    leq.flags.writeable = False
+    return [FinitePoset._validated(e, m) for e, m in zip(elements, leq)]
+
+
+def stack_tables(posets):
+    """The join and meet tables of posets of one size as two (m, n, n)
+    stacks, one `_least_bounds` call each; a poset whose tables are not
+    built yet takes its slices as its `tables()`."""
+    leq = np.stack([p.leq for p in posets])
+    join, meet = _least_bounds(leq), _least_bounds(np.swapaxes(leq, -1, -2))
+    for p, jn, mt in zip(posets, join, meet):
+        if p._tables is None:
+            p._tables = jn, mt
+    return join, meet
+
+
+def size_groups(sizes):
+    """{n: the positions k with sizes[k] == n, ascending}, keyed in order of
+    first appearance: the stacks of a family of structures."""
+    groups = {}
+    for k, n in enumerate(sizes):
+        groups.setdefault(n, []).append(k)
+    return groups
 
 
 def _signatures(p):

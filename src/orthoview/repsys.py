@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .poset import OK, ValidationError, Verdict, _packed
-from .ortho import is_boolean_algebra
+from .ortho import is_boolean_algebra, stack_boolean
 
 _CHUNK = 8 << 20  # bytes gathered at once by the row tests
 
@@ -239,8 +239,11 @@ def _joins_preserved(rs, tables):
     so half the pairs decide it."""
     off, rows = rs.stacked[0], rs.presum_rows
     x, y, xy = [], [], []
+    upper = {}  # the index pairs x < y, once per view size
     for start, jn in zip(off, tables):
-        u, v = np.triu_indices(len(jn), 1)
+        if len(jn) not in upper:
+            upper[len(jn)] = np.triu_indices(len(jn), 1)
+        u, v = upper[len(jn)]
         x.append(start + u)
         y.append(start + v)
         xy.append(start + jn[u, v])
@@ -270,6 +273,9 @@ def check_boolean_rs_axioms(rs, orthos):
     """Booleanness of every view, join preservation, and the adjunction
     f_(i|j)(x) <= y  =>  f_(j|i)(y') <= x', all checked exhaustively.
 
+    The views of one size are decided boolean as one stack
+    (`ortho.stack_boolean`), which also builds their join tables; a view
+    failing there is checked on its own, to name the failure.
     Where every ortho's order is its view's, both laws are decided on the
     packed pre-sum rows. Restricted to view i's block, row(j, x v y) is the
     up-set of f_(i|j)(x v y) and, view i being a lattice, row(j, x) &
@@ -281,6 +287,7 @@ def check_boolean_rs_axioms(rs, orthos):
     scan below run, one gather per target view i, deciding and naming the
     first failure of a scan over i, j, x, y on the orthos' orders.
     """
+    stack_boolean(orthos)
     for v, o in zip(rs.views, orthos):
         b = is_boolean_algebra(o)
         if not b:

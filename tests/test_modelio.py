@@ -120,6 +120,33 @@ def test_ortho_incomplete():
     assert err.value.code == "ortho-incomplete"
 
 
+def test_ortho_conflict():
+    # a is listed with b and then with 1; the last pair used to win, which
+    # misreported this as not-involutive at 0
+    body = "elements 0 a b 1 ; covers 0<a 0<b a<1 b<1 ; ortho 0:1 a:b a:1"
+    for build, text in ((build_orthoposet, f"orthoposet bad {{ {body} }}"), (build_repsys, f"repsys r {{ view V = orthoposet {{ {body} }} }}")):
+        with pytest.raises(ValidationError) as err:
+            build(parse(text))
+        assert (err.value.code, err.value.witness) == ("ortho-conflict", ("a", "b", "1"))
+        assert str(err.value) == "'a' is listed with two complements, 'b' and '1'"
+
+
+def test_ortho_conflict_is_checked_after_the_order_and_before_completeness():
+    doc = parse("orthoposet bad { elements 0 a b 1 ; covers 0<a 0<b a<1 b<1 ; ortho a:b b:1 }")
+    with pytest.raises(ValidationError) as err:
+        build_orthoposet(doc)
+    assert (err.value.code, err.value.witness) == ("ortho-conflict", ("b", "a", "1"))
+    doc = parse("orthoposet bad { elements 0 a b 1 ; covers 0<a a<0 0<b a<1 b<1 ; ortho a:b b:1 }")
+    with pytest.raises(ValidationError) as err:
+        build_orthoposet(doc)
+    assert err.value.code == "antisymmetry"
+
+
+def test_consistent_repeated_ortho_pair_accepted():
+    doc = parse("orthoposet ok { elements 0 a b 1 ; covers 0<a 0<b a<1 b<1 ; ortho 0:1 a:b b:a 1:0 a:b }")
+    assert build_orthoposet(doc).ortho == (3, 2, 1, 0)
+
+
 def test_map_completion_with_default():
     rs, orthos = build_repsys(zoo_model("firefly").doc)
     # unlisted entries all land on the default
