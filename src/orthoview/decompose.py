@@ -8,7 +8,7 @@ import numpy as np
 
 from .poset import InternalCheckError, ValidationError, poset_stack, size_groups
 from .ortho import OrthoPoset, distributivity_failure, ortho_stack
-from .repsys import BooleanRepresentationSystem, check_boolean_rs_axioms, make_rs, validate_rs
+from .repsys import BooleanRepresentationSystem, RepresentationSystem, check_boolean_rs_axioms, validate_rs
 from .sums import build_presum, quotient_sum, sum_as_orthoposet
 
 
@@ -195,20 +195,19 @@ def build_canonical_rs(o, cap=32, subs=None):
 
     One view per boolean subalgebra (named B0, B1, ... in enumeration
     order), the induced order as the view poset, and the upper projection
-    restricted to the source carrier as every transformation table. The
-    result is validated against both axiom batteries before it is returned;
-    a failure would disprove the construction and surfaces as an error.
+    restricted to the source carrier as every transformation table, all
+    gathered at once: every view's projection of the host, read at the
+    carriers laid end to end. The result is validated against both axiom
+    batteries before it is returned; a failure would disprove the
+    construction and surfaces as an error.
     """
     if subs is None:
         subs = enumerate_boolean_subalgebras(o, cap=cap)
     views = tuple(f"B{k}" for k in range(len(subs)))
     posets, orthos = _views(o, subs)
-    transforms = {}
-    for vi, bi in zip(views, subs):
-        proj = _projections(o, bi.carrier, np.arange(o.n))
-        for vj, bj in zip(views, subs):
-            transforms[(vi, vj)] = tuple(proj[list(bj.carrier)].tolist())
-    rs = make_rs(views, posets, transforms)
+    proj = np.array([_projections(o, sub.carrier, np.arange(o.n)) for sub in subs], np.intp).reshape(len(subs), o.n)
+    carriers = np.concatenate([sub.carrier for sub in subs] + [np.empty(0, np.intp)])
+    rs = RepresentationSystem(views, tuple(posets), proj[:, carriers], {})
     validate_rs(rs)
     v = check_boolean_rs_axioms(rs, tuple(orthos))
     if not v:

@@ -444,10 +444,9 @@ def build_repsys(doc):
     posets = [p for p, _ in built]
     orthos = [o for _, o in built]
     by_name = dict(zip(names, posets))
-    index = {v: dict(zip(p.elements, range(p.n))) for v, p in zip(names, posets)}
-    transforms = {}
+    tables = {}
     for m in doc.maps:
-        src, dst = index[m.source], index[m.target]
+        src, dst = by_name[m.source]._index, by_name[m.target]._index
         table = [None] * len(src)
         try:
             for a, b in m.entries:
@@ -466,8 +465,8 @@ def build_repsys(doc):
                 f"map {m.target}<{m.source} misses {hole!r} and has no default",
                 (m.target, m.source, hole),
             )
-        transforms[(m.target, m.source)] = tuple(table)
-    rs = make_rs(names, posets, transforms)
+        tables[(m.target, m.source)] = table
+    rs = make_rs(names, posets, tables)
     return rs, tuple(orthos)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,36 +22,42 @@ def _chunks(n, row_bytes):
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
-def _table_error(i, j, missing):
+def _table_error(i, j, code):
     """missing-transform, or bad-transform, for the table (i, j)."""
-    if missing:
-        return ValidationError("missing-transform", f"no table for ({i!r}, {j!r})", (i, j))
-    return ValidationError("bad-transform", f"table ({i!r}, {j!r}) does not map {j!r} into {i!r}", (i, j))
+    if code == "missing-transform":
+        return ValidationError(code, f"no table for ({i!r}, {j!r})", (i, j))
+    return ValidationError(code, f"table ({i!r}, {j!r}) does not map {j!r} into {i!r}", (i, j))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentationSystem:
-    """Views, one poset per view, and a total element map for every ordered
-    pair of views. transforms[(i, j)][x] is the index, in view i's poset, of
-    the translation of element x of view j. Tables are fully materialized;
-    any completion rule is applied before construction, and none changes
-    after it.
+    """Views, one poset per view, and a total element map f_(i|j) for every
+    ordered pair of views, all held in one read-only index array g.
+
+    Pairs (view k, element x) are numbered a = off[k] + x, by view and then
+    by element (the pre-sum order), and g[i, a] is the view-i index of the
+    translation of pair a, so g[i, off[j]:off[j + 1]] is the table f_(i|j).
+    `holes`, read-only too, maps each table (i, j) that was absent, or did
+    not have one entry per element of view j, to missing-transform or
+    bad-transform; its block of g holds -1. `make_rs` builds a system from
+    a {(i, j): table} mapping. Tables never change after construction, and
+    systems compare and hash by identity.
 
     `presum_rows` packs the pre-sum: row a = (k, x) restricted to view i's
-    block is the up-set of f_(i|k)(x). Two laws are decided on it, each
-    exactly:
-    - `monotone`: f_(i|j)(x) <= f_(i|j)(y) for every i iff
-      row(j, y) is a subset of row(j, x), so monotony is that containment
-      for every x <= y in view j;
-    - `composes`: f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) for every i iff
-      row(j, f_(j|k)(x)) is a subset of row(k, x).
-    Together they make the pre-sum transitive: (k, x) <= (j, y) <= (i, z)
-    gives f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) <= f_(i|j)(y) <= z.
+    block is the up-set of f_(i|k)(x). `monotone` and `composes` decide
+    those two laws on it exactly, and together they make the pre-sum
+    transitive: (k, x) <= (j, y) <= (i, z) gives
+    f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) <= f_(i|j)(y) <= z.
     """
 
     views: tuple
     posets: tuple
-    transforms: dict
+    g: np.ndarray
+    holes: dict
+
+    def __post_init__(self):
+        self.g.flags.writeable = False
+        object.__setattr__(self, "holes", MappingProxyType(dict(self.holes)))
 
     def view_index(self, view):
         try:
@@ -60,43 +68,45 @@ class RepresentationSystem:
     def poset_of(self, view):
         return self.posets[self.view_index(view)]
 
+    @cached_property
+    def off(self):
+        """off[k] is the number of view k's first pair; off[-1] counts the pairs."""
+        return np.cumsum([0] + [p.n for p in self.posets], dtype=np.intp)
+
     def transform(self, i, j):
-        """The table translating view j descriptions into view i."""
-        self.view_index(i)
-        self.view_index(j)
-        try:
-            return self.transforms[(i, j)]
-        except KeyError:
-            raise _table_error(i, j, True) from None
+        """The table f_(i|j), translating view j into view i: a slice of g."""
+        vi, vj = self.view_index(i), self.view_index(j)
+        if (i, j) in self.holes:
+            raise _table_error(i, j, self.holes[(i, j)])
+        return self.g[vi, self.off[vj]:self.off[vj + 1]]
+
+    @cached_property
+    def transforms(self):
+        """The tables as a read-only {(i, j): tuple} mapping, built on first
+        read. Missing tables are left out; a bad one reads as its block of -1."""
+        off, rows = self.off.tolist(), self.g.tolist()
+        return MappingProxyType({
+            (i, j): tuple(row[off[k]:off[k + 1]])
+            for i, row in zip(self.views, rows) for k, j in enumerate(self.views)
+            if self.holes.get((i, j)) != "missing-transform"})
 
     @cached_property
     def stacked(self):
-        """The tables as one index array per target view, built on first use.
+        """(off, g), once every table is known to map view j into view i.
 
-        (off, g): pairs (view k, element x) are numbered a = off[k] + x, by
-        view and then by element (the pre-sum order), and g[i, a] is the
-        view-i image of pair a, so g[i, off[j]:off[j + 1]] is the table
-        (i, j). Raises missing-transform or bad-transform for the first pair
-        of views, in view order, whose table is absent or does not map view
-        j into view i.
+        Raises missing-transform or bad-transform for the first table, in
+        row-major (i, j) order, that is a hole or holds an index outside
+        view i.
         """
-        off = np.concatenate(([0], np.cumsum([p.n for p in self.posets]))).astype(np.intp)
-        g = np.empty((len(self.views), off[-1]), dtype=np.intp)
-        for vi, (i, dst) in enumerate(zip(self.views, self.posets)):
-            absent = None  # (vj, missing) of the row's first absent or short table
-            for vj, (j, src) in enumerate(zip(self.views, self.posets)):
-                t = self.transforms.get((i, j))
-                if t is None or len(t) != src.n:
-                    absent = vj, t is None
-                    break
-                g[vi, off[vj]:off[vj + 1]] = t
-            # the first entry outside view i, in the tables before an absent one
-            row = g[vi, :off[absent[0] if absent else -1]]
-            out = np.flatnonzero((row < 0) | (row >= dst.n))
-            if out.size:
-                raise _table_error(i, self.views[int(np.searchsorted(off, out[0], "right")) - 1], False)
-            if absent:
-                raise _table_error(i, self.views[absent[0]], absent[1])
+        off, g = self.off, self.g
+        out = (g < 0) | (g >= np.diff(off)[:, None])
+        at = {v: k for k, v in enumerate(self.views)}
+        faults = [(at[i], at[j]) for i, j in self.holes]
+        for vi in np.flatnonzero(out.any(axis=1))[:1]:
+            faults.append((int(vi), int(np.searchsorted(off, out[vi].argmax(), "right")) - 1))
+        if faults:
+            i, j = (self.views[k] for k in min(faults))
+            raise _table_error(i, j, self.holes.get((i, j), "bad-transform"))
         return off, g
 
     @cached_property
@@ -115,17 +125,18 @@ class RepresentationSystem:
 
     @cached_property
     def monotone(self):
-        """Monotony of every table, decided on `presum_rows`: row(j, y) is a
-        subset of row(j, x) for every x <= y in view j."""
+        """Monotony of every table, decided on `presum_rows`: f_(i|j)(x) <=
+        f_(i|j)(y) for every i iff row(j, y) is a subset of row(j, x), for
+        every x <= y in view j."""
         rows = self.presum_rows
         below = _within_views(self, [p.leq for p in self.posets])
         return not any((rows[below[c, 1]] & ~rows[below[c, 0]]).any() for c in _chunks(len(below), rows.itemsize * rows.shape[1]))
 
     @cached_property
     def composes(self):
-        """The composition law, decided on `presum_rows`: for every view j,
-        row(j, f_(j|k)(x)) is a subset of row(k, x) for every pair (k, x).
-        One gather of the pre-sum rows per view j."""
+        """The composition law, decided on `presum_rows`: f_(i|k)(x) <=
+        f_(i|j)(f_(j|k)(x)) for every i iff row(j, f_(j|k)(x)) is a subset of
+        row(k, x). One gather of the pre-sum rows per view j."""
         off, g = self.stacked
         rows = self.presum_rows
         for c in _chunks(len(rows), rows.itemsize * rows.shape[1]):
@@ -136,19 +147,28 @@ class RepresentationSystem:
 
     def pair(self, a):
         """(view, element id) of pair a in the `stacked` numbering."""
-        off = self.stacked[0]
+        off = self.off
         k = int(np.searchsorted(off, a, "right")) - 1
         return self.views[k], self.posets[k].elements[a - off[k]]
 
 
-def make_rs(views, posets, transforms):
-    """Assemble a RepresentationSystem, materializing absent identity tables."""
-    views = tuple(views)
-    posets = tuple(posets)
-    transforms = dict(transforms)
-    for v, p in zip(views, posets):
-        transforms.setdefault((v, v), tuple(range(p.n)))
-    return RepresentationSystem(views, posets, transforms)
+def make_rs(views, posets, tables):
+    """Assemble a RepresentationSystem from a {(i, j): table} mapping, each
+    table the view-i index of every element of view j. Absent identity tables
+    are materialized; any other absent table, or one of the wrong length, is
+    recorded as a hole, and its block of g holds -1."""
+    views, posets = tuple(views), tuple(posets)
+    holes, blocks = {}, []
+    for i in views:
+        for j, src in zip(views, posets):
+            t = tables.get((i, j), range(src.n) if i == j else None)
+            if t is None or len(t) != src.n:
+                holes[(i, j)] = "missing-transform" if t is None else "bad-transform"
+                t = repeat(-1, src.n)
+            blocks.append(t)
+    pairs = sum(p.n for p in posets)
+    g = np.fromiter(chain.from_iterable(blocks), np.intp, len(views) * pairs)
+    return RepresentationSystem(views, posets, g.reshape(len(views), pairs), holes)
 
 
 def apply_transform(rs, i, j, x):
@@ -162,7 +182,7 @@ def _within_views(rs, mats):
     """Pair indices (a, b) of the set entries of mats[k], one n_k x n_k
     boolean matrix per view, in view and then row-major order: the order of
     a scan over k, x, y."""
-    off = rs.stacked[0]
+    off = rs.off
     return np.concatenate([np.argwhere(m) + off[k] for k, m in enumerate(mats)] + [np.empty((0, 2), np.intp)])
 
 
@@ -170,16 +190,11 @@ def check_rs_axioms(rs):
     """Exhaustive check of the three transformation-table laws.
 
     Identity is read off the `stacked` tables. Monotony and composition are
-    decided on the packed pre-sum rows, with no dense pair x pair matrix:
-    row a = (k, x) restricted to view i's block is the up-set of f_(i|k)(x),
-    so monotony holds iff row(j, y) is a subset of row(j, x) for every
-    x <= y in view j (`RepresentationSystem.monotone`), and composition iff
-    row(j, f_(j|k)(x)) is a subset of row(k, x) for every pair (k, x) and
-    view j (`composes`). Only when one fails does its scan run, one gather
-    per target view i, to name the first failure of a scan over i, j, (k,)
-    x, (y).
-    Witnesses carry view and element ids in a fixed order so a failure can
-    be re-verified by direct formula evaluation.
+    decided on the packed pre-sum rows (`RepresentationSystem.monotone`,
+    `composes`), with no dense pair x pair matrix. Only when one fails does
+    its scan run, one gather per target view i, to name the first failure of
+    a scan over i, j, (k,) x, (y). Witnesses carry view and element ids in a
+    fixed order so a failure can be re-verified by direct formula evaluation.
     """
     try:
         off, g = rs.stacked
@@ -237,7 +252,7 @@ def _joins_preserved(rs, tables):
     row(j, x v y) == row(j, x) & row(j, y) for the index pairs x < y of
     every view j. Both sides are symmetric in x and y and agree at x = y,
     so half the pairs decide it."""
-    off, rows = rs.stacked[0], rs.presum_rows
+    off, rows = rs.off, rs.presum_rows
     x, y, xy = [], [], []
     upper = {}  # the index pairs x < y, once per view size
     for start, jn in zip(off, tables):

@@ -191,7 +191,7 @@ def oracle_is_omp(leq, ortho):
 
 def mutate_random_entry(rs, rng):
     """A copy of rs with one random transform entry rewired at random."""
-    from orthoview import RepresentationSystem
+    from orthoview import make_rs
 
     pair = rng.choice(sorted(rs.transforms))
     table = list(rs.transforms[pair])
@@ -199,7 +199,7 @@ def mutate_random_entry(rs, rng):
     table[x] = rng.randrange(rs.poset_of(pair[0]).n)
     transforms = dict(rs.transforms)
     transforms[pair] = tuple(table)
-    return RepresentationSystem(rs.views, rs.posets, transforms)
+    return make_rs(rs.views, rs.posets, transforms)
 
 
 def reverify_rs_witness(rs, verdict):
@@ -484,6 +484,46 @@ def reference_subalgebra_pairs(o, carrier):
             if jn not in carrier or mt not in carrier:
                 return False, "not-closed", (els[i], els[j])
     return True, "", ()
+
+
+# -- transformation tables, one pair of views at a time ------------------------
+# The library builds a system's tables as one index array; these loops build
+# each table on its own, as {(i, j): tuple} with the view-i index of every
+# element of view j.
+
+
+def reference_canonical_tables(o, subs):
+    """The upper projection of every carrier onto every other, one pair of
+    views at a time: the least element of carrier i above each element of
+    carrier j, by a scan of the order matrix. Views are named B0, B1, ..."""
+    leq = o.poset.leq.tolist()
+    tables = {}
+    for i, bi in enumerate(subs):
+        for j, bj in enumerate(subs):
+            table = []
+            for x in bj.carrier:
+                above = [c for c in bi.carrier if leq[x][c]]
+                least = [c for c in above if all(leq[c][d] for d in above)]
+                table.append(bi.carrier.index(least[0]))
+            tables[(f"B{i}", f"B{j}")] = tuple(table)
+    return tables
+
+
+def reference_map_tables(doc):
+    """The tables of a repsys document's maps, entry by entry: each listed
+    source element takes its image, then every unlisted one the default.
+    An element with neither is None. Identity tables are not listed."""
+    views = dict(doc.views)
+    tables = {}
+    for m in doc.maps:
+        src, dst = views[m.source].elements, views[m.target].elements
+        table = [None] * len(src)
+        for a, b in m.entries:
+            table[src.index(a)] = dst.index(b)
+        if m.default is not None:
+            table = [dst.index(m.default) if t is None else t for t in table]
+        tables[(m.target, m.source)] = tuple(table)
+    return tables
 
 
 # -- system-layer scans as plain loops -----------------------------------------

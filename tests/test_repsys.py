@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from orthoview import (
     zoo_model,
 )
 
+from orthoview.cli import main
+
 from _models import as_orthoposet, boolean_algebra, mutate_random_entry, reference_boolean_rs_axioms
 
 
@@ -34,7 +38,7 @@ def mutate(rs, pair, element, target):
     table[src.idx(element)] = rs.poset_of(pair[0]).idx(target)
     transforms = dict(rs.transforms)
     transforms[pair] = tuple(table)
-    return RepresentationSystem(rs.views, rs.posets, transforms)
+    return make_rs(rs.views, rs.posets, transforms)
 
 
 def reverify(rs, verdict):
@@ -121,8 +125,71 @@ def test_missing_transform_located():
     rs = firefly()
     transforms = dict(rs.transforms)
     del transforms[("X", "Y")]
-    v = check_rs_axioms(RepresentationSystem(rs.views, rs.posets, transforms))
+    v = check_rs_axioms(make_rs(rs.views, rs.posets, transforms))
     assert not v.ok and v.code == "missing-transform" and v.witness == ("X", "Y")
+
+
+def test_systems_compare_by_identity():
+    # the index array is no field to compare: == must not ask numpy for a
+    # truth value, and a system hashes by identity
+    rs = firefly()
+    assert rs == rs and rs != firefly() and len({rs, rs}) == 1
+    assert [f.name for f in fields(RepresentationSystem)] == ["views", "posets", "g", "holes"]
+    assert rs.g.dtype == np.intp and rs.g.shape == (2, 10) and not rs.g.flags.writeable
+    assert not rs.transform("Y", "X").flags.writeable
+    with pytest.raises(TypeError):
+        rs.transforms[("X", "Y")] = (0,) * 5
+    with pytest.raises(TypeError):
+        make_rs(rs.views, rs.posets, {}).holes[("X", "Y")] = "bad-transform"
+
+
+EMPTY_VIEW = """repsys r {
+  view X = poset { elements a b ; covers a<b } ;
+  view E = poset { elements }
+}
+"""
+
+
+def test_table_faults_in_zero_width_blocks_and_wrong_lengths(capsys, tmp_path):
+    # a table into or out of a view without elements has no entry to hold
+    # the -1 of a hole, so only the hole record can name it
+    path = tmp_path / "empty.oml-model"
+    path.write_text(EMPTY_VIEW)
+    for argv in (["validate", str(path)], ["check", str(path), "--property", "rs"]):
+        assert main(argv) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["check"], r["code"], r["witness"]) for r in records] == [("rs_axioms", "missing-transform", ["X", "E"])]
+    x, e = FinitePoset.from_covers(("a", "b"), (("a", "b"),)), FinitePoset.from_covers((), ())
+    # E has no element, so no table E<X is total: each case names the
+    # first fault in (X, X), (X, E), (E, X), (E, E) order
+    cases = [
+        ({("X", "E"): (0,)}, "bad-transform", ("X", "E"), True),
+        ({}, "missing-transform", ("X", "E"), True),
+        ({("X", "E"): ()}, "missing-transform", ("E", "X"), True),
+        ({("X", "E"): (), ("E", "X"): (0,)}, "bad-transform", ("E", "X"), True),
+        ({("X", "E"): (), ("E", "X"): (0, 1)}, "bad-transform", ("E", "X"), False),
+    ]
+    for tables, code, witness, hole in cases:
+        rs = make_rs(["X", "E"], [x, e], tables)
+        v = check_rs_axioms(rs)
+        assert rs.g.shape == (2, 2) and (v.code, v.witness) == (code, witness)
+        assert (witness in rs.holes) == hole
+        with pytest.raises(ValidationError) as err:
+            rs.stacked
+        assert (err.value.code, err.value.witness) == (code, witness)
+        if hole:
+            with pytest.raises(ValidationError) as err:
+                rs.transform(*witness)
+            assert (err.value.code, err.value.witness) == (code, witness)
+    # in row X, a zero-width hole before an out-of-range table is named
+    # first, and after it second
+    posets = {"X": x, "E": e, "Y": FinitePoset.from_covers(("c",), ())}
+    tables = {("E", "X"): (), ("X", "Y"): (2,), ("Y", "X"): (0, 0), ("E", "Y"): (), ("Y", "E"): ()}
+    for views, want in ((["X", "E", "Y"], ("missing-transform", ("X", "E"))), (["X", "Y", "E"], ("bad-transform", ("X", "Y")))):
+        v = check_rs_axioms(make_rs(views, [posets[k] for k in views], tables))
+        assert (v.code, v.witness) == want
+    rs = make_rs((), (), {})
+    assert rs.g.shape == (0, 0) and rs.holes == {} and check_rs_axioms(rs).ok
 
 
 def test_round_trips_are_inflationary():

@@ -3,7 +3,6 @@ import pytest
 from orthoview import (
     FinitePoset,
     InternalCheckError,
-    RepresentationSystem,
     build_canonical_rs,
     build_orthoposet,
     build_presum,
@@ -36,7 +35,7 @@ def mutate(rs, pair, element, target):
     table[src.idx(element)] = rs.poset_of(pair[0]).idx(target)
     transforms = dict(rs.transforms)
     transforms[pair] = tuple(table)
-    return RepresentationSystem(rs.views, rs.posets, transforms)
+    return make_rs(rs.views, rs.posets, transforms)
 
 
 def test_single_view_presum_is_the_poset():

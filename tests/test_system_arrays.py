@@ -6,7 +6,9 @@ zoo systems, canonical systems, random single-entry mutants and broken &
 tables. The sum orthoposet and the decomposition roundtrip, which read the
 sum's class array, are held to the same loops, also on doctored sums. The
 laws decided on packed pre-sum rows are held to the loops on table mutants
-of systems whose pair count sits at a 64-bit word edge."""
+of systems whose pair count sits at a 64-bit word edge. The tables
+themselves, built as one index array, are held table by table to loops
+that build each one on its own."""
 
 import random
 from dataclasses import replace
@@ -23,7 +25,6 @@ from orthoview import (
     InternalCheckError,
     OrthoPoset,
     PreSum,
-    RepresentationSystem,
     ValidationError,
     Verdict,
     build_amp,
@@ -38,9 +39,13 @@ from orthoview import (
     closure_table,
     derived_meet,
     derived_meet_table,
+    doc_from_orthoposet,
+    enumerate_boolean_subalgebras,
     make_rs,
+    parse,
     quotient_sum,
     roundtrip_check,
+    serialize,
     sum_as_orthoposet,
     verify_amp_axioms,
     verify_closure_properties,
@@ -48,6 +53,7 @@ from orthoview import (
     zoo_model,
 )
 from orthoview.conditions import WITNESS_CAP
+from orthoview.modelio import MapSpec, ModelDocument
 from orthoview.poset import OK
 
 from _models import (
@@ -59,10 +65,12 @@ from _models import (
     reference_amp_axioms,
     reference_boolean_rs_axioms,
     reference_build_amp,
+    reference_canonical_tables,
     reference_closure_properties,
     reference_closure_table,
     reference_condition_oml,
     reference_condition_omp,
+    reference_map_tables,
     reference_presum,
     reference_roundtrip,
     reference_rs_axioms,
@@ -138,6 +146,89 @@ def same_outcome(got, want):
     return got == want
 
 
+def test_canonical_tables_match_reference():
+    """The canonical system's index array, table by table, against the
+    per-pair projection loop, on every host and on a relabelled 2^5."""
+    b5 = as_orthoposet(shuffled(boolean_algebra(5), random.Random(5)))
+    for name, o in hosts() + (("boolean_32_shuffled", b5),):
+        subs = enumerate_boolean_subalgebras(o)
+        rs = build_canonical_rs(o, subs=subs).rs
+        want = reference_canonical_tables(o, subs)
+        assert rs.holes == {} and rs.g.shape == (len(subs), sum(sub.size for sub in subs)), name
+        assert all(rs.transform(i, j).tolist() == list(t) for (i, j), t in want.items()), name
+        assert rs.transforms == want, name
+
+
+@lru_cache(maxsize=None)
+def map_documents():
+    """(name, repsys document): the zoo's repsys models, then the canonical
+    systems of `systems()` written as maps. A map takes its most common
+    image as its `* -> t` default in seven cases of ten (listing the
+    elements with another image and some of those with it), else lists
+    every element; one map in five is left out."""
+    out = [(name, model.doc) for name, model in zoo().items() if model.kind == "repsys"]
+    rng = random.Random(13)
+    for name, rs, orthos in systems():
+        if orthos is None:
+            continue
+        maps = []
+        for (i, j), table in sorted(rs.transforms.items()):
+            if i == j or rng.random() < 0.2:
+                continue
+            src, dst = rs.poset_of(j).elements, rs.poset_of(i).elements
+            default = max(sorted(set(table)), key=table.count) if rng.random() < 0.7 else None
+            entries = tuple((src[x], dst[t]) for x, t in enumerate(table) if t != default or rng.random() < 0.3)
+            maps.append(MapSpec(i, j, entries, None if default is None else dst[default]))
+        rng.shuffle(maps)
+        views = tuple((v, doc_from_orthoposet(v, o)) for v, o in zip(rs.views, orthos))
+        out.append((name, parse(serialize(ModelDocument("repsys", name, views=views, maps=tuple(maps))))))
+    return tuple(out)
+
+
+def test_map_tables_match_reference():
+    """build_repsys's index array, table by table, against the entry-by-entry
+    fill; a left-out map is a missing-transform hole, which the rs axioms
+    name as the loop does."""
+    codes = set()
+    for name, doc in map_documents():
+        rs, _ = build_repsys(doc)
+        want = reference_map_tables(doc)
+        absent = {}
+        for i, p in zip(rs.views, rs.posets):
+            for j in rs.views:
+                t = want.get((i, j), tuple(range(p.n)) if i == j else None)
+                if t is None:
+                    absent[(i, j)] = "missing-transform"
+                else:
+                    assert rs.transform(i, j).tolist() == list(t), name
+        assert rs.holes == absent, name
+        got = outcome(check_rs_axioms, rs)
+        assert got == ("ok", reference_rs_axioms(rs)), name
+        codes.add(got[1][1])
+    assert codes == {"", "missing-transform"} and len(map_documents()) > 10
+
+
+def test_incomplete_map_matches_reference():
+    """One listed entry dropped from a map without a default: build_repsys
+    names the first element the entry-by-entry fill leaves empty."""
+    rng = random.Random(17)
+    edited = 0
+    for name, doc in map_documents():
+        k = next((k for k, m in enumerate(doc.maps) if m.default is None), None)
+        if k is None:
+            continue
+        m = doc.maps[k]
+        entries = list(m.entries)
+        del entries[rng.randrange(len(entries))]
+        maps = doc.maps[:k] + (replace(m, entries=tuple(entries)),) + doc.maps[k + 1:]
+        cut = replace(doc, maps=maps)
+        table = reference_map_tables(cut)[(m.target, m.source)]
+        hole = dict(doc.views)[m.source].elements[table.index(None)]
+        assert outcome(build_repsys, cut) == ("incomplete-map", (m.target, m.source, hole)), name
+        edited += 1
+    assert edited >= 6
+
+
 def test_rs_axioms_match_reference():
     seen = set()
     for name, rs, _ in systems():
@@ -157,7 +248,7 @@ def test_composition_witness_is_first_in_scan_order():
     table = list(transforms[("B1", "B2")])
     table[rs.poset_of("B2").idx("b")] = rs.poset_of("B1").idx("a")
     transforms[("B1", "B2")] = tuple(table)
-    bad = RepresentationSystem(rs.views, rs.posets, transforms)
+    bad = make_rs(rs.views, rs.posets, transforms)
     assert outcome(check_rs_axioms, bad) == ("ok", reference_rs_axioms(bad)) == ("ok", (False, "composition", ("B1", "B2", "B4", "b")))
 
 
@@ -175,7 +266,7 @@ def test_missing_and_bad_tables_match_reference():
     for edit in edits:
         transforms = dict(rs.transforms)
         transforms.update(edit)
-        bad = RepresentationSystem(rs.views, rs.posets, {k: t for k, t in transforms.items() if t is not None})
+        bad = make_rs(rs.views, rs.posets, {k: t for k, t in transforms.items() if t is not None})
         got = outcome(check_rs_axioms, bad)
         assert got == ("ok", reference_rs_axioms(bad))
         assert got[1][2] == (i, j)
@@ -273,7 +364,7 @@ def test_row_decisions_match_reference_at_word_edges(size, edits, data):
         table = list(transforms[(i, j)])
         table[data.draw(st.integers(0, len(table) - 1))] = data.draw(st.integers(0, rs.poset_of(i).n - 1))
         transforms[(i, j)] = tuple(table)
-    mutant = RepresentationSystem(rs.views, rs.posets, transforms)
+    mutant = make_rs(rs.views, rs.posets, transforms)
     assert outcome(check_rs_axioms, mutant) == ("ok", reference_rs_axioms(mutant))
     assert same_presum(outcome(build_presum, mutant), presum_outcome(mutant))
     assert outcome(check_boolean_rs_axioms, mutant, orthos) == ("ok", reference_boolean_rs_axioms(mutant, orthos))
