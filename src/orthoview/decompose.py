@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poset import InternalCheckError, ValidationError, poset_stack, size_groups
-from .ortho import OrthoPoset, distributivity_failure, ortho_stack
+from .ortho import distributivity_failure, ortho_stack
 from .repsys import BooleanRepresentationSystem, RepresentationSystem, check_boolean_rs_axioms, validate_rs
 from .sums import build_presum, quotient_sum, sum_as_orthoposet
 
@@ -169,8 +169,7 @@ def _views(o, subs):
     """(posets, orthoposets) induced on the carriers of subs, those of one
     size built as one stack (`poset_stack`, `ortho_stack`): the host order
     and complement, gathered on the carriers and renumbered to carrier
-    positions. When a stack fails, every view is built on its own, which
-    raises the first failure."""
+    positions."""
     els = np.array(o.elements, dtype=object)
     posets, orthos = [None] * len(subs), [None] * len(subs)
     for n, ks in size_groups([sub.size for sub in subs]).items():
@@ -180,12 +179,7 @@ def _views(o, subs):
         local[rows, carriers] = np.arange(n)
         comp = local[rows, np.array(o.ortho, dtype=np.intp)[carriers]]
         ps = poset_stack([tuple(c) for c in els[carriers].tolist()], o.poset.leq[carriers[:, :, None], carriers[:, None, :]])
-        qs = ps and ortho_stack(ps, comp)
-        if not qs:
-            ortho = np.array(o.ortho)
-            posets = [o.poset.induced(sub.carrier) for sub in subs]
-            return posets, [OrthoPoset(p, np.searchsorted(sub.carrier, ortho[list(sub.carrier)]).tolist()) for p, sub in zip(posets, subs)]
-        for k, p, q in zip(ks, ps, qs):
+        for k, p, q in zip(ks, ps, ortho_stack(ps, comp)):
             posets[k], orthos[k] = p, q
     return posets, orthos
 

@@ -365,55 +365,58 @@ def build_orthoposet(doc):
     if doc.kind != "orthoposet":
         raise ValidationError("wrong-kind", f"cannot build an orthoposet from a {doc.kind!r} document", (doc.kind,))
     p = build_poset(doc)
+    return OrthoPoset(p, _complements(doc, p._index))
+
+
+def _complements(doc, index):
+    """The complement of every element of an orthoposet document, read
+    from its ortho pairs, as a position under index ({element: position}).
+    Raises ortho-conflict for the first element listed with a second
+    partner, then ortho-incomplete for the first element without one, then
+    unknown-element for the first partner that is not an element."""
     comp = {}
     for a, b in doc.ortho_pairs:
-        for x, y in ((a, b), (b, a)):
-            if comp.setdefault(x, y) != y:
-                raise ValidationError(
-                    "ortho-conflict", f"{x!r} is listed with two complements, {comp[x]!r} and {y!r}", (x, comp[x], y)
-                )
-    missing = [e for e in doc.elements if e not in comp]
-    if missing:
-        raise ValidationError("ortho-incomplete", f"no complement listed for {missing[0]!r}", (missing[0],))
-    return OrthoPoset(p, [p.idx(comp[e]) for e in doc.elements])
+        if comp.setdefault(a, b) != b or comp.setdefault(b, a) != a:
+            x, y = (a, b) if comp[a] != b else (b, a)
+            raise ValidationError(
+                "ortho-conflict", f"{x!r} is listed with two complements, {comp[x]!r} and {y!r}", (x, comp[x], y)
+            )
+    try:
+        return [index[comp[e]] for e in doc.elements]
+    except KeyError:
+        for e in doc.elements:
+            if e not in comp:
+                raise ValidationError("ortho-incomplete", f"no complement listed for {e!r}", (e,)) from None
+        unknown = next(comp[e] for e in doc.elements if comp[e] not in index)
+        raise ValidationError("unknown-element", f"no element {unknown!r}", (unknown,)) from None
 
 
 def _view_stacks(vdocs):
-    """[(poset, orthoposet or None)] of the view documents, the views of one
-    size built as one stack: their cover relations are closed together
-    and each law is checked once over the stack (`poset_stack`,
-    `ortho_stack`). None if some view fails, which `build_orthoposet` and
-    `build_poset` then name."""
-    built = [None] * len(vdocs)
+    """(posets, orthoposets or None) of the view documents, the views of one
+    size built as one stack: their cover relations are closed together and
+    each law is decided once over the stack (`poset_stack`, `ortho_stack`).
+    A failing view raises its own error, but not always the first failing
+    view in document order (see `build_repsys`)."""
+    posets, orthos = [None] * len(vdocs), [None] * len(vdocs)
     for n, ks in size_groups([len(v.elements) for v in vdocs]).items():
         docs = [vdocs[k] for k in ks]
-        # the view and the two ends of every cover and every ortho pair
-        cover_at, cover_ends, pair_at, pair_ends = [], [], [], []
-        for k, d in enumerate(docs):
-            index = {e: i for i, e in enumerate(d.elements)}
+        indices = [{e: i for i, e in enumerate(d.elements)} for d in docs]
+        # the view and the two ends of every cover
+        cover_at, cover_ends = [], []
+        for k, (d, index) in enumerate(zip(docs, indices)):
             cover_at += [k] * len(d.covers)
             cover_ends += _pair_indices(index, d.covers)
-            pair_at += [k] * len(d.ortho_pairs)
-            pair_ends += _pair_indices(index, d.ortho_pairs)
         below, above = np.array(cover_ends, dtype=np.intp).reshape(-1, 2).T
-        lo, hi = np.array(pair_ends, dtype=np.intp).reshape(-1, 2).T
         rel = np.zeros((len(docs), n, n), dtype=bool)
         rel[cover_at, below, above] = True
-        posets = poset_stack([d.elements for d in docs], _closure(rel))
-        # each element takes one of its partners; the pairs all read back
-        # only if no element is listed with two partners
-        comp = np.full((len(docs), n), -1, dtype=np.intp)
-        comp[pair_at, lo], comp[pair_at, hi] = hi, lo
-        rows = [k for k, d in enumerate(docs) if d.kind == "orthoposet"]
-        if posets is None or (comp[rows] < 0).any() or (comp[pair_at, lo] != hi).any() or (comp[pair_at, hi] != lo).any():
-            return None
-        orthos = ortho_stack([posets[k] for k in rows], comp[rows]) if rows else []
-        if orthos is None:
-            return None
-        orthos = dict(zip(rows, orthos))
-        for j, (k, p) in enumerate(zip(ks, posets)):
-            built[k] = p, orthos.get(j)
-    return built
+        ps = poset_stack([d.elements for d in docs], _closure(rel))
+        rows = [j for j, d in enumerate(docs) if d.kind == "orthoposet"]
+        comp = np.array([_complements(docs[j], indices[j]) for j in rows], dtype=np.intp).reshape(len(rows), n)
+        for k, p in zip(ks, ps):
+            posets[k] = p
+        for j, o in zip(rows, ortho_stack([ps[j] for j in rows], comp) if rows else []):
+            orthos[ks[j]] = o
+    return posets, orthos
 
 
 def build_repsys(doc):
@@ -421,7 +424,7 @@ def build_repsys(doc):
 
     Map entries are completed with the declared default; a missing entry
     with no default is rejected. Identity tables are implicit. The views
-    are built in stacks (`_view_stacks`); when some view fails, they are
+    are built in stacks (`_view_stacks`); when a stack fails, the views are
     built again one at a time, in document order, so that the first
     failing view raises its own error.
     """
@@ -430,19 +433,11 @@ def build_repsys(doc):
     names = [v for v, _ in doc.views]
     vdocs = [vdoc for _, vdoc in doc.views]
     try:
-        built = _view_stacks(vdocs)
+        posets, orthos = _view_stacks(vdocs)
     except ValidationError:
-        built = None
-    if built is None:
-        built = []
         for vdoc in vdocs:
-            if vdoc.kind == "orthoposet":
-                o = build_orthoposet(vdoc)
-                built.append((o.poset, o))
-            else:
-                built.append((build_poset(vdoc), None))
-    posets = [p for p, _ in built]
-    orthos = [o for _, o in built]
+            (build_orthoposet if vdoc.kind == "orthoposet" else build_poset)(vdoc)
+        raise
     by_name = dict(zip(names, posets))
     tables = {}
     for m in doc.maps:

@@ -6,17 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import OK, InternalCheckError, ValidationError, Verdict, _each, _relabel, _rows, size_groups, stack_tables
-
-
-def _involution_faults(ortho):
-    """x'' != x, for a complement map or each map of a stack."""
-    return _rows(ortho, ortho) != np.arange(ortho.shape[-1])
-
-
-def _antitone_faults(leq, ortho):
-    """x <= y without y' <= x', per matrix."""
-    return leq & ~np.swapaxes(_relabel(leq, ortho), -1, -2)
+from .poset import OK, InternalCheckError, ValidationError, Verdict, _check_laws, _each, _rows, size_groups, stack_tables
 
 
 def _complement_faults(leq, ortho):
@@ -27,6 +17,44 @@ def _complement_faults(leq, ortho):
     lower = (geq & _rows(geq, ortho)).sum(axis=-1)
     upper = (leq & _rows(leq, ortho)).sum(axis=-1)
     return (lower != 1) | (upper != 1)
+
+
+# The laws of `OrthoPoset` on a complement map that covers every element,
+# in the order they are checked, as in `poset._ORDER_LAWS`: faults(elements,
+# leq, ortho) masks a law's failures for an order matrix and complement map,
+# or for each of a stack.
+_ORTHO_LAWS = (
+    (
+        "not-bounded",
+        "no least/greatest element",
+        lambda els, leq, ortho: ~(leq.all(axis=-1).any(axis=-1) & leq.all(axis=-2).any(axis=-1)),
+    ),
+    ("not-involutive", "({0!r}')' != {0!r}", lambda els, leq, ortho: _rows(ortho, ortho) != np.arange(ortho.shape[-1])),
+    (
+        "not-antitone",
+        "{0!r} <= {1!r} but complements are not reversed",
+        # y' <= x' at [x, y]: the rows, then the columns, taken at the complements
+        lambda els, leq, ortho: leq & ~_rows(_rows(leq, ortho).swapaxes(-1, -2), ortho),
+    ),
+    (
+        "complement-law",
+        "{0!r} and its complement do not meet at 0 / join at 1",
+        lambda els, leq, ortho: _complement_faults(leq, ortho),
+    ),
+)
+
+
+def _bounds(leq):
+    """The positions of the least and the greatest element of a bounded
+    order matrix, or of each matrix of a stack."""
+    return leq.all(axis=-1).argmax(axis=-1), leq.all(axis=-2).argmax(axis=-1)
+
+
+def _check_orthos(leq, ortho, elements):
+    """Check an order matrix with a complement map on its element ids, or
+    an (m, n, n) stack of them with an (m, n) stack of maps on m tuples of
+    ids, against `_ORTHO_LAWS`."""
+    _check_laws(_ORTHO_LAWS, elements, leq, ortho)
 
 
 class OrthoPoset:
@@ -42,34 +70,10 @@ class OrthoPoset:
     def __init__(self, poset, ortho):
         ortho = tuple(int(i) for i in ortho)
         n = poset.n
-        els = poset.elements
         if len(ortho) != n or any(not 0 <= i < n for i in ortho):
             raise ValidationError("bad-ortho", "orthocomplement map must cover every element")
-        least, greatest = poset.bounds()
-        if least is None or greatest is None:
-            raise ValidationError("not-bounded", "no least/greatest element")
-        comp = np.array(ortho, dtype=np.intp)
-        bad = np.flatnonzero(_involution_faults(comp))
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError("not-involutive", f"({els[i]!r}')' != {els[i]!r}", (els[i],))
-        bad = _antitone_faults(poset.leq, comp)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise ValidationError(
-                "not-antitone",
-                f"{els[i]!r} <= {els[j]!r} but complements are not reversed",
-                (els[i], els[j]),
-            )
-        bad = np.flatnonzero(_complement_faults(poset.leq, comp))
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                "complement-law",
-                f"{els[i]!r} and its complement do not meet at 0 / join at 1",
-                (els[i],),
-            )
-        self._adopt(poset, ortho, least, greatest)
+        _check_orthos(poset.leq, np.array(ortho, dtype=np.intp), poset.elements)
+        self._adopt(poset, ortho, *map(int, _bounds(poset.leq)))
 
     @classmethod
     def _validated(cls, poset, ortho, least, greatest):
@@ -105,21 +109,11 @@ class OrthoPoset:
 
 def ortho_stack(posets, ortho):
     """The orthoposets on posets of one size n (as from `poset_stack`) with
-    the rows of ortho, an (m, n) stack of complement maps, checked against
-    the laws of `OrthoPoset.__init__` as one mask each over the whole
-    stack. None if some view breaks a law: building the views one at a
-    time then names the failure."""
+    the rows of ortho, an (m, n) stack of complement maps, checked by
+    `_check_orthos`."""
     leq = np.stack([p.leq for p in posets])
-    least, greatest = leq.all(axis=-1), leq.all(axis=-2)
-    if not (
-        least.any(axis=-1).all()
-        and greatest.any(axis=-1).all()
-        and not _involution_faults(ortho).any()
-        and not _antitone_faults(leq, ortho).any()
-        and not _complement_faults(leq, ortho).any()
-    ):
-        return None
-    bounds = zip(least.argmax(axis=-1).tolist(), greatest.argmax(axis=-1).tolist())
+    _check_orthos(leq, ortho, [p.elements for p in posets])
+    bounds = zip(*(b.tolist() for b in _bounds(leq)))
     return [OrthoPoset._validated(p, tuple(row), *b) for p, row, b in zip(posets, ortho.tolist(), bounds)]
 
 

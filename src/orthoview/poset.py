@@ -94,20 +94,6 @@ def _closure(rel):
     return rel
 
 
-def _cycles(leq):
-    """The antisymmetry law's failures, per matrix: i != j with i <= j <= i."""
-    both = leq & np.swapaxes(leq, -1, -2)
-    diagonal = np.arange(leq.shape[-1])
-    both[..., diagonal, diagonal] = False
-    return both
-
-
-def _gaps(leq):
-    """The transitivity law's failures, per matrix: i <= k <= j without
-    i <= j."""
-    return _compose(leq) & ~leq
-
-
 def _least_bounds(leq):
     """t[..., i, j] = the least element above i and j, or -1, for an order
     matrix or each matrix of a stack; the transposed order gives greatest
@@ -148,6 +134,66 @@ def _pair_indices(index, pairs):
         raise ValidationError("unknown-element", f"pair mentions undeclared id {e.args[0]!r}", e.args) from None
 
 
+def _repeats(elements, leq):
+    """True at each id listed earlier in its own tuple: elements is the
+    tuple of the order matrix leq, or one tuple per matrix of a stack. Just
+    False when no tuple repeats an id."""
+    tuples = [elements] if leq.ndim == 2 else elements
+    if all(len(set(ids)) == len(ids) for ids in tuples):
+        return np.False_
+    mask = np.zeros(leq.shape[:-1], dtype=bool)
+    for ids, row in zip(tuples, np.atleast_2d(mask)):
+        seen = set()
+        row[:] = [e in seen or seen.add(e) for e in ids]
+    return mask
+
+
+# The laws of `FinitePoset`, in the order they are checked: (code, message
+# on the witness ids, faults), where faults(elements, leq) masks the law's
+# failures in an order matrix, or in each matrix of a stack, over element
+# positions.
+_ORDER_LAWS = (
+    ("duplicate-element", "duplicate element id {0!r}", _repeats),
+    ("reflexivity", "{0!r} not <= itself", lambda els, leq: ~leq.diagonal(axis1=-2, axis2=-1)),
+    (
+        "antisymmetry",
+        "cycle: {0!r} <= {1!r} <= {0!r}",
+        lambda els, leq: leq & leq.swapaxes(-1, -2) & ~np.eye(leq.shape[-1], dtype=bool),
+    ),
+    ("transitivity", "missing {0!r} <= {1!r}", lambda els, leq: _compose(leq) & ~leq),
+)
+
+
+def _check_laws(laws, elements, leq, *more):
+    """Raise the first law of laws that a structure breaks, as a
+    ValidationError whose witness is the law's first failure in index order.
+
+    The structure is an order matrix leq on the tuple elements (with the
+    arrays more, such as a complement map), or a stack of m of them: leq
+    of shape (m, n, n), one tuple of elements and one row of each of more
+    per matrix. A stack is decided law by law over all its matrices,
+    stopping at the first law some matrix fails; only then are its
+    structures checked one by one, so the first that fails raises its first
+    law."""
+    items = [(elements, leq, *more)]
+    if leq.ndim == 3:
+        if not any(faults(elements, leq, *more).any() for _, _, faults in laws):
+            return
+        items = zip(elements, leq, *more)
+    for item in items:
+        for code, message, faults in laws:
+            bad = faults(*item)
+            if bad.any():
+                witness = tuple(item[0][int(i)] for i in np.argwhere(bad)[0])
+                raise ValidationError(code, message.format(*witness), witness)
+
+
+def _check_orders(elements, leq):
+    """Check an order matrix on its element ids, or an (m, n, n) stack of
+    them on m tuples of ids, against `_ORDER_LAWS`."""
+    _check_laws(_ORDER_LAWS, elements, leq)
+
+
 class FinitePoset:
     """Immutable finite poset.
 
@@ -164,32 +210,10 @@ class FinitePoset:
     def __init__(self, elements, leq):
         elements = tuple(elements)
         n = len(elements)
-        if len(set(elements)) != n:
-            seen = set()
-            dup = next(e for e in elements if e in seen or seen.add(e))
-            raise ValidationError("duplicate-element", f"duplicate element id {dup!r}", (dup,))
         leq = np.array(leq, dtype=bool)
         if leq.shape != (n, n):
             raise ValidationError("bad-shape", f"order matrix must be {n}x{n}, got {leq.shape}")
-        if not leq.diagonal().all():
-            i = int(np.flatnonzero(~leq.diagonal())[0])
-            raise ValidationError("reflexivity", f"{elements[i]!r} not <= itself", (elements[i],))
-        both = _cycles(leq)
-        if both.any():
-            i, j = map(int, np.argwhere(both)[0])
-            raise ValidationError(
-                "antisymmetry",
-                f"cycle: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}",
-                (elements[i], elements[j]),
-            )
-        missing = _gaps(leq)
-        if missing.any():
-            i, j = map(int, np.argwhere(missing)[0])
-            raise ValidationError(
-                "transitivity",
-                f"missing {elements[i]!r} <= {elements[j]!r}",
-                (elements[i], elements[j]),
-            )
+        _check_orders(elements, leq)
         self._adopt(elements, leq)
 
     @classmethod
@@ -271,12 +295,6 @@ class FinitePoset:
         cover = lt & ~_compose(lt)
         return [(int(i), int(j)) for i, j in np.argwhere(cover)]
 
-    def induced(self, indices):
-        """Sub-poset on the given indices (element ids are kept)."""
-        indices = list(indices)
-        sub = self.leq[np.ix_(indices, indices)]
-        return FinitePoset([self.elements[i] for i in indices], sub)
-
     def heights(self):
         """Longest-chain height of every element, bottom-up."""
         h = np.zeros(self.n, dtype=int)
@@ -293,17 +311,9 @@ class FinitePoset:
 
 def poset_stack(elements, leq):
     """The posets on m views of one size n, from their element tuples and
-    the (m, n, n) stack of their orders, checked against the laws of
-    `FinitePoset.__init__` as one mask each over the whole stack. None if
-    some view breaks a law: building the views one at a time then names
-    the failure. The stack is made read-only; each poset keeps its slice."""
-    if (
-        any(len(set(e)) != len(e) for e in elements)
-        or not np.diagonal(leq, axis1=-2, axis2=-1).all()
-        or _cycles(leq).any()
-        or _gaps(leq).any()
-    ):
-        return None
+    the (m, n, n) stack of their orders, checked by `_check_orders`. The
+    stack is made read-only; each poset keeps its slice."""
+    _check_orders(elements, leq)
     leq.flags.writeable = False
     return [FinitePoset._validated(e, m) for e, m in zip(elements, leq)]
 

@@ -162,10 +162,11 @@ def sum_as_orthoposet(s, brs):
     The class map (k, x) -> (k, x') must not depend on the representative,
     and the bottom/top classes must not depend on the view; both facts are
     asserted exhaustively, the first class failing the first, before the
-    result is validated as an orthoposet. `ill-defined-bounds` fires only
-    for a system without views or a hand-built sum: (i, 1_i) <= (j, 1_j)
-    always puts the tops in one class, whose complements are the bottoms,
-    so bottoms in two classes fail `ill-defined-ortho` there first.
+    result is validated as an orthoposet. A system without views has an
+    empty sum, which that validation refuses as `not-bounded`.
+    `ill-defined-bounds` fires only for a hand-built sum: (i, 1_i) <=
+    (j, 1_j) always puts the tops in one class, whose complements are the
+    bottoms, so bottoms in two classes fail `ill-defined-ortho` there first.
     """
     off = brs.rs.stacked[0][:-1]
     klass = s.klass
@@ -182,6 +183,6 @@ def sum_as_orthoposet(s, brs):
             (s.label(c),),
         )
     ends = klass[off[:, None] + np.array([(o.least, o.greatest) for o in brs.orthos], np.intp).reshape(-1, 2)]
-    if not len(ends) or (ends != ends[0]).any():
+    if len(ends) and (ends != ends[0]).any():
         raise InternalCheckError("ill-defined-bounds", "sum bounds depend on the view", ())
     return OrthoPoset(s.order, ortho)

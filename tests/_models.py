@@ -526,6 +526,63 @@ def reference_map_tables(doc):
     return tables
 
 
+def reference_build_view(doc):
+    """A poset or orthoposet view document built on its own, law by law:
+    (elements, order matrix, complement tuple, least, greatest), the last
+    three None for a poset view, whose ortho pairs are ignored; or the
+    ValidationError of its first failure, with the library's code, witness
+    and message. The order is the closure of the covers, checked for
+    duplicate ids and antisymmetry; the complements come from a dict of the
+    pairs, then the complement map is checked by
+    `reference_ortho_validation`."""
+    from orthoview import ValidationError
+
+    els = tuple(doc.elements)
+    index = {e: i for i, e in enumerate(els)}
+    rel = np.zeros((len(els), len(els)), dtype=bool)
+    for pair in doc.covers:
+        for e in pair:
+            if e not in index:
+                raise ValidationError("unknown-element", f"pair mentions undeclared id {e!r}", (e,))
+        rel[index[pair[0]], index[pair[1]]] = True
+    leq = reference_closure(rel)
+    for k, e in enumerate(els):
+        if e in els[:k]:
+            raise ValidationError("duplicate-element", f"duplicate element id {e!r}", (e,))
+    # a closure is reflexive and transitive; only antisymmetry can fail
+    for i, j in np.argwhere(leq & leq.T & ~np.eye(len(els), dtype=bool)):
+        a, b = els[i], els[j]
+        raise ValidationError("antisymmetry", f"cycle: {a!r} <= {b!r} <= {a!r}", (a, b))
+    if doc.kind != "orthoposet":
+        return els, leq, None, None, None
+    comp = {}
+    for a, b in doc.ortho_pairs:
+        for x, y in ((a, b), (b, a)):
+            if comp.setdefault(x, y) != y:
+                raise ValidationError(
+                    "ortho-conflict", f"{x!r} is listed with two complements, {comp[x]!r} and {y!r}", (x, comp[x], y)
+                )
+    for e in els:
+        if e not in comp:
+            raise ValidationError("ortho-incomplete", f"no complement listed for {e!r}", (e,))
+    for e in els:
+        if comp[e] not in index:
+            raise ValidationError("unknown-element", f"no element {comp[e]!r}", (comp[e],))
+    ortho = tuple(index[comp[e]] for e in els)
+    ok, code, witness = reference_ortho_validation(leq, ortho, els)
+    if not ok:
+        messages = {
+            "not-bounded": "no least/greatest element",
+            "not-involutive": "({0!r}')' != {0!r}",
+            "not-antitone": "{0!r} <= {1!r} but complements are not reversed",
+            "complement-law": "{0!r} and its complement do not meet at 0 / join at 1",
+        }
+        raise ValidationError(code, messages[code].format(*witness), witness)
+    least = next(i for i in range(len(els)) if leq[i].all())
+    greatest = next(i for i in range(len(els)) if leq[:, i].all())
+    return els, leq, ortho, least, greatest
+
+
 # -- system-layer scans as plain loops -----------------------------------------
 # Loops over the transformation tables, the pre-sum pairs and the sum
 # classes, in the scan order the library's witnesses follow. The library
@@ -630,8 +687,9 @@ def reference_sum_as_orthoposet(s, brs):
     """The complement of every class from the complements of all its
     members, then the bottom and top class of every view;
     InternalCheckError ill-defined-ortho on the first class whose members
-    disagree, ill-defined-bounds if the views disagree on a bound."""
-    from orthoview import InternalCheckError
+    disagree, ValidationError not-bounded if there are no views,
+    ill-defined-bounds if the views disagree on a bound."""
+    from orthoview import InternalCheckError, ValidationError
 
     ortho = []
     for c, members in enumerate(sum_classes(s)):
@@ -644,6 +702,8 @@ def reference_sum_as_orthoposet(s, brs):
         ortho.append(images.pop())
     bottoms = {s.class_of(v, o.elements[o.least]) for v, o in zip(brs.views, brs.orthos)}
     tops = {s.class_of(v, o.elements[o.greatest]) for v, o in zip(brs.views, brs.orthos)}
+    if not brs.views:
+        raise ValidationError("not-bounded", "", ())
     if len(bottoms) != 1 or len(tops) != 1:
         raise InternalCheckError("ill-defined-bounds", "", ())
     return OrthoPoset(s.order, ortho)

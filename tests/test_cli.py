@@ -181,7 +181,8 @@ def test_amp_checks_each_condition_once(capsys, monkeypatch):
 
 
 def test_system_without_views_exits_cleanly(capsys, tmp_path):
-    # every scan runs on empty stacked tables; the sum has no bounds
+    # every scan runs on empty stacked tables; the sum has no bounds, a
+    # fault of the input (exit 1), not of the program (exit 3)
     path = tmp_path / "empty.oml-model"
     path.write_text("repsys empty {\n}\n")
     for prop in ("rs", "boolean-rs", "closure", "eq6", "eq11"):
@@ -189,7 +190,7 @@ def test_system_without_views_exits_cleanly(capsys, tmp_path):
     assert run(capsys, "validate", str(path))[0] == 0
     for command in ("sum", "amp"):
         code, _, out = run(capsys, command, str(path))
-        assert code == 3 and "ill-defined-bounds" in out.err
+        assert code == 1 and "validation failure [not-bounded]" in out.err
 
 
 def test_amp_on_hexagon_reports_condition_failure(capsys):

@@ -551,7 +551,7 @@ def test_sum_as_orthoposet_matches_reference():
         got = outcome(lambda *a: sum_as_orthoposet(*a).ortho, s, brs)
         assert got == outcome(lambda *a: reference_sum_as_orthoposet(*a).ortho, s, brs), name
         seen.add(got[0])
-    assert seen == {"ok", "ill-defined-ortho", "ill-defined-bounds"}
+    assert seen == {"ok", "ill-defined-ortho", "ill-defined-bounds", "not-bounded"}
 
 
 def roundtrip(o):

@@ -3,11 +3,12 @@ built and tested one at a time.
 
 `build_repsys` validates the views of one size as one (m, n, n) stack, and
 `check_boolean_rs_axioms` decides their booleanness the same way. Both must
-give what the one-view-at-a-time path gives: the same views, or the same
-first error (code, witness and message) and the same verdict. The
-documents mix poset and orthoposet views of 0, 1, 2, 4, 8 and more than
-64 elements (more than one packed word), and each applies one defect to
-one view."""
+give what views built one at a time give: the same views, or the same
+first error (code, witness and message) and the same verdict. Views built
+one at a time come from `reference_build_view`, which does not share the
+library's checkers. The documents mix poset and orthoposet views of 0, 1,
+2, 4, 8 and more than 64 elements (more than one packed word), and apply
+up to two defects, each to one view."""
 
 import random
 from dataclasses import replace
@@ -33,7 +34,7 @@ from orthoview.modelio import ModelDocument, doc_from_orthoposet, doc_from_poset
 from orthoview.ortho import is_boolean_algebra, ortho_stack
 from orthoview.poset import _least_bounds, poset_stack
 
-from _models import as_orthoposet, boolean_algebra, mo, shuffled
+from _models import as_orthoposet, boolean_algebra, mo, reference_build_view, shuffled
 
 
 def _orthoposet_doc(model, seed):
@@ -41,7 +42,10 @@ def _orthoposet_doc(model, seed):
 
 
 # name -> the view document; the boolean ones have 1, 2, 4, 8 and 128
-# elements, MO-33 (68 elements) is a bare poset
+# elements, MO-33 (68 elements) is a bare poset, and "pairs" is the square as
+# a poset view that carries its ortho pairs plus one joining an undeclared id
+# to an element that has a partner already: only the API can make it, and
+# building must ignore the pairs
 VIEWS = {
     "empty": ModelDocument("poset", "v"),
     "point": ModelDocument("poset", "v", ("p",)),
@@ -54,6 +58,7 @@ VIEWS = {
     "b8": _orthoposet_doc(boolean_algebra(3), 6),
     "b128": _orthoposet_doc(boolean_algebra(7), 7),
 }
+VIEWS["pairs"] = replace(VIEWS["b4"], kind="poset", ortho_pairs=VIEWS["b4"].ortho_pairs + (("x?", VIEWS["b4"].elements[0]),))
 BOOLEAN = ("b1", "b2", "b4", "b4", "b8", "b8", "b128")
 NOT_BOOLEAN = {name: build_orthoposet(zoo_model(name).doc) for name in ("MO2", "hexagon_O6", "greechie_cycle_4")}
 
@@ -94,14 +99,36 @@ def _conflict(d, k):
     return replace(d, ortho_pairs=((x, yc),) + d.ortho_pairs)
 
 
+def _unknown_cover(d, k):
+    """The upper end of the k-th cover renamed to an undeclared id (only the
+    API can make this; the parser refuses it)."""
+    lo, _ = d.covers[k]
+    return replace(d, covers=d.covers[:k] + ((lo, "u?"),) + d.covers[k + 1:])
+
+
+def _unknown_partner(d, k):
+    """The k-th pair x:x' split into x:u and u':x', u and u' undeclared ids:
+    every element keeps one partner, one of them unknown (only the API can
+    make this)."""
+    x, xc = d.ortho_pairs[k]
+    return replace(d, ortho_pairs=d.ortho_pairs[:k] + ((x, "u?"), ("u'?", xc)) + d.ortho_pairs[k + 1:])
+
+
+def _pairs(d):
+    """The ortho pairs an orthoposet view reads; a poset view reads none."""
+    return len(d.ortho_pairs) if d.kind == "orthoposet" else 0
+
+
 # defect -> (the number of places it can apply to a view, the edit at place k)
 DEFECTS = {
     "cycle": (lambda d: len(d.covers), _cycle),
-    "missing": (lambda d: len(d.ortho_pairs), _missing),
-    "crossed": (lambda d: len(d.ortho_pairs) - 1, _crossed),
-    "self": (lambda d: sum(a != b for a, b in d.ortho_pairs), _self),
+    "missing": (_pairs, _missing),
+    "crossed": (lambda d: _pairs(d) - 1, _crossed),
+    "self": (lambda d: sum(a != b for a, b in d.ortho_pairs) if _pairs(d) else 0, _self),
     "duplicate": (lambda d: len(d.elements), _duplicate),
-    "conflict": (lambda d: len(d.ortho_pairs) - 1, _conflict),
+    "conflict": (lambda d: _pairs(d) - 1, _conflict),
+    "unknown-cover": (lambda d: len(d.covers), _unknown_cover),
+    "unknown-partner": (_pairs, _unknown_partner),
 }
 
 
@@ -119,37 +146,44 @@ def outcome(fn, *args):
 
 
 def views_one_at_a_time(doc):
-    """The views of a repsys document as (poset, orthoposet or None), each
-    built on its own, in document order."""
-    out = []
-    for _, d in doc.views:
-        if d.kind == "orthoposet":
-            o = build_orthoposet(d)
-            out.append((o.poset, o))
-        else:
-            out.append((build_poset(d), None))
-    return out
+    """The views of a repsys document, each built on its own by
+    `reference_build_view`, in document order."""
+    return [reference_build_view(d) for _, d in doc.views]
 
 
 def same_view(got, want):
-    (p, o), (q, r) = got, want
-    same = p.elements == q.elements and np.array_equal(p.leq, q.leq) and p._tables is None
-    if o is None or r is None:
-        return same and o is r
-    return same and o.poset is p and (o.ortho, o.least, o.greatest) == (r.ortho, r.least, r.greatest)
+    (p, o), (els, leq, ortho, least, greatest) = got, want
+    same = p.elements == els and np.array_equal(p.leq, leq) and p._tables is None
+    if o is None or ortho is None:
+        return same and o is None and ortho is None
+    return same and o.poset is p and (o.ortho, o.least, o.greatest) == (ortho, least, greatest)
+
+
+def _put_defect(vdocs, defect, data):
+    """Apply defect at a drawn place of a drawn view that can take it (a b8
+    view is put in at a drawn position when none can)."""
+    eligible, edit = DEFECTS[defect]
+    if not any(eligible(d) > 0 for d in vdocs):
+        vdocs.insert(data.draw(st.integers(0, len(vdocs))), VIEWS["b8"])
+    at = data.draw(st.sampled_from([k for k, d in enumerate(vdocs) if eligible(d) > 0]))
+    vdocs[at] = edit(vdocs[at], data.draw(st.integers(0, eligible(vdocs[at]) - 1)))
 
 
 @pytest.mark.parametrize("defect", ["none", *DEFECTS])
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(names=st.lists(st.sampled_from(sorted(VIEWS)), min_size=1, max_size=7), data=st.data())
 def test_build_repsys_matches_one_view_at_a_time(defect, names, data):
+    """One defect on one view, and maybe a second, of a drawn kind, on a
+    view put in at a drawn position: the first failing view in document
+    order names the error, whichever size group holds it."""
     vdocs = [VIEWS[name] for name in names]
     if defect != "none":
-        eligible, edit = DEFECTS[defect]
-        if not any(eligible(d) > 0 for d in vdocs):
-            vdocs.insert(data.draw(st.integers(0, len(vdocs))), VIEWS["b8"])
-        at = data.draw(st.sampled_from([k for k, d in enumerate(vdocs) if eligible(d) > 0]))
-        vdocs[at] = edit(vdocs[at], data.draw(st.integers(0, eligible(vdocs[at]) - 1)))
+        _put_defect(vdocs, defect, data)
+        second = data.draw(st.sampled_from([None, *DEFECTS]))
+        if second is not None:
+            eligible, edit = DEFECTS[second]
+            base = VIEWS[data.draw(st.sampled_from([name for name in sorted(VIEWS) if eligible(VIEWS[name]) > 0]))]
+            vdocs.insert(data.draw(st.integers(0, len(vdocs))), edit(base, data.draw(st.integers(0, eligible(base) - 1))))
     doc = repsys_doc(vdocs)
     want = outcome(views_one_at_a_time, doc)
     if isinstance(want, tuple):
@@ -181,7 +215,19 @@ def test_each_defect_meets_its_law():
         "self": "complement-law",
         "duplicate": "duplicate-element",
         "conflict": "ortho-conflict",
+        "unknown-cover": "unknown-element",
+        "unknown-partner": "unknown-element",
     }
+
+
+def test_first_failing_view_in_a_later_size_group():
+    """The 4-element stack is built first and fails at the third view, but
+    the second view, alone in the 8-element stack, fails first in document
+    order and names the error."""
+    vdocs = [VIEWS["b4"], _cycle(VIEWS["b8"], 0), _missing(VIEWS["b4"], 0)]
+    assert outcome(modelio._view_stacks, vdocs) == outcome(reference_build_view, vdocs[2])
+    want = outcome(reference_build_view, vdocs[1])
+    assert want[0] == "antisymmetry" and outcome(build_repsys, repsys_doc(vdocs)) == want
 
 
 def _mo2_cycled():
@@ -189,7 +235,7 @@ def _mo2_cycled():
     b' -> a: antitone, with the complement law, but not involutive."""
     o = NOT_BOOLEAN["MO2"]
     step = {"a": "a'", "a'": "b", "b": "b'", "b'": "a", "0": "1", "1": "0"}
-    return o.poset, o.ortho, [o.idx(step[e]) for e in o.elements]
+    return o.poset, [o.idx(step[e]) for e in o.elements], o.poset, o.ortho
 
 
 def _hexagon_crossed():
@@ -197,20 +243,23 @@ def _hexagon_crossed():
     involutive, with the complement law, but not antitone."""
     o = NOT_BOOLEAN["hexagon_O6"]
     swap = {"a": "b'", "b'": "a", "b": "a'", "a'": "b", "0": "1", "1": "0"}
-    return o.poset, o.ortho, [o.idx(swap[e]) for e in o.elements]
+    return o.poset, [o.idx(swap[e]) for e in o.elements], o.poset, o.ortho
 
 
 def _two_chains():
     """Two chains 0 < 1 and p < q side by side, each pair complements: only
-    the bounds are missing, and no map has them."""
-    return build_poset(ModelDocument("poset", "v", ("0", "1", "p", "q"), (("0", "1"), ("p", "q")))), None, [1, 0, 3, 2]
+    the bounds are missing, and no map has them. The valid partner is the
+    square."""
+    chains = build_poset(ModelDocument("poset", "v", ("0", "1", "p", "q"), (("0", "1"), ("p", "q"))))
+    square = as_orthoposet(boolean_algebra(2))
+    return chains, [1, 0, 3, 2], square.poset, square.ortho
 
 
 def _atoms_self_paired():
     """The square with each atom its own complement: involutive and
     antitone, but the atoms meet above 0."""
     o = as_orthoposet(boolean_algebra(2))
-    return o.poset, o.ortho, [3, 1, 2, 0]
+    return o.poset, [3, 1, 2, 0], o.poset, o.ortho
 
 
 @pytest.mark.parametrize(
@@ -223,14 +272,15 @@ def _atoms_self_paired():
 )
 def test_poset_stack_refuses_each_order_law(code, leq):
     """An order failing one law alone: the constructor names it, and a
-    stack holding it next to a valid order is refused."""
+    stack holding it before or after a valid order raises the same code,
+    witness and message."""
     leq = np.array(leq, dtype=bool)
-    els = tuple("xyz"[: len(leq)])
-    with pytest.raises(ValidationError) as err:
-        FinitePoset(els, leq)
-    assert err.value.code == code
+    els, other = tuple("xyz"[: len(leq)]), tuple("abc"[: len(leq)])
+    want = outcome(FinitePoset, els, leq)
+    assert want[0] == code
     chain = np.triu(np.ones(leq.shape, dtype=bool))
-    assert poset_stack([els, els], np.stack([chain, leq])) is None
+    assert outcome(poset_stack, [els, other], np.stack([leq, chain])) == want
+    assert outcome(poset_stack, [other, els], np.stack([chain, leq])) == want
     assert poset_stack([els], chain[None].copy())[0].leq.tolist() == chain.tolist()
 
 
@@ -245,17 +295,46 @@ def test_poset_stack_refuses_each_order_law(code, leq):
 )
 def test_ortho_stack_refuses_each_ortho_law(code, case):
     """A complement map failing one law alone: the constructor names it,
-    and a stack holding it next to a valid map on the same poset is
-    refused."""
-    p, good, bad = case()
-    with pytest.raises(ValidationError) as err:
-        OrthoPoset(p, bad)
-    assert err.value.code == code
-    if good is None:
-        assert ortho_stack([p], np.array([bad])) is None
-        return
-    assert ortho_stack([p, p], np.array([good, bad])) is None
-    assert ortho_stack([p], np.array([good]))[0].ortho == tuple(good)
+    and a stack holding it before or after a valid orthoposet of its size
+    raises the same code, witness and message."""
+    p, bad, q, good = case()
+    want = outcome(OrthoPoset, p, bad)
+    assert want[0] == code
+    assert outcome(ortho_stack, [p, q], np.array([bad, good])) == want
+    assert outcome(ortho_stack, [q, p], np.array([good, bad])) == want
+    assert ortho_stack([q], np.array([good]))[0].ortho == tuple(good)
+
+
+def test_stack_raises_the_first_failing_matrix_first_law():
+    """Two failing members: the first one in the stack names the error,
+    with its own first law, even when the other fails an earlier law."""
+    refl = np.array([[1, 1, 1], [0, 0, 1], [0, 0, 1]], dtype=bool)
+    trans = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    els, other = ("x", "y", "z"), ("a", "b", "c")
+    for first, second in ((trans, refl), (refl, trans)):
+        want = outcome(FinitePoset, els, first)
+        assert outcome(poset_stack, [els, other], np.stack([first, second])) == want
+    (p, crossed, _, _), (q, cycled, _, _) = _hexagon_crossed(), _mo2_cycled()
+    assert outcome(ortho_stack, [p, q], np.array([crossed, cycled])) == outcome(OrthoPoset, p, crossed)
+    assert outcome(ortho_stack, [q, p], np.array([cycled, crossed])) == outcome(OrthoPoset, q, cycled)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        (("0", "1"), ("a", "u?"), ("u'?", "a")),  # a listed with two partners
+        (("0", "1"), ("a", "u?")),  # b without a partner, a's unknown
+        (("0", "1"), ("a", "u?"), ("b", "u'?")),  # a's partner unknown, then b's
+        (("0", "1"), ("a", "b"), ("a", "u?")),  # a's second partner unknown
+    ],
+)
+def test_complement_errors_keep_their_order(pairs):
+    """ortho-conflict, then ortho-incomplete, then unknown-element, alone
+    and as a view between two valid ones."""
+    d = replace(VIEWS["b4"], elements=("0", "a", "b", "1"), covers=(("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")), ortho_pairs=pairs)
+    want = outcome(reference_build_view, d)
+    assert outcome(build_orthoposet, d) == want
+    assert outcome(build_repsys, repsys_doc([VIEWS["b4"], d, VIEWS["b4"]])) == want
 
 
 def support_tables(views, posets):
@@ -284,11 +363,10 @@ def test_boolean_views_match_one_view_at_a_time(names, inserted):
     doc = repsys_doc(vdocs)
     rs, orthos = build_repsys(doc)
     rs = make_rs(rs.views, rs.posets, support_tables(rs.views, rs.posets))
-    one = views_one_at_a_time(doc)
-    ref_orthos = tuple(o for _, o in one)
+    ref_orthos = tuple(build_orthoposet(d) for d in vdocs)
     for o in ref_orthos:
         is_boolean_algebra(o)
-    want = check_boolean_rs_axioms(make_rs(rs.views, [p for p, _ in one], rs.transforms), ref_orthos)
+    want = check_boolean_rs_axioms(make_rs(rs.views, [o.poset for o in ref_orthos], rs.transforms), ref_orthos)
     if inserted:
         assert not want and want.code == "view-not-boolean"
         got = check_boolean_rs_axioms(rs, orthos)
