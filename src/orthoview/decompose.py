@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poset import InternalCheckError, ValidationError, poset_stack, size_groups
-from .ortho import distributivity_failure, ortho_stack
+from .ortho import _foulis_holland, distributivity_failure, ortho_stack
 from .repsys import BooleanRepresentationSystem, RepresentationSystem, check_boolean_rs_axioms, validate_rs
 from .sums import build_presum, quotient_sum, sum_as_orthoposet
 
@@ -35,42 +35,89 @@ class BooleanSubalgebra:
 
 
 def subalgebra(o, carrier):
-    """Validate a carrier set and package it as a BooleanSubalgebra.
+    """Validate a carrier set and package it as a BooleanSubalgebra: the
+    one-carrier case of `_check_carriers`, raising the first law it breaks.
 
+    An index outside 0..n-1 raises unknown-element before any law is read.
     Once the carrier holds the bounds, its complements and the host joins
     and meets of its pairs, its induced order is an ortholattice whose joins
     and meets are the host's, so distributivity and 2^|atoms| elements, read
-    from the host tables restricted to it, decide whether it is boolean."""
+    from the host tables restricted to it, decide whether it is boolean; a
+    non-distributive carrier is named by its first failing triple."""
     carrier = tuple(sorted(set(int(i) for i in carrier)))
-    els = o.elements
-    for b in (o.least, o.greatest):
-        if b not in carrier:
-            raise ValidationError("missing-bounds", f"carrier lacks bound {els[b]!r}", (els[b],))
-    for i in carrier:
-        if o.ortho[i] not in carrier:
-            raise ValidationError("not-ortho-closed", f"complement of {els[i]!r} missing", (els[i],))
+    (sub,) = _check_carriers(o, [carrier], name=True)
+    if isinstance(sub, ValidationError):
+        raise sub
+    return sub
+
+
+def _check_carriers(o, carriers, name=False):
+    """`subalgebra`'s laws, in its order, decided for every carrier (a
+    sorted tuple of distinct indices), those of one size s as one stack: an
+    (m, s, s) gather of the host join, meet and order tables, renumbered to
+    carrier positions for the Foulis-Holland test (see
+    `is_boolean_algebra`). Returns per carrier its BooleanSubalgebra or, if
+    it breaks a law, None; with name, the ValidationError of its first
+    broken law and that law's first witness in index order.
+
+    Every law is read on every carrier of a stack, so those after a
+    carrier's first broken law read values that are in range but
+    meaningless; only the first broken law counts."""
+    els, n = o.elements, o.n
     join, meet = o.poset.tables()
-    grid = np.ix_(carrier, carrier)
-    jn, mt = join[grid], meet[grid]
-    missing = (jn < 0) | (mt < 0)
-    bad = np.argwhere(missing | ~np.isin(jn, carrier) | ~np.isin(mt, carrier))
-    if len(bad):
-        a, b = map(int, bad[0])
-        i, j = carrier[a], carrier[b]
-        if missing[a, b]:
-            raise ValidationError("join-meet-missing", f"{els[i]!r}, {els[j]!r} lack a host join or meet", (els[i], els[j]))
-        raise ValidationError("not-closed", f"join/meet of {els[i]!r}, {els[j]!r} leaves the carrier", (els[i], els[j]))
-    ortho = np.searchsorted(carrier, np.take(o.ortho, carrier))
-    bad = distributivity_failure(np.searchsorted(carrier, jn), np.searchsorted(carrier, mt), ortho)
-    if bad is not None:
-        witness = tuple(els[carrier[k]] for k in bad)
-        raise ValidationError("not-boolean", "induced order is not boolean: not-distributive", witness)
-    # atoms: only the bottom strictly below them in the carrier
-    below = o.poset.leq[grid].sum(axis=0)
-    atoms = tuple(int(i) for i, k in zip(carrier, below) if k == 2)
-    if len(carrier) != 2 ** len(atoms):
-        raise ValidationError("bad-cardinality", f"|carrier|={len(carrier)} != 2^{len(atoms)}")
-    return BooleanSubalgebra(carrier, atoms)
+    ortho = np.array(o.ortho, dtype=np.intp)
+    bounds = np.array([o.least, o.greatest], dtype=np.intp)
+    out = [None] * len(carriers)
+    for s, ks in size_groups([len(c) for c in carriers]).items():
+        given = np.array([carriers[k] for k in ks], dtype=np.intp).reshape(len(ks), s)
+        unknown = (given < 0) | (given >= n)
+        c = np.where(unknown, 0, given)
+        rows = np.arange(len(ks))[:, None]
+        local = np.full((len(ks), n), -1, dtype=np.intp)  # local[k, x]: the position of x in carrier k, or -1
+        local[rows, c] = np.arange(s)
+        grid = (c[:, :, None], c[:, None, :])
+        jn, mt = join[grid], meet[grid]
+        ljn, lmt, lortho = local[rows[..., None], jn], local[rows[..., None], mt], local[rows, ortho[c]]
+        missing = (jn < 0) | (mt < 0)
+        atoms = o.poset.leq[grid].sum(axis=1) == 2  # only the bottom strictly below them in the carrier
+        faults = {  # each law's failures on every carrier of the stack
+            "unknown-element": unknown,
+            "missing-bounds": local[:, bounds] < 0,
+            "not-ortho-closed": lortho < 0,
+            "not-closed": missing | (ljn < 0) | (lmt < 0),  # join-meet-missing where missing
+            "not-boolean": ~_foulis_holland(ljn, lmt, lortho),
+            "bad-cardinality": 2.0 ** atoms.sum(axis=1) != s,
+        }
+        laws = list(faults)
+        broken = np.stack([f.reshape(len(ks), -1).any(axis=1) for f in faults.values()], axis=1)
+        first = np.where(broken.any(axis=1), broken.argmax(axis=1), -1).tolist()
+
+        def error(j, law):
+            if law == "not-boolean":
+                witness = tuple(els[x] for x in c[j, list(distributivity_failure(ljn[j], lmt[j]))])
+                return ValidationError(law, "induced order is not boolean: not-distributive", witness)
+            if law == "bad-cardinality":
+                return ValidationError(law, f"|carrier|={s} != 2^{int(atoms[j].sum())}")
+            at = tuple(np.argwhere(faults[law][j])[0].tolist())
+            if law == "unknown-element":
+                i = int(given[j, at[0]])
+                return ValidationError(law, f"no element at index {i}", (i,))
+            if law == "missing-bounds":
+                b = els[bounds[at[0]]]
+                return ValidationError(law, f"carrier lacks bound {b!r}", (b,))
+            ids = [els[x] for x in c[j, at]]
+            if law == "not-ortho-closed":
+                return ValidationError(law, f"complement of {ids[0]!r} missing", ids)
+            if missing[(j, *at)]:
+                return ValidationError("join-meet-missing", f"{ids[0]!r}, {ids[1]!r} lack a host join or meet", ids)
+            return ValidationError(law, f"join/meet of {ids[0]!r}, {ids[1]!r} leaves the carrier", ids)
+
+        for j, (k, law) in enumerate(zip(ks, first)):
+            if law < 0:
+                out[k] = BooleanSubalgebra(carriers[k], tuple(c[j, atoms[j]].tolist()))
+            elif name:
+                out[k] = error(j, laws[law])
+    return out
 
 
 def _close(o, seed):
@@ -116,7 +163,9 @@ def enumerate_boolean_subalgebras(o, cap=32):
     node (last atom, host join j so far, atoms) grows by each a > last,
     a != 0, with a <= j' (orthogonal to every atom chosen) and a host join
     with j. At j = 1, atoms that pass `_complements_are_joins` are closed
-    by `_close` and admitted by `subalgebra`.
+    by `_close`, one candidate at a time. The closures are then admitted
+    together by `_check_carriers`, which decides `subalgebra`'s laws on one
+    stack per carrier size and drops the failures unnamed.
 
     This is complete on any host. A subalgebra's sorted atoms are pairwise
     orthogonal and its joins are the host's, so every prefix join exists,
@@ -129,7 +178,7 @@ def enumerate_boolean_subalgebras(o, cap=32):
     join, _ = o.poset.tables()
     ortho = np.array(o.ortho)
     below = np.ascontiguousarray(o.poset.leq.T)  # below[y, a]: a <= y
-    found, stack = [], [(-1, o.least, ())]
+    closed, stack = [], [(-1, o.least, ())]
     while stack:
         last, cur, atoms = stack.pop()
         if cur != o.greatest:
@@ -137,32 +186,38 @@ def enumerate_boolean_subalgebras(o, cap=32):
             nxt[:last + 1] = nxt[o.least] = False
             stack.extend((a, int(join[cur, a]), atoms + (a,)) for a in np.flatnonzero(nxt)[::-1].tolist())
         elif _complements_are_joins(join, ortho, o.least, atoms) and (c := _close(o, atoms)) is not None:
-            try:
-                found.append(subalgebra(o, c))
-            except ValidationError:
-                pass
+            closed.append(tuple(sorted(c)))
+    found = [sub for sub in _check_carriers(o, closed) if sub is not None]
     return tuple(sorted(found, key=lambda s: (s.size, s.carrier)))
 
 
-def _projections(o, carrier, xs):
-    """Local position of the least carrier element above each host element
-    in xs. A carrier element u above x is least iff the carrier elements
-    above u are exactly those above x, which their counts decide; a host
-    element with no such u raises bad-projection."""
+def _projections(o, carriers, xs):
+    """proj[k, i]: the local position in carriers[k] of the least carrier
+    element above host element xs[i], the carriers of one size read as one
+    stack. A carrier element u above x is least iff the carrier elements
+    above u are exactly those above x, which their counts decide. Where
+    there is no such u, the first carrier, then its first element of xs,
+    raises bad-projection."""
     leq = o.poset.leq
-    above = leq[np.ix_(xs, carrier)]
-    least = above & (leq[np.ix_(carrier, carrier)].sum(axis=1) == above.sum(axis=1, keepdims=True))
-    found = least.any(axis=1)
+    xs = np.asarray(xs, dtype=np.intp)
+    proj = np.zeros((len(carriers), len(xs)), dtype=np.intp)
+    found = np.zeros(proj.shape, dtype=bool)
+    for s, ks in size_groups([len(c) for c in carriers]).items():
+        c = np.array([carriers[k] for k in ks], dtype=np.intp).reshape(len(ks), s)
+        above = leq[xs[:, None], c[:, None, :]]  # above[k, i, u]: xs[i] <= u
+        ups = leq[c[:, :, None], c[:, None, :]].sum(axis=-1)  # the carrier elements above each u
+        least = above & (ups[:, None, :] == above.sum(axis=-1, keepdims=True))
+        found[ks], proj[ks] = least.any(axis=-1), least.argmax(axis=-1)
     if not found.all():
-        x = xs[int(np.argmin(found))]
-        raise InternalCheckError("bad-projection", f"no least carrier element above {o.elements[x]!r}", (o.elements[x],))
-    return least.argmax(axis=1)
+        x = o.elements[xs[np.argwhere(~found)[0][1]]]
+        raise InternalCheckError("bad-projection", f"no least carrier element above {x!r}", (x,))
+    return proj
 
 
 def upper_projection(o, sub, x):
     """Least element of the subalgebra dominating x, checked to dominate x
     and to lie below every carrier element that does."""
-    return sub.carrier[int(_projections(o, sub.carrier, [x])[0])]
+    return sub.carrier[int(_projections(o, [sub.carrier], [x])[0, 0])]
 
 
 def _views(o, subs):
@@ -199,7 +254,7 @@ def build_canonical_rs(o, cap=32, subs=None):
         subs = enumerate_boolean_subalgebras(o, cap=cap)
     views = tuple(f"B{k}" for k in range(len(subs)))
     posets, orthos = _views(o, subs)
-    proj = np.array([_projections(o, sub.carrier, np.arange(o.n)) for sub in subs], np.intp).reshape(len(subs), o.n)
+    proj = _projections(o, [sub.carrier for sub in subs], np.arange(o.n))
     carriers = np.concatenate([sub.carrier for sub in subs] + [np.empty(0, np.intp)])
     rs = RepresentationSystem(views, tuple(posets), proj[:, carriers], {})
     validate_rs(rs)

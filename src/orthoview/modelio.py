@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .poset import FinitePoset, ValidationError, _closure, _pair_indices, poset_stack, size_groups
+from .poset import FinitePoset, ValidationError, _closed_stack, _pair_indices, size_groups
 from .ortho import OrthoPoset, ortho_stack
 from .repsys import make_rs
 
@@ -394,7 +394,7 @@ def _complements(doc, index):
 def _view_stacks(vdocs):
     """(posets, orthoposets or None) of the view documents, the views of one
     size built as one stack: their cover relations are closed together and
-    each law is decided once over the stack (`poset_stack`, `ortho_stack`).
+    each law is decided once over the stack (`_closed_stack`, `ortho_stack`).
     A failing view raises its own error, but not always the first failing
     view in document order (see `build_repsys`)."""
     posets, orthos = [None] * len(vdocs), [None] * len(vdocs)
@@ -409,7 +409,7 @@ def _view_stacks(vdocs):
         below, above = np.array(cover_ends, dtype=np.intp).reshape(-1, 2).T
         rel = np.zeros((len(docs), n, n), dtype=bool)
         rel[cover_at, below, above] = True
-        ps = poset_stack([d.elements for d in docs], _closure(rel))
+        ps = _closed_stack([d.elements for d in docs], rel)
         rows = [j for j, d in enumerate(docs) if d.kind == "orthoposet"]
         comp = np.array([_complements(docs[j], indices[j]) for j in rows], dtype=np.intp).reshape(len(rows), n)
         for k, p in zip(ks, ps):

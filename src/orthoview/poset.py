@@ -162,6 +162,9 @@ _ORDER_LAWS = (
     ),
     ("transitivity", "missing {0!r} <= {1!r}", lambda els, leq: _compose(leq) & ~leq),
 )
+# The laws left to check on an order `_closure` made: it is reflexive and
+# transitive by construction.
+_CLOSED_ORDER_LAWS = (_ORDER_LAWS[0], _ORDER_LAWS[2])
 
 
 def _check_laws(laws, elements, leq, *more):
@@ -244,7 +247,7 @@ class FinitePoset:
         rel = np.eye(len(elements), dtype=bool)
         ends = _pair_indices({e: i for i, e in enumerate(elements)}, pairs)
         rel[ends[::2], ends[1::2]] = True
-        return cls(elements, _closure(rel))
+        return _closed_stack([elements], rel[None])[0]
 
     def idx(self, element):
         """Index of an element id."""
@@ -314,6 +317,18 @@ def poset_stack(elements, leq):
     the (m, n, n) stack of their orders, checked by `_check_orders`. The
     stack is made read-only; each poset keeps its slice."""
     _check_orders(elements, leq)
+    return _sliced(elements, leq)
+
+
+def _closed_stack(elements, rel):
+    """`poset_stack` on the closures (`_closure`) of an (m, n, n) stack of
+    relations, checked against `_CLOSED_ORDER_LAWS` only."""
+    leq = _closure(rel)
+    _check_laws(_CLOSED_ORDER_LAWS, elements, leq)
+    return _sliced(elements, leq)
+
+
+def _sliced(elements, leq):
     leq.flags.writeable = False
     return [FinitePoset._validated(e, m) for e, m in zip(elements, leq)]
 

@@ -486,6 +486,27 @@ def reference_subalgebra_pairs(o, carrier):
     return True, "", ()
 
 
+def reference_subalgebra(o, carrier):
+    """Every law `subalgebra` checks, in its order, as plain loops: indices
+    in 0..n-1, then the bounds, closure under the complement, the pair scan
+    (`reference_subalgebra_pairs`) and the boolean check
+    (`reference_boolean_carrier`). Returns (ok, code, witness, atoms)."""
+    carrier = sorted(set(carrier))
+    for i in carrier:
+        if not 0 <= i < o.n:
+            return False, "unknown-element", (i,), ()
+    for b in (o.least, o.greatest):
+        if b not in carrier:
+            return False, "missing-bounds", (o.elements[b],), ()
+    for i in carrier:
+        if o.ortho[i] not in carrier:
+            return False, "not-ortho-closed", (o.elements[i],), ()
+    ok, code, witness = reference_subalgebra_pairs(o, carrier)
+    if not ok:
+        return False, code, witness, ()
+    return reference_boolean_carrier(o, carrier)
+
+
 # -- transformation tables, one pair of views at a time ------------------------
 # The library builds a system's tables as one index array; these loops build
 # each table on its own, as {(i, j): tuple} with the view-i index of every

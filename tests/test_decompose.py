@@ -25,13 +25,17 @@ from _models import (
     boolean_algebra,
     brute_force_subalgebras,
     double_chain,
+    greechie_chain,
     greechie_cycle,
+    greechie_pasting,
     mo,
     product,
     random_orthoposet,
     reference_boolean_carrier,
     reference_close,
+    reference_canonical_tables,
     reference_enumerate_boolean_subalgebras,
+    reference_subalgebra,
     reference_subalgebra_pairs,
     reference_worklist_subalgebras,
     shuffled,
@@ -229,11 +233,23 @@ def test_subalgebra_boolean_check_matches_reference():
 def test_enumeration_validates_each_result_once(monkeypatch):
     import orthoview.decompose as dec
 
-    calls = []
-    original = dec.subalgebra
-    monkeypatch.setattr(dec, "subalgebra", lambda o, c: calls.append(c) or original(o, c))
+    closures, calls = [], []
+    close, check = dec._close, dec._check_carriers
+
+    def recorded_close(o, seed):
+        c = close(o, seed)
+        if c is not None:
+            closures.append(c)
+        return c
+
+    monkeypatch.setattr(dec, "_close", recorded_close)
+    monkeypatch.setattr(dec, "_check_carriers", lambda o, cs, **kw: calls.append(list(cs)) or check(o, cs, **kw))
     subs = enumerate_boolean_subalgebras(zoo_ortho("greechie_cycle_5"))
-    assert len(calls) == len(subs) == 16
+    assert len(subs) == 16
+    assert len(calls) == 1
+    # every closure, as a sorted carrier, once
+    assert Counter(calls[0]) == Counter(tuple(sorted(c)) for c in closures)
+    assert len(calls[0]) == len(closures)
 
 
 def test_cap_exceeded():
@@ -262,6 +278,12 @@ def test_subalgebra_validation_errors():
     with pytest.raises(ValidationError) as err:
         subalgebra(o, (0, 1, 2, 5, 6, 7))
     assert (err.value.code, err.value.witness) == ("not-closed", ("s001", "s010"))
+    # indices outside 0..n-1 are refused before any law reads them
+    o = zoo_ortho("MO2")
+    for carrier, index in (([0, 3, 3, -1], -1), ([0, 3, 7], 7)):
+        with pytest.raises(ValidationError) as err:
+            subalgebra(o, carrier)
+        assert (err.value.code, err.value.witness) == ("unknown-element", (index,))
 
 
 def test_subalgebra_names_the_first_distributivity_failure():
@@ -299,6 +321,94 @@ def test_subalgebra_pair_scan_matches_reference():
                 assert got[1] not in ("join-meet-missing", "not-closed")
             else:
                 assert got == (ok, code, witness)
+
+
+def forged_chain():
+    """0 < a < 1 with the complement 0 -> 1, a -> 1, 1 -> 0, installed
+    without validation: not an orthoposet, but its whole carrier passes
+    every law up to Foulis-Holland and has one atom for three elements. On
+    a valid host a carrier that passes Foulis-Holland is boolean, so only
+    such a host reaches bad-cardinality."""
+    from orthoview import FinitePoset, OrthoPoset
+
+    p = FinitePoset(["0", "a", "1"], [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+    return OrthoPoset._validated(p, (2, 2, 0), 0, 2)
+
+
+def mixed_carriers(o, rng):
+    """Carriers of every size and kind on host o, shuffled so that each size
+    group is spread over the list: subsets, ortho-closed sets, closures,
+    subalgebras, the whole host and sets with an index outside 0..n-1."""
+    carriers = [sub.carrier for sub in enumerate_boolean_subalgebras(o)] + [range(o.n)]
+    for _ in range(12):
+        seed = {rng.randrange(o.n) for _ in range(rng.randint(1, 3))}
+        closed = reference_close(o, seed)
+        carriers += [seed, seed | {o.least, o.greatest} | {o.ortho[x] for x in seed}]
+        carriers += [closed] if closed is not None else []
+    carriers += [{o.least, o.greatest, rng.choice([-1, o.n, o.n + 3])}, {rng.randrange(o.n), -2}]
+    carriers = [tuple(sorted(set(c))) for c in carriers]
+    rng.shuffle(carriers)
+    return carriers
+
+
+def test_stacked_carrier_check_matches_reference_and_one_at_a_time():
+    from orthoview.decompose import _check_carriers
+
+    rng = random.Random(61)
+    hosts = [build_orthoposet(m.doc) for m in zoo().values() if m.kind == "orthoposet"]
+    hosts += [random_orthoposet(rng) for _ in range(30)]
+    triangle_with_chord = [("a", "b", "c"), ("c", "d", "e"), ("e", "f", "a"), ("a", "g", "d")]
+    pastings = [greechie_cycle(4), greechie_chain(3), greechie_pasting(triangle_with_chord)]
+    hosts += [as_orthoposet(shuffled(m, rng)) for m in pastings]
+    codes = Counter()
+    for o in hosts:
+        carriers = mixed_carriers(o, rng)
+        named, plain = _check_carriers(o, carriers, name=True), _check_carriers(o, carriers)
+        for carrier, got, bare in zip(carriers, named, plain):
+            ok, code, witness, atoms = reference_subalgebra(o, carrier)
+            codes[code] += 1
+            if ok:
+                assert got == bare == subalgebra(o, carrier)
+                assert (got.carrier, got.atoms) == (carrier, atoms)
+                continue
+            assert bare is None
+            with pytest.raises(ValidationError) as err:
+                subalgebra(o, carrier)
+            assert (got.code, got.witness, str(got)) == (err.value.code, err.value.witness, str(err.value))
+            assert (got.code, got.witness) == (code, witness)
+    laws = ("unknown-element", "missing-bounds", "not-ortho-closed", "join-meet-missing", "not-closed", "not-boolean")
+    assert set(codes) == {"", *laws}
+    o = forged_chain()
+    (got,) = _check_carriers(o, [(0, 1, 2)], name=True)
+    assert got.code == reference_subalgebra(o, range(3))[1] == "bad-cardinality"
+    assert str(got) == "|carrier|=3 != 2^1"
+
+
+def test_stacked_projections_match_the_per_subalgebra_loop():
+    from orthoview import InternalCheckError
+    from orthoview.decompose import _projections
+
+    rng = random.Random(67)
+    hosts = [zoo_ortho("greechie_cycle_5"), as_orthoposet(shuffled(boolean_algebra(4), rng))]
+    hosts += [random_orthoposet(rng) for _ in range(10)]
+    for o in hosts:
+        subs = list(enumerate_boolean_subalgebras(o))
+        rng.shuffle(subs)
+        proj = _projections(o, [sub.carrier for sub in subs], range(o.n))
+        for k, sub in enumerate(subs):
+            assert proj[k].tolist() == _projections(o, [sub.carrier], range(o.n))[0].tolist()
+        tables = reference_canonical_tables(o, subs)
+        for i in range(len(subs)):
+            for j, sub in enumerate(subs):
+                assert tuple(proj[i, list(sub.carrier)].tolist()) == tables[(f"B{i}", f"B{j}")]
+    o = as_orthoposet(boolean_algebra(3))
+    # the size-4 stack is read first, but the size-6 carrier comes first in
+    # the list: (0, 1, 2, 5, 6, 7) fails first at s100, (0, 3, 6, 7) at s010
+    carriers = [(0, 1, 6, 7), (0, 1, 2, 5, 6, 7), (0, 3, 6, 7)]
+    for fakes, witness in ((carriers, "s100"), (carriers[::2], "s010")):
+        with pytest.raises(InternalCheckError) as err:
+            _projections(o, fakes, range(o.n))
+        assert (err.value.code, err.value.witness) == ("bad-projection", (witness,))
 
 
 def test_upper_projection_values():
