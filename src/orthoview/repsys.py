@@ -9,17 +9,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .poset import OK, ValidationError, Verdict, _packed
+from .poset import OK, ValidationError, Verdict
 from .ortho import is_boolean_algebra, stack_boolean
-
-_CHUNK = 8 << 20  # bytes gathered at once by the row tests
-
-
-def _chunks(n, row_bytes):
-    """Slices covering range(n), each gathering about _CHUNK bytes of rows
-    that are row_bytes long."""
-    step = max(1, _CHUNK // max(row_bytes, 1))
-    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def _table_error(i, j, code):
@@ -43,11 +34,11 @@ class RepresentationSystem:
     a {(i, j): table} mapping. Tables never change after construction, and
     systems compare and hash by identity.
 
-    `presum_rows` packs the pre-sum: row a = (k, x) restricted to view i's
-    block is the up-set of f_(i|k)(x). `monotone` and `composes` decide
-    those two laws on it exactly, and together they make the pre-sum
-    transitive: (k, x) <= (j, y) <= (i, z) gives
-    f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) <= f_(i|j)(y) <= z.
+    Column g[:, a] is how every view sees pair a, and `columns` holds the
+    distinct ones. Each law is decided and named on them (`_first_failure`):
+    `monotony` and `composition` are the verdicts of those two laws, and
+    together they make the pre-sum transitive: (k, x) <= (j, y) <= (i, z)
+    gives f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) <= f_(i|j)(y) <= z.
     """
 
     views: tuple
@@ -110,40 +101,56 @@ class RepresentationSystem:
         return off, g
 
     @cached_property
-    def presum_rows(self):
-        """The pre-sum relation as packed rows (`poset._packed`), built on
-        first use in row chunks from `stacked`: bit b of row a is set iff
-        pair a <= pair b, that is, iff f_(j|k)(x) <= y in view j for
-        a = (k, x) and b = (j, y). Read-only."""
-        off, g = self.stacked
-        n = int(off[-1])
-        rows = np.empty((n, -(-n // 64)), dtype="<u8")
-        for c in _chunks(n, n):
-            rows[c] = _packed(np.hstack([p.leq[t[c]] for p, t in zip(self.posets, g)]))
-        rows.flags.writeable = False
-        return rows
+    def columns(self):
+        """(G, cid): G is the V x R array of the distinct columns of g, and
+        cid maps each pair to its column, so g == G[:, cid]. Pairs share a
+        column iff every view sees them alike. Read-only. The columns are
+        compared as byte strings, in the narrowest dtype holding g."""
+        g = self.g
+        narrow = np.result_type(*map(np.min_scalar_type, (g.min(initial=0), g.max(initial=0))))
+        cols = np.ascontiguousarray(g.T, narrow)
+        keys = cols.view(np.dtype((np.void, cols.itemsize * cols.shape[1]))).ravel()
+        _, first, cid = np.unique(keys, return_index=True, return_inverse=True)
+        G = g[:, first]
+        G.flags.writeable = cid.flags.writeable = False
+        return G, cid
 
     @cached_property
-    def monotone(self):
-        """Monotony of every table, decided on `presum_rows`: f_(i|j)(x) <=
-        f_(i|j)(y) for every i iff row(j, y) is a subset of row(j, x), for
-        every x <= y in view j."""
-        rows = self.presum_rows
-        below = _within_views(self, [p.leq for p in self.posets])
-        return not any((rows[below[c, 1]] & ~rows[below[c, 0]]).any() for c in _chunks(len(below), rows.itemsize * rows.shape[1]))
+    def monotony(self):
+        """The verdict of monotony, f_(i|j)(x) <= f_(i|j)(y) for x <= y in
+        view j, naming the first failure of a scan over i, j, x, y. Item
+        (a, b) of the scan, a pair of pairs of one view, holds in view i by
+        the view-i entries of its two columns alone."""
+        self.stacked  # raises for a missing or bad table
+        G, cid = self.columns
+        leqs = [p.leq for p in self.posets]
+        a, b = _within_views(self, np.concatenate([m.ravel() for m in leqs] + [np.empty(0, bool)]))
+        hit = _first_failure(G, cid[np.stack([a, b])], lambda i, v: leqs[i][v[0], v[1]])
+        if hit is None:
+            return OK
+        i, bad = hit
+        k = bad.argmax()
+        (j, x), (_, y) = self.pair(a[k]), self.pair(b[k])
+        return Verdict(False, "monotony", (self.views[i], j, x, y))
 
     @cached_property
-    def composes(self):
-        """The composition law, decided on `presum_rows`: f_(i|k)(x) <=
-        f_(i|j)(f_(j|k)(x)) for every i iff row(j, f_(j|k)(x)) is a subset of
-        row(k, x). One gather of the pre-sum rows per view j."""
-        off, g = self.stacked
-        rows = self.presum_rows
-        for c in _chunks(len(rows), rows.itemsize * rows.shape[1]):
-            outside = ~rows[c]
-            if any((rows[start + t[c]] & outside).any() for start, t in zip(off, g)):
-                return False
-        return True
+    def composition(self):
+        """The verdict of composition, f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)),
+        naming the first failure of a scan over i, j, k, x. For a = (k, x)
+        in column r, f_(j|k)(x) is pair off[j] + G[j, r], so item (j, a)
+        holds in view i by (j, r) alone: V x R items, not V x P."""
+        off, _ = self.stacked
+        G, cid = self.columns
+        leqs = [p.leq for p in self.posets]
+        routed = cid[off[:-1, None] + G]  # routed[j, r]: the column of f_(j|k)(x) for (k, x) in column r
+        items = np.stack([np.broadcast_to(np.arange(G.shape[1]), G.shape).ravel(), routed.ravel()])
+        hit = _first_failure(G, items, lambda i, v: leqs[i][v[0], v[1]])
+        if hit is None:
+            return OK
+        i, bad = hit
+        bad = bad.reshape(G.shape)
+        j = int(bad.any(axis=1).argmax())
+        return Verdict(False, "composition", (self.views[i], self.views[j]) + self.pair(int(bad[j, cid].argmax())))
 
     def pair(self, a):
         """(view, element id) of pair a in the `stacked` numbering."""
@@ -178,47 +185,58 @@ def apply_transform(rs, i, j, x):
     return dst.elements[rs.transform(i, j)[src.idx(x)]]
 
 
-def _within_views(rs, mats):
-    """Pair indices (a, b) of the set entries of mats[k], one n_k x n_k
-    boolean matrix per view, in view and then row-major order: the order of
-    a scan over k, x, y."""
-    off = rs.off
-    return np.concatenate([np.argwhere(m) + off[k] for k, m in enumerate(mats)] + [np.empty((0, 2), np.intp)])
+def _within_views(rs, cells):
+    """Pair indices (a, b) of the set entries of cells, one n_k x n_k
+    boolean matrix per view, raveled and laid end to end: in view and then
+    row-major order, the order of a scan over k, x, y."""
+    off, sizes = rs.off, np.diff(rs.off)
+    ends = np.cumsum(sizes * sizes)
+    e = np.flatnonzero(cells)
+    k = np.searchsorted(ends, e, "right")  # the view of cell e
+    x, y = np.divmod(e - (ends - sizes * sizes)[k], sizes[k])
+    return off[k] + x, off[k] + y
+
+
+def _first_failure(G, items, holds):
+    """The first view i, in view order, at which some scan item fails, and
+    the failure mask of every item there; None when every item holds in
+    every view.
+
+    items is an m x N array: column k holds the m columns of g on which
+    scan item k depends, and holds(i, v) is the mask of the tuples whose
+    view-i entries are v, an m x D array, that satisfy the law there. Each
+    distinct tuple is evaluated once per view, one view at a time."""
+    key = np.zeros(items.shape[1], np.int64)
+    for col in items:
+        key = key * G.shape[1] + col
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    tuples = items[:, first]
+    for i, row in enumerate(G):
+        ok = holds(i, row[tuples])
+        if not ok.all():
+            return i, ~ok[inverse]
+    return None
 
 
 def check_rs_axioms(rs):
     """Exhaustive check of the three transformation-table laws.
 
-    Identity is read off the `stacked` tables. Monotony and composition are
-    decided on the packed pre-sum rows (`RepresentationSystem.monotone`,
-    `composes`), with no dense pair x pair matrix. Only when one fails does
-    its scan run, one gather per target view i, to name the first failure of
-    a scan over i, j, (k,) x, (y). Witnesses carry view and element ids in a
-    fixed order so a failure can be re-verified by direct formula evaluation.
+    Identity is read off the `stacked` tables, then monotony and composition
+    come from `RepresentationSystem.monotony` and `composition`, decided on
+    the system's distinct columns. Witnesses carry view and element ids in
+    a fixed order so a failure can be re-verified by direct formula
+    evaluation.
     """
     try:
         off, g = rs.stacked
     except ValidationError as e:
         return Verdict(False, e.code, e.witness)
-    for i, p, t, start in zip(rs.views, rs.posets, g, off):
-        bad = np.flatnonzero(t[start:start + p.n] != np.arange(p.n))
-        if bad.size:
-            return Verdict(False, "identity", (i, p.elements[bad[0]]))
-    if not rs.monotone:
-        below = _within_views(rs, [p.leq for p in rs.posets])
-        for i, dst, t in zip(rs.views, rs.posets, g):
-            bad = np.flatnonzero(~dst.leq[t[below[:, 0]], t[below[:, 1]]])
-            if bad.size:
-                (j, x), (_, y) = map(rs.pair, below[bad[0]])
-                return Verdict(False, "monotony", (i, j, x, y))
-    if not rs.composes:
-        for i, dst, t in zip(rs.views, rs.posets, g):
-            routed = t[off[:-1, None] + g]  # routed[j, a] = f_(i|j)(f_(j|k)(x)) for a = (k, x)
-            bad = np.argwhere(~dst.leq[t, routed])
-            if len(bad):
-                j, a = bad[0]
-                return Verdict(False, "composition", (i, rs.views[j]) + rs.pair(a))
-    return OK
+    owner = np.repeat(np.arange(len(rs.views)), np.diff(off))
+    a = np.arange(off[-1])
+    bad = np.flatnonzero(g[owner, a] != a - off[owner])  # f_(k|k)(x) != x for a = (k, x)
+    if bad.size:
+        return Verdict(False, "identity", rs.pair(bad[0]))
+    return rs.monotony and rs.composition
 
 
 def validate_rs(rs):
@@ -247,93 +265,61 @@ class BooleanRepresentationSystem:
         return self.orthos[self.rs.view_index(view)]
 
 
-def _joins_preserved(rs, tables):
-    """Join preservation on `presum_rows`, given each view's join table:
-    row(j, x v y) == row(j, x) & row(j, y) for the index pairs x < y of
-    every view j. Both sides are symmetric in x and y and agree at x = y,
-    so half the pairs decide it."""
-    off, rows = rs.off, rs.presum_rows
-    x, y, xy = [], [], []
-    upper = {}  # the index pairs x < y, once per view size
-    for start, jn in zip(off, tables):
-        if len(jn) not in upper:
-            upper[len(jn)] = np.triu_indices(len(jn), 1)
-        u, v = upper[len(jn)]
-        x.append(start + u)
-        y.append(start + v)
-        xy.append(start + jn[u, v])
-    x, y, xy = (np.concatenate(a + [np.empty(0, np.intp)]) for a in (x, y, xy))
-    return all(np.array_equal(rows[xy[c]], rows[x[c]] & rows[y[c]]) for c in _chunks(len(x), rows.itemsize * rows.shape[1]))
-
-
-def _adjoint(rs, orthos):
-    """The ortho-adjunction on `presum_rows`: for a = (k, x) and b = (j, y),
-    rel[a, b] is f_(j|k)(x) <= y and rel[c(b), c(a)], with c(k, x) =
-    (k, x'), is f_(k|j)(y') <= x', so the law is rel[a, b] => rel[c(b),
-    c(a)] for every a, b. The rows of view k are checked against
-    leq_k[f_(k|j)(y'), x'], one n_k x pairs gather per view."""
-    off, g = rs.stacked
-    rows = rs.presum_rows
-    n = int(off[-1])
-    comp = np.concatenate([start + np.asarray(o.ortho, dtype=np.intp) for start, o in zip(off, orthos)] + [np.empty(0, np.intp)])
-    for start, stop, p, o, t in zip(off, off[1:], rs.posets, orthos, g):
-        back = p.leq[t[comp]][:, o.ortho].T  # back[x, b] = rel[c(b), (k, x')]
-        rel = np.unpackbits(rows[start:stop].view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
-        if (rel & ~back).any():
-            return False
-    return True
+def _above(posets, G):
+    """above[r, b]: the view-k entry of column r lies below y in posets[k],
+    for b = (k, y); row cid[a] is pair a's row of the pre-sum relation."""
+    return np.hstack([p.leq[t] for p, t in zip(posets, G)] + [np.empty((G.shape[1], 0), bool)])
 
 
 def check_boolean_rs_axioms(rs, orthos):
     """Booleanness of every view, join preservation, and the adjunction
-    f_(i|j)(x) <= y  =>  f_(j|i)(y') <= x', all checked exhaustively.
+    f_(i|j)(x) <= y  =>  f_(j|i)(y') <= x', all checked exhaustively on the
+    orthos' orders, each naming the first failure of a scan over i, j, x, y.
 
     The views of one size are decided boolean as one stack
     (`ortho.stack_boolean`), which also builds their join tables; a view
     failing there is checked on its own, to name the failure.
-    Where every ortho's order is its view's, both laws are decided on the
-    packed pre-sum rows. Restricted to view i's block, row(j, x v y) is the
-    up-set of f_(i|j)(x v y) and, view i being a lattice, row(j, x) &
-    row(j, y) is that of f_(i|j)(x) v f_(i|j)(y); so join preservation holds
-    iff the two rows are equal for all x, y of every view j
-    (`_joins_preserved`). The adjunction is rel[a, b] => rel[c(b), c(a)]
-    with c(k, x) = (k, x') (`_adjoint`).
-    Only when a row test fails, or an ortho is over another order, does the
-    scan below run, one gather per target view i, deciding and naming the
-    first failure of a scan over i, j, x, y on the orthos' orders.
+    Join preservation is decided on the distinct columns (`_first_failure`):
+    item (x, y) of view j holds in view i by the view-i entries of the
+    columns of (j, x), (j, y) and (j, x v y). Only x < y are scanned, since
+    the law is symmetric in x and y and holds at x = y.
+    The adjunction is rel[a, b] => rel[c(b), c(a)] on the pre-sum of the
+    orthos' orders, with c(k, x) = (k, x'). Row rel[a] is above[cid[a]], so
+    with every[s, r] the AND of rel[s, c(a)] over the pairs a of column r,
+    the law fails at (column r, b) iff above[r, b] and not every[cid[c(b)],
+    r]. Only the view of the first such b is scanned pair by pair, to name
+    the witness.
     """
     stack_boolean(orthos)
     for v, o in zip(rs.views, orthos):
         b = is_boolean_algebra(o)
         if not b:
             return Verdict(False, "view-not-boolean", (v, b.code) + b.witness)
-    off, g = rs.stacked
-    own = all(o.poset is p or np.array_equal(o.poset.leq, p.leq) for p, o in zip(rs.posets, orthos))
+    off, _ = rs.stacked
+    G, cid = rs.columns
     tables = [o.poset.tables()[0] for o in orthos]
-    if not (own and _joins_preserved(rs, tables)):
-        pairs = _within_views(rs, [np.ones(jn.shape, bool) for jn in tables])
-        joined = np.concatenate([jn.ravel() + off[k] for k, jn in enumerate(tables)] + [np.empty(0, np.intp)])
-        for i, oi, t, jn in zip(rs.views, orthos, g, tables):
-            bad = np.flatnonzero(t[joined] != jn[t[pairs[:, 0]], t[pairs[:, 1]]])
-            if bad.size:
-                (j, x), (_, y) = map(rs.pair, pairs[bad[0]])
-                return Verdict(False, "join-preservation", (i, j, x, y))
-    if own and _adjoint(rs, orthos):
+    joins = np.concatenate([jn.ravel() for jn in tables] + [np.empty(0, np.intp)])
+    x, y = _within_views(rs, np.ones(len(joins), bool))
+    upper = x < y
+    x, y = x[upper], y[upper]
+    xy = np.repeat(off[:-1], np.diff(off))[x] + joins[upper]  # the pair of x v y
+    hit = _first_failure(G, cid[np.stack([x, y, xy])], lambda i, v: tables[i][v[0], v[1]] == v[2])
+    if hit is not None:
+        i, bad = hit
+        k = bad.argmax()
+        (j, u), (_, v) = rs.pair(x[k]), rs.pair(y[k])
+        return Verdict(False, "join-preservation", (rs.views[i], j, u, v))
+    comp = np.concatenate([start + np.asarray(o.ortho, dtype=np.intp) for start, o in zip(off, orthos)] + [np.empty(0, np.intp)])
+    above = _above([o.poset for o in orthos], G)
+    order = np.argsort(cid, kind="stable")
+    every = np.logical_and.reduceat(above[:, comp[order]], np.flatnonzero(np.diff(cid[order], prepend=-1)), axis=1)
+    failing = (above & ~every.T[:, cid[comp]]).any(axis=0)
+    if not failing.any():
         return OK
-    # the source orders as one flat array: leq_k[u, v] = flat[base[k] + u * n_k + v]
-    sizes = np.diff(off)
-    flat = np.concatenate([o.poset.leq.ravel() for o in orthos] + [np.empty(0, bool)])
-    base = np.concatenate(([0], np.cumsum(sizes * sizes)))[:-1]
-    owner = np.repeat(np.arange(len(rs.views)), sizes)
-    comp = np.concatenate([np.array(o.ortho, dtype=np.intp) for o in orthos] + [np.empty(0, np.intp)])
-    row = base[owner] + comp  # row[a] + u * n_k addresses leq_k[u, x'] for a = (k, x)
-    for vi, (i, oi, t) in enumerate(zip(rs.views, orthos, g)):
-        back = g[owner[:, None], off[vi] + np.array(oi.ortho)]  # back[a, y] = f_(k|i)(y') for a = (k, x)
-        bad = np.argwhere(oi.poset.leq[t] & ~flat[row[:, None] + back * sizes[owner][:, None]])
-        if len(bad):
-            a, y = bad[0]
-            return Verdict(False, "ortho-adjunction", (i,) + rs.pair(a) + (oi.elements[y],))
-    return OK
+    i = int(np.searchsorted(off, failing.argmax(), "right")) - 1
+    b = np.arange(off[i], off[i + 1])
+    a, y = np.argwhere(above[cid[:, None], b] & ~above[cid[comp[b]]][:, comp].T)[0]
+    return Verdict(False, "ortho-adjunction", (rs.views[i],) + rs.pair(a) + (orthos[i].elements[y],))
 
 
 def validate_boolean_rs(rs, orthos):

@@ -7,8 +7,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .poset import OK, FinitePoset, InternalCheckError, Verdict
+from .poset import OK, FinitePoset, InternalCheckError, Verdict, _packed
 from .ortho import OrthoPoset
+from .repsys import _above
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,28 +24,30 @@ class PreSum:
 
 
 def build_presum(rs):
-    """Materialize the tagged pairs and their relation matrix, unpacked from
-    the system's `presum_rows`. Pairs are in the `stacked` order of the
-    system's tables.
+    """Materialize the tagged pairs and their relation matrix. Pairs are in
+    the `stacked` order of the system's tables, and row a of the relation
+    is the up-set, view by view, of pair a's column (`repsys._above`).
 
     The relation must be a preorder; a failure here means an invalid system
     slipped past validation. Reflexivity is read off the diagonal.
     Monotony and composition imply transitivity: if (k, x) <= (j, y) <=
     (i, z), then f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) <= f_(i|j)(y) <= z. So
-    when the system's row verdicts `monotone` and `composes` both hold, the
+    when the system's verdicts `monotony` and `composition` both hold, the
     relation is transitive; otherwise every row is checked, which decides
     and names the first intransitive (a, b).
     """
-    rows = rs.presum_rows
+    rs.stacked  # raises for a missing or bad table
+    G, cid = rs.columns
     pairs = tuple((v, e) for v, p in zip(rs.views, rs.posets) for e in p.elements)
-    rel = np.unpackbits(rows.view(np.uint8), axis=1, count=len(pairs), bitorder="little").view(bool)
+    rel = _above(rs.posets, G)[cid]
     if not rel.diagonal().all():
         a = int(np.flatnonzero(~rel.diagonal())[0])
         raise InternalCheckError("preorder", "pre-sum relation is not reflexive", pairs[a])
-    if not (rs.monotone and rs.composes):
+    if not (rs.monotony and rs.composition):
         # row a of rel @ rel is the OR of the rows of the pairs above a: on
         # packed bits, the first row with a bit outside rel, then its first
         # such bit, is the first entry of (rel @ rel) & ~rel
+        rows = _packed(rel)
         for a, (row, bits) in enumerate(zip(rel, rows)):
             extra = np.bitwise_or.reduce(rows[row], axis=0) & ~bits
             if extra.any():
@@ -136,7 +139,7 @@ def closure_table(s, rs):
 
 
 def verify_closure_properties(s, rs):
-    """Every view closure must be inflationary, idempotent and monotone;
+    """Every view closure must be inflationary, idempotent and order-preserving;
     per view, the first class failing either of the first two, then the
     first pair failing monotony."""
     n = s.order.n

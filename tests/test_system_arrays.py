@@ -2,13 +2,16 @@
 
 `repsys`, `sums` and `conditions` run on the stacked transformation tables;
 every verdict, witness and table here must equal the plain loop's, on the
-zoo systems, canonical systems, random single-entry mutants and broken &
-tables. The sum orthoposet and the decomposition roundtrip, which read the
-sum's class array, are held to the same loops, also on doctored sums. The
-laws decided on packed pre-sum rows are held to the loops on table mutants
-of systems whose pair count sits at a 64-bit word edge. The tables
-themselves, built as one index array, are held table by table to loops
-that build each one on its own."""
+zoo systems, canonical systems, one-view systems, random single-entry
+mutants, mutants with every table redrawn and broken & tables. The sum
+orthoposet and the decomposition roundtrip, which read the sum's class
+array, are held to the same loops, also on doctored sums. The system laws,
+decided on the distinct columns of g, are held to the loops at both
+extremes of the column count R: R = P on one-view systems and on redrawn
+tables, R much below P on canonical systems and on their view subfamilies,
+and on table mutants of systems whose pair count sits at a 64-bit word
+edge. The tables themselves, built as one index array, are held table by
+table to loops that build each one on its own."""
 
 import random
 from dataclasses import replace
@@ -25,6 +28,7 @@ from orthoview import (
     InternalCheckError,
     OrthoPoset,
     PreSum,
+    RepresentationSystem,
     ValidationError,
     Verdict,
     build_amp,
@@ -41,6 +45,8 @@ from orthoview import (
     derived_meet_table,
     doc_from_orthoposet,
     enumerate_boolean_subalgebras,
+    is_orthomodular_lattice,
+    is_orthomodular_poset,
     make_rs,
     parse,
     quotient_sum,
@@ -59,7 +65,9 @@ from orthoview.poset import OK
 from _models import (
     as_orthoposet,
     boolean_algebra,
+    double_chain,
     greechie_cycle,
+    mo,
     mutate_random_entry,
     random_orthoposet,
     reference_amp_axioms,
@@ -92,9 +100,10 @@ def hosts():
 
 @lru_cache(maxsize=None)
 def systems():
-    """(name, rs, orthos or None): the zoo's repsys models, and the
-    canonical systems of the zoo orthoposets and of relabelled Greechie
-    cycles 4..7."""
+    """(name, rs, orthos or None): the zoo's repsys models and the canonical
+    systems of the zoo orthoposets; relabelled 2^3 and 2^4, each as a system
+    of one view, whose pairs all have distinct columns (R = P); and the
+    canonical systems of relabelled Greechie cycles 4..7."""
     host = dict(hosts())
     out = []
     for name, model in zoo().items():
@@ -104,6 +113,10 @@ def systems():
         else:
             brs = build_canonical_rs(host[name])
             out.append((name, brs.rs, brs.orthos))
+    rng = random.Random(8)
+    for k in (3, 4):
+        o = as_orthoposet(shuffled(boolean_algebra(k), rng))
+        out.append((f"one_view_boolean_{1 << k}", make_rs(["V"], [o.poset], {}), (o,)))
     for k in range(4, 8):
         brs = build_canonical_rs(host[f"greechie_cycle_{k}_shuffled"])
         out.append((f"greechie_cycle_{k}_shuffled", brs.rs, brs.orthos))
@@ -116,17 +129,29 @@ def system(name):
 
 @lru_cache(maxsize=None)
 def mutants():
-    """(name, mutant rs, orthos or None, the original rs): 60 systems with
-    one to three table entries rewired at random (several failures of one
-    law make the scan order matter)."""
+    """(name, mutant rs, orthos or None, the original rs): 60 of the zoo
+    and canonical systems with one to three table entries rewired at random
+    (several failures of one law make the scan order matter), then each of
+    those with more than one view, with every table but the identities
+    redrawn at random until its pairs have distinct columns (R = P)."""
     rng = random.Random(11)
+    base = [s for s in systems() if not s[0].startswith("one_view")]
     out = []
     for k in range(60):
-        name, rs, orthos = systems()[k % len(systems())]
+        name, rs, orthos = base[k % len(base)]
         mutant = rs
         for _ in range(1 + k % 3):
             mutant = mutate_random_entry(mutant, rng)
         out.append((f"{name}~{k}", mutant, orthos, rs))
+    rng = random.Random(12)
+    for name, rs, orthos in base:
+        if len(rs.views) == 1:
+            continue
+        redrawn = rs
+        while len({tuple(c) for c in redrawn.g.T}) < redrawn.g.shape[1]:
+            tables = {(i, j): tuple(rng.randrange(p.n) for _ in range(q.n)) for i, p in zip(rs.views, rs.posets) for j, q in zip(rs.views, rs.posets) if i != j}
+            redrawn = make_rs(rs.views, rs.posets, tables)
+        out.append((f"{name}~redrawn", redrawn, orthos, rs))
     return tuple(out)
 
 
@@ -240,16 +265,52 @@ def test_rs_axioms_match_reference():
     assert {"", "identity", "monotony", "composition"} <= seen
 
 
+def rewired(rs, i, j, x, y):
+    """A copy of rs whose table f_(i|j) sends element x to element y."""
+    transforms = dict(rs.transforms)
+    table = list(transforms[(i, j)])
+    table[rs.poset_of(j).idx(x)] = rs.poset_of(i).idx(y)
+    transforms[(i, j)] = tuple(table)
+    return make_rs(rs.views, rs.posets, transforms)
+
+
 def test_composition_witness_is_first_in_scan_order():
     # f_(B1|B2)(b) = a breaks composition through (B2, B4) and (B4, B2)
     # for the same x; the scan meets j = B2 first
     rs = system("boolean_8")
-    transforms = dict(rs.transforms)
-    table = list(transforms[("B1", "B2")])
-    table[rs.poset_of("B2").idx("b")] = rs.poset_of("B1").idx("a")
-    transforms[("B1", "B2")] = tuple(table)
-    bad = make_rs(rs.views, rs.posets, transforms)
+    bad = rewired(rs, "B1", "B2", "b", "a")
     assert outcome(check_rs_axioms, bad) == ("ok", reference_rs_axioms(bad)) == ("ok", (False, "composition", ("B1", "B2", "B4", "b")))
+    # f_(B2|B0)(1) = b: item (B2, (B0, 1)) of the scan, one pair of columns,
+    # fails in views B1, B3 and B4, and items of an earlier j fail only in
+    # later views; the scan names the first view, then its first item
+    bad = rewired(rs, "B2", "B0", "1", "b")
+    top, b = rs.poset_of("B0").idx("1"), rs.poset_of("B2").idx("b")
+    assert [i for i in rs.views if not rs.poset_of(i).leq[bad.transform(i, "B0")[top], bad.transform(i, "B2")[b]]] == ["B1", "B3", "B4"]
+    assert outcome(check_rs_axioms, bad) == ("ok", reference_rs_axioms(bad)) == ("ok", (False, "composition", ("B1", "B2", "B0", "1")))
+
+
+def test_adjunction_witness_is_first_in_scan_order():
+    # f_(B2|B1)(a) = b breaks the adjunction for pairs b of views B1 and
+    # B2; the failure at the lowest-numbered distinct column lies in view
+    # B2, but the scan, over the view of b first, meets view B1 first
+    rs, orthos = next((rs, orthos) for name, rs, orthos in systems() if name == "boolean_8")
+    bad = rewired(rs, "B2", "B1", "a", "b")
+    got = outcome(check_boolean_rs_axioms, bad, orthos)
+    assert got == ("ok", reference_boolean_rs_axioms(bad, orthos)) == ("ok", (False, "ortho-adjunction", ("B1", "B2", "b", "a'")))
+
+
+def test_columns_are_the_distinct_columns_of_g():
+    """g == G[:, cid] and the columns of G are pairwise distinct, on every
+    system, mutant and word-edge system; R = P and R < P are both reached,
+    R = P also with more than one view."""
+    cases = [rs for _, rs, _ in systems()] + [rs for _, rs, _, _ in mutants()] + [edge_system(size)[0] for size in EDGES]
+    extremes = set()
+    for rs in cases:
+        G, cid = rs.columns
+        assert np.array_equal(rs.g, G[:, cid])
+        assert len({tuple(c) for c in G.T}) == G.shape[1]
+        extremes.add((len(rs.views) > 1, G.shape[1] == rs.g.shape[1]))
+    assert extremes == {(False, True), (True, True), (True, False)}
 
 
 def test_missing_and_bad_tables_match_reference():
@@ -373,11 +434,56 @@ def test_row_decisions_match_reference_at_word_edges(size, edits, data):
 def test_edge_systems_pass_their_laws():
     for size in EDGES:
         rs, orthos = edge_system(size)
-        assert check_rs_axioms(rs) and rs.monotone and rs.composes
+        assert check_rs_axioms(rs) and rs.monotony and rs.composition
         assert presum_outcome(rs)[0] == "ok"
         want = reference_boolean_rs_axioms(rs, orthos)
         assert outcome(check_boolean_rs_axioms, rs, orthos) == ("ok", want)
         assert want[:2] == ((False, "ortho-adjunction") if size % 2 else (True, ""))
+
+
+SUBFAMILY_HOSTS = tuple(as_orthoposet(m) for m in (
+    boolean_algebra(3), boolean_algebra(4), mo(2), mo(3), double_chain(2), double_chain(3),
+    greechie_cycle(4), greechie_cycle(5), greechie_cycle(6)))
+
+
+@lru_cache(maxsize=None)
+def canonical_with_carriers(k):
+    o = SUBFAMILY_HOSTS[k]
+    subs = enumerate_boolean_subalgebras(o)
+    return subs, build_canonical_rs(o, subs=subs)
+
+
+@settings(max_examples=64, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(SUBFAMILY_HOSTS) - 1), st.data())
+def test_view_subfamilies_satisfy_the_theorems(k, data):
+    """Every system law quantifies over views and pairs of views, so any
+    nonempty family of a canonical system's views, with their tables, is
+    again a boolean system, built here straight from g. Its sum need not be
+    its host, and the paper's theorems must still hold: both batteries pass,
+    as in the loops; the classes are the distinct columns, one per host
+    element the views cover; the shared-view condition makes the sum an
+    OMP, and with the preferred-view condition an OML whose & satisfies its
+    axioms."""
+    subs, brs = canonical_with_carriers(k)
+    rs = brs.rs
+    keep = sorted(data.draw(st.sets(st.integers(0, len(rs.views) - 1), min_size=1)))
+    pairs = np.concatenate([np.arange(rs.off[v], rs.off[v + 1]) for v in keep])
+    sub = RepresentationSystem(tuple(rs.views[v] for v in keep), tuple(rs.posets[v] for v in keep), rs.g[np.ix_(keep, pairs)], {})
+    orthos = tuple(brs.orthos[v] for v in keep)
+    assert outcome(check_rs_axioms, sub) == ("ok", reference_rs_axioms(sub)) == ("ok", (True, "", ()))
+    assert outcome(check_boolean_rs_axioms, sub, orthos) == ("ok", reference_boolean_rs_axioms(sub, orthos)) == ("ok", (True, "", ()))
+    covered = len({x for v in keep for x in subs[v].carrier})
+    s = quotient_sum(build_presum(sub))
+    assert sub.columns[0].shape[1] == s.order.n == covered <= len(pairs)
+    so = sum_as_orthoposet(s, BooleanRepresentationSystem(sub, orthos))
+    table = closure_table(s, sub)
+    omp = check_condition_omp(s, sub, table)
+    if omp:
+        assert is_orthomodular_poset(so)
+        oml = check_condition_oml(s, sub, table)
+        if oml:
+            assert is_orthomodular_lattice(so)
+            assert verify_amp_axioms(build_amp(s, sub, table, omp, oml), so).ok
 
 
 def test_ortho_over_another_order_is_decided_by_the_scan():
@@ -393,12 +499,17 @@ def test_ortho_over_another_order_is_decided_by_the_scan():
     got = outcome(check_boolean_rs_axioms, rs, (o, other))
     assert got == ("ok", reference_boolean_rs_axioms(rs, (o, other)))
     assert got[1][1] == "join-preservation"
-    # tables without the identity law, on which the row tests, read on the
+    # tables without the identity law, on which both laws, read on the
     # system's orders, would name an ortho-adjunction failure instead
     tables = {("V", "V"): (3, 3, 3, 3), ("W", "W"): (1, 3, 1, 3), ("V", "W"): (0, 3, 3, 3), ("W", "V"): (1, 0, 3, 2)}
     rs = make_rs(["V", "W"], [o.poset, o.poset], tables)
     got = outcome(check_boolean_rs_axioms, rs, (other, o))
     assert got == ("ok", reference_boolean_rs_axioms(rs, (other, o))) == ("ok", (False, "join-preservation", ("V", "W", "s00", "s01")))
+    # tables preserving the joins of the orthos' orders, whose first
+    # adjunction failure on the system's orders is (V, W, s01, s01)
+    rs = make_rs(["V", "W"], [o.poset, o.poset], {("V", "W"): (1, 1, 3, 3), ("W", "V"): (3, 0, 3, 3)})
+    got = outcome(check_boolean_rs_axioms, rs, (other, o))
+    assert got == ("ok", reference_boolean_rs_axioms(rs, (other, o))) == ("ok", (False, "ortho-adjunction", ("V", "W", "s01", "s00")))
 
 
 def test_boolean_64_roundtrip():
