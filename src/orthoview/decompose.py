@@ -216,7 +216,10 @@ def _projections(o, carriers, xs):
 
 def upper_projection(o, sub, x):
     """Least element of the subalgebra dominating x, checked to dominate x
-    and to lie below every carrier element that does."""
+    and to lie below every carrier element that does. An index x outside
+    0..n-1 raises unknown-element first."""
+    if not 0 <= x < o.n:
+        raise ValidationError("unknown-element", f"no element at index {x}", (x,))
     return sub.carrier[int(_projections(o, [sub.carrier], [x])[0, 0])]
 
 

@@ -50,13 +50,6 @@ def _bounds(leq):
     return leq.all(axis=-1).argmax(axis=-1), leq.all(axis=-2).argmax(axis=-1)
 
 
-def _check_orthos(leq, ortho, elements):
-    """Check an order matrix with a complement map on its element ids, or
-    an (m, n, n) stack of them with an (m, n) stack of maps on m tuples of
-    ids, against `_ORTHO_LAWS`."""
-    _check_laws(_ORTHO_LAWS, elements, leq, ortho)
-
-
 class OrthoPoset:
     """Bounded poset with an orthocomplementation x -> x'.
 
@@ -72,7 +65,7 @@ class OrthoPoset:
         n = poset.n
         if len(ortho) != n or any(not 0 <= i < n for i in ortho):
             raise ValidationError("bad-ortho", "orthocomplement map must cover every element")
-        _check_orthos(poset.leq, np.array(ortho, dtype=np.intp), poset.elements)
+        _check_laws(_ORTHO_LAWS, poset.elements, poset.leq, np.array(ortho, dtype=np.intp))
         self._adopt(poset, ortho, *map(int, _bounds(poset.leq)))
 
     @classmethod
@@ -109,10 +102,10 @@ class OrthoPoset:
 
 def ortho_stack(posets, ortho):
     """The orthoposets on posets of one size n (as from `poset_stack`) with
-    the rows of ortho, an (m, n) stack of complement maps, checked by
-    `_check_orthos`."""
+    the rows of ortho, an (m, n) stack of complement maps, checked against
+    `_ORTHO_LAWS`."""
     leq = np.stack([p.leq for p in posets])
-    _check_orthos(leq, ortho, [p.elements for p in posets])
+    _check_laws(_ORTHO_LAWS, [p.elements for p in posets], leq, ortho)
     bounds = zip(*(b.tolist() for b in _bounds(leq)))
     return [OrthoPoset._validated(p, tuple(row), *b) for p, row, b in zip(posets, ortho.tolist(), bounds)]
 

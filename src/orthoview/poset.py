@@ -191,12 +191,6 @@ def _check_laws(laws, elements, leq, *more):
                 raise ValidationError(code, message.format(*witness), witness)
 
 
-def _check_orders(elements, leq):
-    """Check an order matrix on its element ids, or an (m, n, n) stack of
-    them on m tuples of ids, against `_ORDER_LAWS`."""
-    _check_laws(_ORDER_LAWS, elements, leq)
-
-
 class FinitePoset:
     """Immutable finite poset.
 
@@ -216,7 +210,7 @@ class FinitePoset:
         leq = np.array(leq, dtype=bool)
         if leq.shape != (n, n):
             raise ValidationError("bad-shape", f"order matrix must be {n}x{n}, got {leq.shape}")
-        _check_orders(elements, leq)
+        _check_laws(_ORDER_LAWS, elements, leq)
         self._adopt(elements, leq)
 
     @classmethod
@@ -314,9 +308,9 @@ class FinitePoset:
 
 def poset_stack(elements, leq):
     """The posets on m views of one size n, from their element tuples and
-    the (m, n, n) stack of their orders, checked by `_check_orders`. The
-    stack is made read-only; each poset keeps its slice."""
-    _check_orders(elements, leq)
+    the (m, n, n) stack of their orders, checked against `_ORDER_LAWS`.
+    The stack is made read-only; each poset keeps its slice."""
+    _check_laws(_ORDER_LAWS, elements, leq)
     return _sliced(elements, leq)
 
 

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poset import OK, FinitePoset, InternalCheckError, Verdict, _packed
+from .poset import OK, FinitePoset, InternalCheckError, ValidationError, Verdict
 from .ortho import OrthoPoset
 from .repsys import _above
 
@@ -17,44 +17,50 @@ class PreSum:
     """Tagged union of all view elements under the translated order:
     (i, x) <= (j, y) iff the view-j translation of x sits below y.
     The relation is a preorder, not a partial order: distinct pairs may be
-    mutually comparable."""
+    mutually comparable. Pair a's row of it is above[cid[a]], with cid from
+    `rs.columns` and above an R x P array (`repsys._above`), both read-only."""
 
     pairs: tuple
-    rel: np.ndarray
+    cid: np.ndarray
+    above: np.ndarray
+
+    @property
+    def rel(self):
+        """The dense P x P relation matrix, built on each read."""
+        return self.above[self.cid]
 
 
 def build_presum(rs):
-    """Materialize the tagged pairs and their relation matrix. Pairs are in
-    the `stacked` order of the system's tables, and row a of the relation
-    is the up-set, view by view, of pair a's column (`repsys._above`).
+    """Materialize the tagged pairs and their factored relation. Pairs are
+    in the `stacked` order of the system's tables.
 
     The relation must be a preorder; a failure here means an invalid system
     slipped past validation. Reflexivity is read off the diagonal.
     Monotony and composition imply transitivity: if (k, x) <= (j, y) <=
     (i, z), then f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) <= f_(i|j)(y) <= z. So
     when the system's verdicts `monotony` and `composition` both hold, the
-    relation is transitive; otherwise every row is checked, which decides
-    and names the first intransitive (a, b).
+    relation is transitive; otherwise it is checked on the columns, which
+    decides and names the first intransitive (a, b).
     """
     rs.stacked  # raises for a missing or bad table
     G, cid = rs.columns
     pairs = tuple((v, e) for v, p in zip(rs.views, rs.posets) for e in p.elements)
-    rel = _above(rs.posets, G)[cid]
-    if not rel.diagonal().all():
-        a = int(np.flatnonzero(~rel.diagonal())[0])
-        raise InternalCheckError("preorder", "pre-sum relation is not reflexive", pairs[a])
+    above = _above(rs.posets, G)
+    reflexive = above[cid, np.arange(len(cid))]
+    if not reflexive.all():
+        raise InternalCheckError("preorder", "pre-sum relation is not reflexive", pairs[reflexive.argmin()])
     if not (rs.monotony and rs.composition):
-        # row a of rel @ rel is the OR of the rows of the pairs above a: on
-        # packed bits, the first row with a bit outside rel, then its first
-        # such bit, is the first entry of (rel @ rel) & ~rel
-        rows = _packed(rel)
-        for a, (row, bits) in enumerate(zip(rel, rows)):
-            extra = np.bitwise_or.reduce(rows[row], axis=0) & ~bits
-            if extra.any():
-                b = int(np.unpackbits(extra.view(np.uint8), bitorder="little").argmax())
-                raise InternalCheckError("preorder", "pre-sum relation is not transitive", pairs[a] + pairs[b])
-    rel.flags.writeable = False
-    return PreSum(pairs, rel)
+        # reach[r, s]: some pair of column s lies in row r, so row cid[a] of
+        # extra is row a of (rel @ rel) & ~rel, read at its first entry
+        reach = np.zeros((len(above), len(above)), dtype=bool)
+        np.logical_or.at(reach.T, cid, above.T)
+        extra = (reach @ above) & ~above
+        bad = extra.any(axis=1)[cid]
+        if bad.any():
+            a = int(bad.argmax())
+            raise InternalCheckError("preorder", "pre-sum relation is not transitive", pairs[a] + pairs[extra[cid[a]].argmax()])
+    above.flags.writeable = False
+    return PreSum(pairs, cid, above)
 
 
 def _label(pair):
@@ -89,12 +95,13 @@ class SumPoset:
 
 def quotient_sum(ps):
     """Group mutually comparable pairs and order the classes, each class
-    named after and ordered by its first member."""
-    mutual = ps.rel & ps.rel.T
-    first = mutual.argmax(axis=1) if len(mutual) else np.empty(0, np.intp)
+    named after and ordered by its first member. In a preorder, pairs are
+    mutually comparable iff their rows are equal, so iff their columns are:
+    up-sets in a poset are equal only for equal elements."""
+    first = np.unique(ps.cid, return_index=True)[1][ps.cid]
     reps, klass = np.unique(first, return_inverse=True)
     klass.flags.writeable = False
-    order = FinitePoset([_label(ps.pairs[r]) for r in reps], ps.rel[np.ix_(reps, reps)])
+    order = FinitePoset([_label(ps.pairs[r]) for r in reps], ps.above[ps.cid[reps]][:, reps])
     return SumPoset(ps.pairs, klass, order)
 
 
@@ -111,7 +118,9 @@ def view_closure(s, rs, view, c):
 
     The view's image of every member of the class is taken and asserted
     to land in one class; a disagreement means the system was invalid.
-    """
+    A class c outside 0..n-1 raises unknown-element first."""
+    if not 0 <= c < s.order.n:
+        raise ValidationError("unknown-element", f"no element at index {c}", (c,))
     vi = rs.view_index(view)
     off, g = rs.stacked
     results = np.unique(s.klass[off[vi] + g[vi, s.klass == c]])

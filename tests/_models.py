@@ -658,6 +658,16 @@ def reference_presum(rs):
     return tuple(pairs), rel
 
 
+def reference_quotient_sum(pairs, rel):
+    """(klass, labels, leq): the classes of mutually comparable pairs of a
+    dense pre-sum relation, each pair's class found as its first mutually
+    comparable pair, numbered, labelled and ordered by that first member."""
+    mutual = rel & rel.T
+    first = mutual.argmax(axis=1) if len(mutual) else np.empty(0, np.intp)
+    reps, klass = np.unique(first, return_inverse=True)
+    return klass, tuple(f"{pairs[r][0]}/{pairs[r][1]}" for r in reps), rel[np.ix_(reps, reps)]
+
+
 def sum_classes(s):
     """The member pairs of every class of a sum, in pair order."""
     classes = [[] for _ in range(s.order.n)]

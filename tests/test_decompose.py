@@ -428,6 +428,17 @@ def test_upper_projection_values():
         assert upper_projection(o, bounds_view, x) == expected
 
 
+def test_upper_projection_refuses_unknown_elements():
+    # MO2 has six elements: -1 must not wrap round to the top, nor 6 read
+    # past the order matrix
+    o = zoo_ortho("MO2")
+    block_a = enumerate_boolean_subalgebras(o)[1]
+    for x in (-1, o.n):
+        with pytest.raises(ValidationError) as err:
+            upper_projection(o, block_a, x)
+        assert (err.value.code, err.value.witness) == ("unknown-element", (x,))
+
+
 def test_upper_projection_outside_a_subalgebra_is_internal():
     from orthoview import BooleanSubalgebra, InternalCheckError
 

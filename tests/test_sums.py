@@ -1,21 +1,30 @@
+import random
+
 import pytest
 
 from orthoview import (
     FinitePoset,
     InternalCheckError,
+    PreSum,
+    ValidationError,
     build_canonical_rs,
     build_orthoposet,
     build_presum,
     build_repsys,
+    doc_from_orthoposet,
     make_rs,
     quotient_sum,
+    roundtrip_check,
+    serialize,
     sum_as_orthoposet,
     verify_closure_properties,
     view_closure,
     zoo_model,
 )
 
-from _models import as_orthoposet, boolean_algebra
+from orthoview.cli import main
+
+from _models import as_orthoposet, boolean_algebra, shuffled
 
 
 def firefly():
@@ -139,6 +148,34 @@ def test_ill_defined_closure_detected():
     with pytest.raises(InternalCheckError) as err:
         view_closure(s, bad, "Y", s.class_of("X", "Top"))
     assert err.value.code == "ill-defined-closure"
+
+
+def test_view_closure_refuses_unknown_classes():
+    # the system is consistent: a class index past either end names no
+    # class, which is no ill-defined closure
+    rs = firefly()
+    s = quotient_sum(build_presum(rs))
+    for c in (-1, s.order.n):
+        with pytest.raises(ValidationError) as err:
+            view_closure(s, rs, "X", c)
+        assert (err.value.code, err.value.witness) == ("unknown-element", (c,))
+
+
+def test_pass_paths_never_build_the_dense_relation(monkeypatch, capsys, tmp_path):
+    """The roundtrip, `orthoview sum` and `orthoview amp` read the pre-sum
+    factored, on canonical systems up to a relabelled 2^6 (2430 pairs):
+    reading PreSum.rel fails."""
+    monkeypatch.setattr(PreSum, "rel", property(lambda ps: pytest.fail("PreSum.rel read")))
+    b6 = as_orthoposet(shuffled(boolean_algebra(6), random.Random(6)))
+    path = tmp_path / "boolean_64.oml-model"
+    path.write_text(serialize(doc_from_orthoposet("boolean_64", b6)))
+    hosts = [(f"zoo:{name}", build_orthoposet(zoo_model(name).doc)) for name in ("MO2", "hexagon_O6", "greechie_cycle_4", "greechie_cycle_5")]
+    codes = []
+    for source, o in hosts + [(str(path), b6)]:
+        assert roundtrip_check(o, cap=64).ok, source
+        codes.append([main([command, source, "--cap", "64"]) for command in ("sum", "amp")])
+    capsys.readouterr()
+    assert codes == [[0, 0], [0, 1], [0, 1], [0, 0], [0, 0]]
 
 
 def test_presum_of_invalid_system_fails_loudly():

@@ -80,6 +80,7 @@ from _models import (
     reference_condition_omp,
     reference_map_tables,
     reference_presum,
+    reference_quotient_sum,
     reference_roundtrip,
     reference_rs_axioms,
     reference_sum_as_orthoposet,
@@ -375,6 +376,27 @@ def test_presum_matches_reference():
     assert intransitive >= 10
 
 
+def test_quotient_matches_reference():
+    """The sum's classes, labels and order against the dense quotient of
+    the reference pre-sum, on every system (one-view ones have R = P) and
+    on every mutant whose pre-sum is a preorder; and on the canonical
+    system of a relabelled 2^6, there against the quotient of the dense
+    relation `build_presum` gives, as the loop would take seconds."""
+    b6 = build_canonical_rs(as_orthoposet(shuffled(boolean_algebra(6), random.Random(6))), cap=64).rs
+    cases = [(n, rs, presum_outcome(rs)) for n, rs, _ in systems()] + [(n, rs, presum_outcome(rs)) for n, rs, _, _ in mutants()]
+    ps = build_presum(b6)
+    cases.append(("boolean_64_shuffled", b6, ("ok", (ps.pairs, ps.rel))))
+    compared = 0
+    for name, rs, want in cases:
+        if want[0] != "ok":
+            continue
+        s = quotient_sum(build_presum(rs))
+        klass, labels, leq = reference_quotient_sum(*want[1])
+        assert np.array_equal(s.klass, klass) and s.order.elements == labels and np.array_equal(s.order.leq, leq), name
+        compared += 1
+    assert compared >= 30
+
+
 EDGES = (63, 64, 65, 127, 128, 129)
 
 
@@ -652,7 +674,7 @@ def sum_ortho_cases():
     brss += [("no-views", BooleanRepresentationSystem(make_rs((), (), {}), ()))]
     cases = [(name, quotient_sum(build_presum(brs.rs)), brs) for name, brs in brss]
     pairs = build_presum(rs).pairs
-    apart = quotient_sum(PreSum(pairs, np.eye(len(pairs), dtype=bool)))
+    apart = quotient_sum(PreSum(pairs, np.arange(len(pairs)), np.eye(len(pairs), dtype=bool)))
     return cases + [("apart", apart, BooleanRepresentationSystem(rs, squares))]
 
 
