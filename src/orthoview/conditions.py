@@ -151,7 +151,9 @@ def verify_amp_axioms(amp, o):
 
 
 def derived_meet(amp, o, x, y):
-    """(x' & y)' & y, asserted to be the greatest lower bound of x and y."""
+    """(x' & y)' & y, asserted to be the greatest lower bound of x and y.
+    An index outside 0..n-1 raises unknown-element first."""
+    o.poset._check_index(x, y)
     t = amp.table
     result = int(t[o.ortho[int(t[o.ortho[x], y])], y])
     leq = o.poset.leq

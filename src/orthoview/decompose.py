@@ -218,8 +218,7 @@ def upper_projection(o, sub, x):
     """Least element of the subalgebra dominating x, checked to dominate x
     and to lie below every carrier element that does. An index x outside
     0..n-1 raises unknown-element first."""
-    if not 0 <= x < o.n:
-        raise ValidationError("unknown-element", f"no element at index {x}", (x,))
+    o.poset._check_index(x)
     return sub.carrier[int(_projections(o, [sub.carrier], [x])[0, 0])]
 
 

@@ -65,7 +65,9 @@ class OrthoPoset:
         n = poset.n
         if len(ortho) != n or any(not 0 <= i < n for i in ortho):
             raise ValidationError("bad-ortho", "orthocomplement map must cover every element")
-        _check_laws(_ORTHO_LAWS, poset.elements, poset.leq, np.array(ortho, dtype=np.intp))
+        dual = np.array(ortho, dtype=np.intp)
+        _check_laws(_ORTHO_LAWS, poset.elements, poset.leq, dual)
+        poset._dual = dual
         self._adopt(poset, ortho, *map(int, _bounds(poset.leq)))
 
     @classmethod
@@ -73,7 +75,8 @@ class OrthoPoset:
         """The orthoposet on poset with the complement map ortho (a tuple
         of ints) and the given bounds, which have already passed every law
         `__init__` checks (a row of a stack `ortho_stack` checked). Nothing
-        is checked again."""
+        is checked again, so the poset's `_dual` is left to the caller that
+        checked the laws."""
         o = cls.__new__(cls)
         o._adopt(poset, ortho, least, greatest)
         return o
@@ -106,6 +109,8 @@ def ortho_stack(posets, ortho):
     `_ORTHO_LAWS`."""
     leq = np.stack([p.leq for p in posets])
     _check_laws(_ORTHO_LAWS, [p.elements for p in posets], leq, ortho)
+    for p, dual in zip(posets, ortho.astype(np.intp)):
+        p._dual = dual
     bounds = zip(*(b.tolist() for b in _bounds(leq)))
     return [OrthoPoset._validated(p, tuple(row), *b) for p, row, b in zip(posets, ortho.tolist(), bounds)]
 
@@ -264,7 +269,9 @@ def classify(o):
 
 
 def sasaki_projection(o, x, y):
-    """(x v y') ^ y, total on orthomodular lattices only."""
+    """(x v y') ^ y, total on orthomodular lattices only. An index outside
+    0..n-1 raises unknown-element first."""
+    o.poset._check_index(x, y)
     oml = is_orthomodular_lattice(o)
     if not oml:
         raise ValidationError("not-oml", f"sasaki projection needs an orthomodular lattice: {oml.code}", oml.witness)

@@ -124,6 +124,21 @@ def _least_bounds(leq):
     return table
 
 
+def _bound_tables(leq, dual=None):
+    """(join, meet): the least- and greatest-bound tables of an order matrix
+    or each matrix of a stack, -1 where none exists. The joins take one
+    `_least_bounds` call. Given dual, an order-reversing involution of each
+    matrix, the meets are read off the joins as x ^ y = (x' v y')', -1
+    kept; without it they take a second call, on the reversed order."""
+    join = _least_bounds(leq)
+    if dual is None:
+        return join, _least_bounds(np.swapaxes(leq, -1, -2))
+    t = _relabel(join, dual)
+    meet = np.where(t < 0, -1, dual[(*_each(t), t)])
+    meet.flags.writeable = False
+    return join, meet
+
+
 def _pair_indices(index, pairs):
     """The indices under index of the ids of pairs, flat: lo, hi, lo, hi,
     ...; an id index lacks raises unknown-element, the first in pair order,
@@ -201,7 +216,12 @@ class FinitePoset:
     (greatest lower) bound exists; both come from two tables built on first
     use, or for many posets at once by `stack_tables`, never by the
     constructor (see `tables`). Witnesses are always the
-    first hit in index order, which keeps reports reproducible.
+    first hit in index order, which keeps reports reproducible. Element
+    indices outside 0..n-1 raise unknown-element.
+
+    `_dual` is None, or an order-reversing involution of the elements as an
+    intp array, set only by the orthoposet constructors once their laws
+    hold; the meet table is then read off the join table (`_bound_tables`).
     """
 
     def __init__(self, elements, leq):
@@ -229,6 +249,7 @@ class FinitePoset:
         self.n = len(elements)
         self._index = {e: i for i, e in enumerate(elements)}
         self._tables = None
+        self._dual = None
 
     @classmethod
     def from_covers(cls, elements, pairs):
@@ -250,7 +271,14 @@ class FinitePoset:
         except KeyError:
             raise ValidationError("unknown-element", f"no element {element!r}", (element,)) from None
 
+    def _check_index(self, *indices):
+        """Raise unknown-element for the first index outside 0..n-1."""
+        for i in indices:
+            if not 0 <= i < self.n:
+                raise ValidationError("unknown-element", f"no element at index {i}", (i,))
+
     def le(self, i, j):
+        self._check_index(i, j)
         return bool(self.leq[i, j])
 
     def tables(self):
@@ -258,16 +286,18 @@ class FinitePoset:
         greatest lower bounds, -1 where none exists; built on first use
         unless `stack_tables` built them."""
         if self._tables is None:
-            self._tables = (_least_bounds(self.leq), _least_bounds(self.leq.T))
+            self._tables = _bound_tables(self.leq, self._dual)
         return self._tables
 
     def join(self, i, j):
         """Least upper bound of i and j, or None if there is none."""
+        self._check_index(i, j)
         k = self.tables()[0][i, j]
         return None if k < 0 else int(k)
 
     def meet(self, i, j):
         """Greatest lower bound of i and j, or None if there is none."""
+        self._check_index(i, j)
         k = self.tables()[1][i, j]
         return None if k < 0 else int(k)
 
@@ -329,10 +359,12 @@ def _sliced(elements, leq):
 
 def stack_tables(posets):
     """The join and meet tables of posets of one size as two (m, n, n)
-    stacks, one `_least_bounds` call each; a poset whose tables are not
-    built yet takes its slices as its `tables()`."""
+    stacks, by one `_bound_tables` call: the meets are read off the joins
+    when every poset has a `_dual`; a poset whose tables are not built yet
+    takes its slices as its `tables()`."""
     leq = np.stack([p.leq for p in posets])
-    join, meet = _least_bounds(leq), _least_bounds(np.swapaxes(leq, -1, -2))
+    duals = [p._dual for p in posets]
+    join, meet = _bound_tables(leq, None if any(d is None for d in duals) else np.stack(duals))
     for p, jn, mt in zip(posets, join, meet):
         if p._tables is None:
             p._tables = jn, mt

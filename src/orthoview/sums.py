@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poset import OK, FinitePoset, InternalCheckError, ValidationError, Verdict
+from .poset import OK, FinitePoset, InternalCheckError, Verdict
 from .ortho import OrthoPoset
 from .repsys import _above
 
@@ -119,8 +119,7 @@ def view_closure(s, rs, view, c):
     The view's image of every member of the class is taken and asserted
     to land in one class; a disagreement means the system was invalid.
     A class c outside 0..n-1 raises unknown-element first."""
-    if not 0 <= c < s.order.n:
-        raise ValidationError("unknown-element", f"no element at index {c}", (c,))
+    s.order._check_index(c)
     vi = rs.view_index(view)
     off, g = rs.stacked
     results = np.unique(s.klass[off[vi] + g[vi, s.klass == c]])

@@ -233,3 +233,24 @@ def test_verified_amp_makes_a_lattice():
         for y in range(so.n):
             derived_meet(amp, so, x, y)
     assert so.poset.is_lattice().ok
+
+
+def test_sasaki_and_derived_meet_refuse_unknown_indices():
+    """An index outside 0..n-1 raises unknown-element before anything is
+    read. Unchecked, sasaki_projection(o, -1, 1) on MO2 would wrap to the
+    top and return 1; on the hexagon, which is not an OML, the index is
+    named before the structure is refused."""
+    o = build_orthoposet(zoo_model("MO2").doc)
+    o6 = build_orthoposet(zoo_model("O6").doc)
+    brs, s, amp, so = amp_setup("MO2")
+    calls = [
+        (lambda x, y: sasaki_projection(o, x, y), o.n),
+        (lambda x, y: sasaki_projection(o6, x, y), o6.n),
+        (lambda x, y: derived_meet(amp, so, x, y), so.n),
+    ]
+    for call, n in calls:
+        for args, bad in [((-1, 1), -1), ((1, -1), -1), ((n, 0), n), ((0, n + 2), n + 2), ((-3, n), -3)]:
+            with pytest.raises(ValidationError) as err:
+                call(*args)
+            assert (err.value.code, err.value.witness) == ("unknown-element", (bad,))
+    assert sasaki_projection(o, o.greatest, 1) == 1

@@ -335,6 +335,25 @@ def forged_chain():
     return OrthoPoset._validated(p, (2, 2, 0), 0, 2)
 
 
+def test_forged_chain_keeps_the_kernel_meet_table():
+    """A complement installed without validation is no `_dual`: the
+    forged chain's meet table comes from the kernel on leq.T, alone or in
+    a stack, not from its complement, which is not antitone (read through
+    it, a ^ a would be 0)."""
+    import numpy as np
+
+    from orthoview.ortho import stack_boolean
+    from orthoview.poset import _bound_tables, _least_bounds
+
+    alone, stacked = forged_chain(), forged_chain()
+    stack_boolean([stacked])
+    for o in (alone, stacked):
+        join, meet = o.poset.tables()
+        assert o.poset._dual is None
+        assert np.array_equal(meet, _least_bounds(o.poset.leq.T)) and meet[1, 1] == 1
+        assert _bound_tables(o.poset.leq, np.array(o.ortho))[1][1, 1] == 0
+
+
 def mixed_carriers(o, rng):
     """Carriers of every size and kind on host o, shuffled so that each size
     group is spread over the list: subsets, ortho-closed sets, closures,

@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
+import orthoview.poset as poset_mod
 from orthoview import (
     FinitePoset,
     OrthoPoset,
     ValidationError,
+    build_canonical_rs,
     build_orthoposet,
     classify,
     derive_boolean_ortho,
@@ -16,13 +19,17 @@ from orthoview import (
     zoo,
     zoo_model,
 )
-from orthoview.ortho import distributivity_failure
+from orthoview.cli import main
+from orthoview.ortho import distributivity_failure, stack_boolean
+from orthoview.poset import size_groups, stack_tables
 
 from _models import (
     as_orthoposet,
     boolean_algebra,
     double_chain,
+    greechie_chain,
     greechie_cycle,
+    greechie_pasting,
     mo,
     oracle_is_omp,
     oracle_join,
@@ -32,6 +39,7 @@ from _models import (
     reference_distributivity,
     reference_is_lattice,
     reference_is_omp,
+    reference_least_bounds,
     reference_ortho_validation,
     shuffled,
 )
@@ -334,3 +342,80 @@ def test_classify_implication_failure_is_internal(monkeypatch):
     with pytest.raises(InternalCheckError) as err:
         classify(zoo_ortho("boolean_4"))
     assert err.value.code == "classify-implication"
+
+
+# -- meet tables read off join tables through the complement -----------------
+
+_TRIANGLE_WITH_CHORD = [("a", "b", "c"), ("c", "d", "e"), ("e", "f", "a"), ("a", "g", "d")]
+
+
+def _dual_hosts(rng):
+    """Orthoposets with unbuilt tables: the zoo's, random draws and
+    relabelled Greechie pastings, lattices and not (cycle 4 and the
+    triangle lack joins, so their tables hold -1)."""
+    hosts = [zoo_ortho(m.name) for m in zoo().values() if m.kind == "orthoposet"]
+    hosts += [random_orthoposet(rng) for _ in range(20)]
+    pastings = [greechie_cycle(4), greechie_cycle(5), greechie_chain(3), greechie_pasting(_TRIANGLE_WITH_CHORD)]
+    return hosts + [as_orthoposet(shuffled(m, rng)) for m in pastings]
+
+
+def _assert_reference_tables(p, join, meet):
+    for got, order in ((join, p.leq), (meet, p.leq.T)):
+        want = reference_least_bounds(order)
+        assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
+
+
+def test_tables_read_meets_off_joins_as_the_reference_does():
+    """`tables()` and `stack_tables` against the row-loop reference on leq
+    and leq.T: for orthoposets built one at a time, in stacks of one size
+    and as the views of canonical systems, whose posets carry the
+    complement as `_dual`, and for stacks mixing them with bare posets,
+    which take the second kernel call."""
+    rng = random.Random(73)
+    hosts = _dual_hosts(rng)
+    assert any((o.poset.tables()[0] < 0).any() for o in hosts)
+    for o in hosts:
+        assert np.array_equal(o.poset._dual, o.ortho)
+        _assert_reference_tables(o.poset, *o.poset.tables())
+    fresh = _dual_hosts(rng)
+    for ks in size_groups([o.n for o in fresh]).values():
+        group = [fresh[k].poset for k in ks]
+        bare = [FinitePoset(p.elements, p.leq) for p in group]
+        bare.append(FinitePoset([f"e{i}" for i in range(group[0].n)], np.eye(group[0].n, dtype=bool)))
+        mixed = group[: len(group) // 2] + bare
+        for stack in (group, mixed):
+            rng.shuffle(stack)
+            join, meet = stack_tables(stack)
+            for p, jn, mt in zip(stack, join, meet):
+                _assert_reference_tables(p, jn, mt)
+                assert np.array_equal(p.tables()[0], jn) and np.array_equal(p.tables()[1], mt)
+    for name in ("MO2", "boolean_8", "greechie_cycle_5"):
+        for o in build_canonical_rs(build_orthoposet(zoo_model(name).doc)).orthos:
+            assert o.poset._dual is not None and o.poset._tables is not None
+            _assert_reference_tables(o.poset, *o.poset.tables())
+
+
+def test_one_kernel_call_per_orthoposet(monkeypatch, capsys):
+    """With the complement known, the meet table is a gather: one
+    `_least_bounds` call per `classify` of an orthoposet document, and one
+    per size group in `stack_boolean`; a group holding a poset without a
+    `_dual` makes the second call."""
+    calls, kernel = [], poset_mod._least_bounds
+    monkeypatch.setattr(poset_mod, "_least_bounds", lambda leq: calls.append(leq.shape) or kernel(leq))
+    names = [m.name for m in zoo().values() if m.kind == "orthoposet"]
+    for name in names:
+        assert main(["classify", f"zoo:{name}"]) in (0, 1)
+    assert len(calls) == len(names)
+    rng = random.Random(79)
+    orthos = [as_orthoposet(shuffled(m, rng)) for m in (boolean_algebra(2), mo(2), boolean_algebra(3), mo(3))]
+    orthos += [as_orthoposet(shuffled(boolean_algebra(2), rng))]
+    calls.clear()
+    stack_boolean(orthos)
+    assert calls == [(2, 4, 4), (1, 6, 6), (2, 8, 8)]
+    for o in orthos:
+        _assert_reference_tables(o.poset, *o.poset.tables())
+    els, leq, ortho = mo(2)
+    bare = FinitePoset(els, leq)
+    calls.clear()
+    stack_boolean([as_orthoposet(mo(2)), OrthoPoset._validated(bare, tuple(ortho), 0, len(els) - 1)])
+    assert calls == [(2, 6, 6), (2, 6, 6)]

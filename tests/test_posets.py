@@ -324,3 +324,19 @@ def test_packed_tables_on_the_bench_lattices():
     for els, leq, _ in (boolean_algebra(7), mo(63), greechie_cycle(32)):
         for order in (leq, leq.T):
             assert (_least_bounds(order) == reference_least_bounds(order)).all()
+
+
+@pytest.mark.parametrize("method", ["join", "meet", "le"])
+def test_element_operations_refuse_unknown_indices(method):
+    """On MO2 (n = 6) an index outside 0..n-1 raises unknown-element, the
+    first bad argument as its witness, before any table is built; unchecked,
+    join(-1, 0) would wrap to the top's row and return 5."""
+    els, leq, _ = mo(2)
+    p = FinitePoset(els, leq)
+    call = getattr(p, method)
+    for args, bad in [((-1, 0), -1), ((0, -6), -6), ((6, 0), 6), ((0, 9), 9), ((-1, 6), -1), ((7, -2), 7)]:
+        with pytest.raises(ValidationError) as err:
+            call(*args)
+        assert (err.value.code, err.value.witness) == ("unknown-element", (bad,))
+    assert p._tables is None
+    assert call(5, 0) == {"join": 5, "meet": 0, "le": False}[method]
