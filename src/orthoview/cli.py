@@ -39,7 +39,8 @@ def _load(ref):
     if not path.is_file():
         raise _Usage(f"no such file: {ref}")
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, as some editors write one
+        text = path.read_text(encoding="utf-8-sig")
     except (UnicodeDecodeError, OSError) as e:
         raise _Usage(f"cannot read {ref}: {e}") from None
     return modelio.parse(text)

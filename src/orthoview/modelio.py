@@ -12,9 +12,11 @@ Tokens: '#' starts a comment that ends at the next line break (one of
 those str.splitlines splits at); the rest splits into '{', '}', ';' and
 maximal runs of other non-whitespace characters. The parser works on the
 token texts alone, as plain strings, and reads each section and map body
-as one slice of them. Errors carry the 1-based line and column of their
-token, which the positioned scanner `_tokenize` computes only once an
-error is raised.
+as one slice of them: the entries of a map body whose every other token is
+';' (one-token entries, as `serialize` writes them) are a stride of it, and
+those of any other body are its tokens joined and cut at each ';'. Errors
+carry the 1-based line and column of their token, which the positioned
+scanner `_tokenize` computes only once an error is raised.
 Ids: element ids and view names are single tokens that must not contain
 '<', ':' or '->', so that covers, ortho pairs, map headers and entries
 split back into ids, and must not be '*', which a map entry reads as its
@@ -32,6 +34,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -111,9 +114,10 @@ def _split_pairs(items, sep):
     nonempty parts, or None if some item does not."""
     if not items:
         return (), ()
-    lefts, seps, rights = zip(*[s.partition(sep) for s in items])
-    # no empty sep: every item has one; the count: none has a second
-    if "" in lefts or "" in seps or "" in rights or " ".join(items).count(sep) != len(items):
+    lefts, _, rights = zip(*map(str.partition, items, repeat(sep)))
+    # an item without sep has an empty right part; partition splits at the
+    # first sep, so a second one is left in a right part
+    if "" in lefts or "" in rights or sep in " ".join(rights):
         return None
     return lefts, rights
 
@@ -147,11 +151,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def block_end(self):
-        """The index of the '}' closing the block that starts at the cursor,
-        or the end of the input. Structure and map blocks nest nothing."""
-        return _find(self.tokens, "}", self.pos, len(self.tokens))
-
     def items(self, end):
         """(index, tokens) of each nonempty ';'-separated item before end."""
         out = []
@@ -162,13 +161,6 @@ class _Parser:
                 out.append((i, self.tokens[i:j]))
             i = j + 1
         return out
-
-    def close(self, end, what):
-        """Step past the block's '}' at end; a block without one is
-        unterminated."""
-        if end == len(self.tokens):
-            self.fail(f"unterminated {what}", end)
-        self.pos = end + 1
 
     def ids(self, names, what, at):
         """names, the tokens from index at, as ids; the first that breaks the
@@ -192,7 +184,8 @@ class _Parser:
         return tuple(zip(*split))
 
     def structure(self, kind, name):
-        end = self.block_end()
+        # blocks nest nothing: the first '}' closes this one
+        end = _find(self.tokens, "}", self.pos, len(self.tokens))
         sections = {}
         for at, (head, *body) in self.items(end):
             if head not in ("elements", "covers", "ortho") or head == "ortho" and kind != "orthoposet":
@@ -205,7 +198,9 @@ class _Parser:
                 sections[head] = self.pairs(body, "<", "cover", at + 1)
             else:
                 sections[head] = self.pairs(body, ":", "ortho pair", at + 1)
-        self.close(end, "block")
+        if end == len(self.tokens):
+            self.fail("unterminated block", end)
+        self.pos = end + 1
         if "elements" not in sections:
             self.fail(f"{kind} {name!r} lacks an elements section")
         elements = sections["elements"]
@@ -214,40 +209,48 @@ class _Parser:
             seen = set()
             self.fail(f"duplicate element {next(e for e in elements if e in seen or seen.add(e))!r}")
         covers, ortho = sections.get("covers", ()), sections.get("ortho", ())
-        named = [e for pair in covers + ortho for e in pair]
-        if not seen.issuperset(named):
+        if not seen.issuperset(chain.from_iterable(covers + ortho)):
+            named = chain.from_iterable(covers + ortho)
             self.fail(f"unknown element {next(e for e in named if e not in seen)!r} in {name!r}")
         return ModelDocument(kind, name, elements, covers, ortho)
 
-    def map(self, views):
-        at = self.pos
-        brace = _find(self.tokens, "{", at, len(self.tokens))
-        if brace == at:
+    def map(self, ids):
+        """The map block whose header is at the cursor; ids holds the
+        (ids and '*', ids) sets of each view read so far."""
+        tokens, at = self.tokens, self.pos
+        n = len(tokens)
+        b = _find(tokens, "{", at, n) + 1
+        if b == at + 1:
             self.fail("map needs a target<source header")
-        joined = "".join(self.tokens[at:brace])
-        parts = joined.split("<")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            self.fail(f"malformed map header {joined!r}", at)
-        target, source = parts
+        header = tokens[at] if b == at + 2 else "".join(tokens[at:b - 1])
+        target, _, source = header.partition("<")
+        if not target or not source or "<" in source:
+            self.fail(f"malformed map header {header!r}", at)
         for v in (target, source):
-            if v not in views:
+            if v not in ids:
                 self.fail(f"map references unknown view {v!r}", at)
-        self.pos = brace
-        self.next("{")
-        end = self.block_end()
-        # an entry is the concatenation of its item's tokens
-        split = _split_pairs([e for e in "".join(self.tokens[self.pos:end]).split(";") if e], "->")
-        src, dst = {"*", *views[source].elements}, set(views[target].elements)
+        if b > n:
+            self.fail("unexpected end of input (wanted {)", n)
+        self.pos = b
+        end = _find(tokens, "}", b, n)
+        # one-token entries between ';' are every other token of the body;
+        # otherwise an entry is the concatenation of its item's tokens
+        items = tokens[b:end:2]
+        if tokens[b + 1:end:2].count(";") != (end - b) // 2 or ";" in items:
+            items = list(filter(None, "".join(tokens[b:end]).split(";")))
+        split = _split_pairs(items, "->")
+        src, dst = ids[source][0], ids[target][1]
         if split is None or not src.issuperset(split[0]) or not dst.issuperset(split[1]) or split[0].count("*") > 1:
             self.refuse_entry(end, source, target, src, dst)
+        if end == n:
+            self.fail("unterminated map block", n)
+        self.pos = end + 1
         lefts, rights = split
         entries = tuple(zip(lefts, rights))
-        default = None
-        if "*" in lefts:
-            default = rights[lefts.index("*")]
-            entries = tuple(e for e in entries if e[0] != "*")
-        self.close(end, "map block")
-        return MapSpec(target, source, entries, default)
+        if "*" not in lefts:
+            return MapSpec(target, source, entries)
+        k = lefts.index("*")
+        return MapSpec(target, source, entries[:k] + entries[k + 1:], rights[k])
 
     def refuse_entry(self, end, source, target, src, dst):
         """Raise at the first entry before end that is malformed, names an
@@ -267,13 +270,16 @@ class _Parser:
             default = default or lhs == "*"
 
     def repsys(self, name):
+        tokens = self.tokens
         views = {}
+        ids = {}
         maps = {}
         while True:
-            if self.pos == len(self.tokens):
-                self.fail("unterminated repsys block")
             at = self.pos
-            head = self.next()
+            if at == len(tokens):
+                self.fail("unterminated repsys block")
+            head = tokens[at]
+            self.pos = at + 1
             if head == "}":
                 break
             if head == ";":
@@ -290,9 +296,10 @@ class _Parser:
                 if vkind not in ("poset", "orthoposet"):
                     self.fail(f"view must be a poset or orthoposet, not {vkind!r}", self.pos - 1)
                 self.next("{")
-                views[vname] = self.structure(vkind, vname)
+                views[vname] = vdoc = self.structure(vkind, vname)
+                ids[vname] = {"*", *vdoc.elements}, set(vdoc.elements)
             elif head == "map":
-                mspec = self.map(views)
+                mspec = self.map(ids)
                 key = mspec.target, mspec.source
                 if key in maps:
                     self.fail(f"duplicate map {mspec.target}<{mspec.source}", at)

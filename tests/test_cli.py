@@ -223,6 +223,34 @@ def test_non_utf8_file_is_a_usage_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_byte_order_mark_is_dropped(capsys, tmp_path):
+    """A file that starts with a UTF-8 byte-order mark reads as the same file
+    without it: the same records and exit code, and a parse error at the same
+    line and column; an undecodable byte after it is still a usage error."""
+    cases = [
+        ("validate", "poset p { elements x }"),
+        ("classify", "orthoposet o {\n  elements 0 a a' 1 ;\n  covers 0<a 0<a' a<1 a'<1 ;\n  ortho 0:1 a:a'\n}\n"),
+        ("check", zoo()["firefly"].text),
+        ("classify", zoo()["hexagon_O6"].text),
+        ("validate", "poset p { elements x y ; covers x<y y<x }"),
+        ("validate", "poset p {\n  elements x ;\n  covers x<q\n}\n"),
+        ("validate", "poset p { elements x ; bogus }"),
+    ]
+    for cmd, text in cases:
+        outs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "doc.oml"
+            path.write_bytes(prefix + text.encode("utf-8"))
+            code = main([cmd, str(path)])
+            outs.append((code, capsys.readouterr()))
+        (code, out), (bom_code, bom_out) = outs
+        assert (bom_code, bom_out.out, bom_out.err) == (code, out.out, out.err), text
+    assert bom_out.err == "parse error: line 1, column 24: unknown section 'bogus' in poset\n"
+    path.write_bytes(b"\xef\xbb\xbfposet p { elements \xff ; }\n")
+    assert main(["validate", str(path)]) == 2
+    assert "'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
 def test_invalid_model_exit_code(capsys, tmp_path):
     path = tmp_path / "cycle.oml-model"
     path.write_text("poset p { elements x y ; covers x<y y<x }")

@@ -2,7 +2,9 @@
 per-character scan, totality, the id rule, parse/serialize roundtrips and
 the parser against the token-stream reference parser."""
 
+import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,3 +310,78 @@ def test_parse_matches_reference_on_every_single_edit():
             for edit in edits:
                 edited = "".join(t + ("\n" if k % 4 == 3 else " ") for k, t in enumerate(edit))
                 assert _outcome(parse, edited) == _outcome(reference_parse, edited), edited
+
+
+# -- map bodies read as a stride of the token list -----------------------------
+
+# Every map body is one-token entries with no default, with and without a
+# trailing ';', so the unedited maps are read as a stride; the ids 'a-' and
+# '>b' make entries such as 'a-->>b' that split only at their one '->'.
+_STRIDED = """repsys t {
+  view A = poset { elements 0 a- 1 ; covers 0<a- a-<1 } ;
+  view B = poset { elements 0 >b 1 ; covers 0<>b >b<1 } ;
+  map B<A { 0->0 ; a-->>b ; 1->1 } ;
+  map A<B { >b->a- ; 0->0 ; 1->1 ; }
+}
+"""
+
+
+def test_parse_matches_reference_on_every_single_edit_of_strided_maps():
+    """Every drop, and every insert or replacement by a word of the grammar
+    or a token of the document, at every token of a system whose maps are
+    all read as a stride."""
+    assert parse(_STRIDED) == reference_parse(_STRIDED)
+    tokens = [t.text for t in _tokenize(_STRIDED)]
+    words = sorted(set(_WORDS) | set(tokens) | {"a->b->c", "0->>b", "a--->1"})
+    for i in range(len(tokens) + 1):
+        edits = [tokens[:i] + tokens[i + 1:]]
+        edits += [tokens[:i] + [w] + tokens[i + j:] for w in words for j in (0, 1)]
+        for edit in edits:
+            edited = "".join(t + ("\n" if k % 4 == 3 else " ") for k, t in enumerate(edit))
+            assert _outcome(parse, edited) == _outcome(reference_parse, edited), edited
+
+
+_MAP_VIEWS = "view A = poset { elements 0 a- a 1 } ; view B = poset { elements 0 >b b 1 }"
+# ids of A, of B, of neither, and '*'
+_MAP_IDS = ["0", "1", "a-", "a", ">b", "b", "q", "*"]
+
+
+@st.composite
+def map_items(draw):
+    """One item of a map body: an entry written as one token or spaced, or
+    an item no entry can be."""
+    lhs, rhs = draw(st.sampled_from(_MAP_IDS)), draw(st.sampled_from(_MAP_IDS))
+    arrow = draw(st.sampled_from(["->", " -> ", "-> ", " ->"]))
+    junk = st.sampled_from(["", ";", "{", "a->b->c", "a-->b", "a->>b", "->", "x", "0->", "->1", "- >", "* ->"])
+    return draw(st.just(lhs + arrow + rhs) | junk)
+
+
+@st.composite
+def map_bodies(draw):
+    """Items joined by ';' (or by nothing, a missing ';'), with optional
+    leading and trailing ';'."""
+    items = draw(st.lists(map_items(), max_size=6))
+    seps = draw(st.lists(st.sampled_from([" ; ", " ; ", " ;\n", " ;; ", " "]), min_size=len(items), max_size=len(items)))
+    body = "".join(item + sep for item, sep in zip(items, seps))
+    lead, trail = draw(st.sampled_from(["", "; "])), draw(st.sampled_from(["", " ;", " }"]))
+    return lead + body.removesuffix(" ; ") + trail
+
+
+@PROPERTY
+@given(map_bodies(), map_bodies())
+def test_parse_matches_reference_on_map_bodies(forth, back):
+    text = f"repsys r {{ {_MAP_VIEWS} ;\n map B<A {{ {forth} }} ;\n map A<B {{ {back} }} }}"
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+def test_parse_matches_reference_on_canonical_systems(monkeypatch):
+    """The canonical systems of 2^4 and of Greechie cycles 6 and 7 as the
+    benchmark writes them: every map body one-token entries, one a line."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import documents, structures
+
+    for s in (structures.boolean_algebra(4), structures.greechie_cycle(6), structures.greechie_cycle(7)):
+        text, views, _ = documents.canonical_repsys_text(s, random.Random(0))
+        doc = parse(text)
+        assert doc == reference_parse(text)
+        assert len(doc.maps) == views * (views - 1)
