@@ -17,7 +17,7 @@ from pathlib import Path
 from .poset import OK, InternalCheckError, ValidationError, Verdict
 from .ortho import classify, derive_boolean_ortho, OrthoPoset
 from .repsys import check_boolean_rs_axioms, check_rs_axioms, BooleanRepresentationSystem
-from .sums import build_presum, closure_table, quotient_sum, sum_as_orthoposet, verify_closure_properties
+from .sums import build_presum, quotient_sum, sum_as_orthoposet, verify_closure_properties
 from .conditions import amp_vs_sasaki, build_amp, check_condition_oml, check_condition_omp, derived_meet_table, verify_amp_axioms
 from .decompose import build_canonical_rs, enumerate_boolean_subalgebras, roundtrip_check
 from . import modelio
@@ -193,16 +193,15 @@ def _cmd_amp(args):
     if not boolean:
         return [record_from_verdict("boolean_rs_axioms", boolean)]
     s = quotient_sum(build_presum(rs))
-    table = closure_table(s, rs)
-    omp = check_condition_omp(s, rs, table)
-    oml = check_condition_oml(s, rs, table)
+    omp = check_condition_omp(s, rs)
+    oml = check_condition_oml(s, rs)
     records = [
         record_from_verdict("condition_omp", omp),
         record_from_verdict("condition_oml", oml),
     ]
     if not (omp and oml):
         return records
-    amp = build_amp(s, rs, table, omp, oml)
+    amp = build_amp(s, rs)
     so = sum_as_orthoposet(s, BooleanRepresentationSystem(rs, orthos))
     report = verify_amp_axioms(amp, so)
     records.append(
@@ -255,16 +254,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, with_input=True):
+    def add(name, fn, with_input=True, with_cap=True):
         p = sub.add_parser(name)
         if with_input:
             p.add_argument("input", help="model file or zoo:NAME")
+        if with_cap:
             p.add_argument("--cap", type=int, default=32, help="element cap for decomposition")
         p.set_defaults(fn=fn)
         return p
 
-    add("validate", _cmd_validate)
-    add("classify", _cmd_classify)
+    add("validate", _cmd_validate, with_cap=False)
+    add("classify", _cmd_classify, with_cap=False)
     p = add("sum", _cmd_sum)
     p.add_argument("--emit-model", action="store_true", help="print the sum as a model document")
     p = add("check", _cmd_check)
@@ -274,7 +274,7 @@ def build_parser():
     add("roundtrip", _cmd_roundtrip)
     p = add("amp", _cmd_amp)
     p.add_argument("--vs-sasaki", action="store_true", help="compare against the projection oracle")
-    p = add("zoo", _cmd_zoo, with_input=False)
+    p = add("zoo", _cmd_zoo, with_input=False, with_cap=False)
     p.add_argument("name", nargs="?", help="print this builtin model")
     return parser
 

@@ -8,19 +8,18 @@ import numpy as np
 
 from .poset import OK, InternalCheckError, ValidationError, Verdict
 from .ortho import is_orthomodular_lattice
-from .sums import closure_table
+from .sums import _per_system, closure_table
 
 
-def check_condition_omp(s, rs, table=None):
+@_per_system
+def check_condition_omp(s, rs):
     """Every comparable pair of classes must be fixed by a common view.
 
     With this condition the sum of a boolean system is orthomodular as a
     poset; the witness is the first comparable pair, in row-major order,
-    that no single view can observe. `table` is the sum's `closure_table`,
-    computed here when not given.
+    that no single view can observe.
     """
-    table = closure_table(s, rs) if table is None else table
-    fixed = table == np.arange(s.order.n)
+    fixed = closure_table(s, rs) == np.arange(s.order.n)
     bad = np.argwhere(s.order.leq & ~(fixed.T @ fixed))
     if len(bad):
         a, b = bad[0]
@@ -28,12 +27,14 @@ def check_condition_omp(s, rs, table=None):
     return OK
 
 
-def _preferred_views(s, table):
-    """pref[a, b]: the first view (in view order) fixing class a whose
-    closure of b lies below the closure of b under every view fixing a,
-    or -1 when there is none. One gather per class over the views fixing it."""
+@_per_system
+def _preferred_views(s, rs):
+    """pref[a, b], read-only: the first view (in view order) fixing class a
+    whose closure of b lies below the closure of b under every view fixing
+    a, or -1 when there is none. One gather per class over the views fixing it."""
     n = s.order.n
     leq = s.order.leq
+    table = closure_table(s, rs)
     fixed = table == np.arange(n)
     pref = np.full((n, n), -1, dtype=np.intp)
     for a in range(n):
@@ -44,24 +45,20 @@ def _preferred_views(s, table):
         best = leq[t[:, None], t[None]].all(axis=1)  # best[k, b]: view fixing[k] is below all for b
         found = best.any(axis=0)
         pref[a, found] = fixing[best.argmax(axis=0)[found]]
+    pref.flags.writeable = False
     return pref
 
 
-def _oml_verdict(s, pref):
-    bad = np.argwhere(pref < 0)
+@_per_system
+def check_condition_oml(s, rs):
+    """For every pair (a, b) some view must fix a while approximating b at
+    least as well as any other view fixing a. The witness is the first
+    pair, in row-major order, with no such preferred view."""
+    bad = np.argwhere(_preferred_views(s, rs) < 0)
     if len(bad):
         a, b = bad[0]
         return Verdict(False, "no-preferred-view", (s.label(a), s.label(b)))
     return OK
-
-
-def check_condition_oml(s, rs, table=None):
-    """For every pair (a, b) some view must fix a while approximating b at
-    least as well as any other view fixing a. The witness is the first
-    pair, in row-major order, with no such preferred view. `table` as in
-    `check_condition_omp`."""
-    table = closure_table(s, rs) if table is None else table
-    return _oml_verdict(s, _preferred_views(s, table))
 
 
 @dataclass(frozen=True)
@@ -74,39 +71,32 @@ class AmpOperation:
     chosen_view: np.ndarray
 
 
-def build_amp(s, rs, table=None, omp=None, oml=None):
+def build_amp(s, rs):
     """Construct a & b = rho_i(a) ^ b with i the preferred view for b.
 
     Mirrors the preferred-view condition with the roles of a and b swapped;
     the swap is licensed because the condition quantifies over all pairs.
-    `omp` and `oml` are the verdicts of the two conditions; each one not
-    given is checked here, and a false one is refused. The meet is computed
-    (and required to exist) in the sum itself. `table` as in
-    `check_condition_omp`; it is computed once and shared by both checks.
+    A false condition is refused; once both hold, every pair has the
+    preferred view that the second condition found. The meet is computed
+    (and required to exist) in the sum itself.
     """
-    table = closure_table(s, rs) if table is None else table
-    omp = check_condition_omp(s, rs, table) if omp is None else omp
+    omp = check_condition_omp(s, rs)
     if not omp:
         raise ValidationError("condition-omp", "comparable classes lack a shared view", omp.witness)
-    pref = _preferred_views(s, table)  # pref[b, a]: the view chosen for a & b
-    oml = _oml_verdict(s, pref) if oml is None else oml
+    oml = check_condition_oml(s, rs)
     if not oml:
         raise ValidationError("condition-oml", "no preferred view for some pair", oml.witness)
-    n = s.order.n
-    cols = np.arange(n)[:, None]
-    meet = s.order.tables()[1][table[pref, cols.T], cols]  # meet[b, a] = rho_pref(a) ^ b
-    bad = np.argwhere((pref < 0) | (meet < 0))  # first failure in the order b, then a
+    pref = _preferred_views(s, rs)  # pref[b, a]: the view chosen for a & b
+    cols = np.arange(s.order.n)[:, None]
+    meet = s.order.tables()[1][closure_table(s, rs)[pref, cols.T], cols]  # meet[b, a] = rho_pref(a) ^ b
+    bad = np.argwhere(meet < 0)  # first failure in the order b, then a
     if len(bad):
         b, a = bad[0]
-        if pref[b, a] < 0:
-            code, what = "no-preferred-view", "conditions verified but no preferred view"
-        else:
-            code, what = "amp-meet-missing", "rho(a) ^ b missing in the sum"
-        raise InternalCheckError(code, f"{what} for ({s.label(a)!r}, {s.label(b)!r})", (s.label(a), s.label(b)))
-    amp, chosen = meet.T, pref.T
+        witness = (s.label(a), s.label(b))
+        raise InternalCheckError("amp-meet-missing", f"rho(a) ^ b missing in the sum for {witness!r}", witness)
+    amp = meet.T
     amp.flags.writeable = False
-    chosen.flags.writeable = False
-    return AmpOperation(amp, chosen)
+    return AmpOperation(amp, pref.T)
 
 
 WITNESS_CAP = 16

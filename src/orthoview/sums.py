@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, wraps
 
 import numpy as np
 
-from .poset import OK, FinitePoset, InternalCheckError, Verdict
-from .ortho import OrthoPoset
+from .poset import OK, FinitePoset, InternalCheckError, ValidationError, Verdict
+from .ortho import OrthoPoset, _cached
 from .repsys import _above
 
 
@@ -75,22 +75,39 @@ class SumPoset:
     `RepresentationSystem.stacked` (the pre-sum order): pairs[a] is pair a
     as (view, element id) and klass[a], a read-only index array, its class.
     order is the induced poset on the classes, each labelled by and
-    ordered as its first member.
+    ordered as its first member. _cache holds what `_per_system` computes.
     """
 
     pairs: tuple
     klass: np.ndarray
     order: FinitePoset
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def _pair_index(self):
         return {pair: a for a, pair in enumerate(self.pairs)}
 
     def class_of(self, view, element):
-        return int(self.klass[self._pair_index[(view, element)]])
+        """The class of pair (view, element); unknown-view for a view no
+        pair has, else unknown-element for an element the view lacks."""
+        a = self._pair_index.get((view, element))
+        if a is not None:
+            return int(self.klass[a])
+        if all(v != view for v, _ in self.pairs):
+            raise ValidationError("unknown-view", f"no view {view!r}", (view,))
+        raise ValidationError("unknown-element", f"no element {element!r} in view {view!r}", (view, element))
 
     def label(self, c):
+        """The name of class c; unknown-element outside 0..n-1."""
+        self.order._check_index(c)
         return self.order.elements[c]
+
+
+def _per_system(fn):
+    """fn(s, rs) for a sum s and a system rs, computed on the first call and
+    kept on the sum under (fn's name, rs). Systems hash by identity, so each
+    system paired with s gets its own entries."""
+    return wraps(fn)(lambda s, rs: _cached(s, (fn.__name__, rs), lambda: fn(s, rs)))
 
 
 def quotient_sum(ps):
@@ -128,8 +145,9 @@ def view_closure(s, rs, view, c):
     return int(results[0])
 
 
+@_per_system
 def closure_table(s, rs):
-    """view_closure for every (view, class), as a views x classes array.
+    """view_closure for every (view, class), as a read-only views x classes array.
 
     One gather over the `stacked` tables: the class of the view-i image of
     every pair, compared across all members of each class; the first
@@ -143,6 +161,7 @@ def closure_table(s, rs):
     if len(i):
         i, c = min(zip(i.tolist(), klass[a].tolist()))
         raise _ill_defined_closure(s, rs.views[i], c)
+    table.flags.writeable = False
     return table
 
 

@@ -152,32 +152,22 @@ def test_amp_with_sasaki(capsys):
     assert by_check["amp_vs_sasaki"]["data"]["agreement"] == 1.0
 
 
-def test_amp_computes_the_closure_table_once(capsys, monkeypatch):
-    import orthoview.cli as cli
-    import orthoview.conditions as cond
-    from orthoview.sums import closure_table
+def test_amp_computes_each_array_and_verdict_once(capsys, monkeypatch):
+    """One `amp` request gathers the closure table, runs the preferred-view
+    kernel and decides each condition once: the shared-view check, the
+    preferred-view check and `build_amp` read them off the sum."""
+    import orthoview.sums as sums
 
-    calls = []
-    counting = lambda s, rs: calls.append(1) or closure_table(s, rs)
-    for module in (cli, cond):
-        monkeypatch.setattr(module, "closure_table", counting)
+    computed = []
+    original = sums._cached
+
+    def counting(o, key, compute):
+        return original(o, key, lambda: computed.append(key[0]) or compute())
+
+    monkeypatch.setattr(sums, "_cached", counting)
     code, records, _ = run(capsys, "amp", "zoo:greechie_cycle_5", "--vs-sasaki")
     assert code == 0 and [r["check"] for r in records][:3] == ["condition_omp", "condition_oml", "amp_axioms"]
-    assert len(calls) == 1
-
-
-def test_amp_checks_each_condition_once(capsys, monkeypatch):
-    import orthoview.cli as cli
-    import orthoview.conditions as cond
-
-    calls = []
-    for name in ("check_condition_omp", "check_condition_oml"):
-        original = getattr(cond, name)
-        counting = lambda *a, name=name, original=original: calls.append(name) or original(*a)
-        for module in (cli, cond):
-            monkeypatch.setattr(module, name, counting)
-    code, _, _ = run(capsys, "amp", "zoo:greechie_cycle_5")
-    assert code == 0 and sorted(calls) == ["check_condition_oml", "check_condition_omp"]
+    assert sorted(computed) == sorted(["closure_table", "_preferred_views", "check_condition_omp", "check_condition_oml"])
 
 
 def test_system_without_views_exits_cleanly(capsys, tmp_path):
@@ -271,6 +261,19 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["decompose", "zoo:greechie_cycle_5", "--cap", "12"]) == 2
     capsys.readouterr()
+
+
+def test_cap_is_offered_only_where_a_decomposition_runs(capsys):
+    """validate and classify never decompose, so --cap is a usage error
+    there; the commands that may decompose an orthoposet take it."""
+    for command in ("validate", "classify"):
+        assert main([command, "zoo:MO2", "--cap", "64"]) == 2
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
+    assert main(["zoo", "--cap", "64"]) == 2
+    capsys.readouterr()
+    for argv in (["sum", "zoo:MO2"], ["check", "zoo:MO2", "--property", "eq6"], ["decompose", "zoo:MO2"], ["roundtrip", "zoo:MO2"], ["amp", "zoo:MO2"]):
+        assert main(argv + ["--cap", "64"]) == 0, argv
+        capsys.readouterr()
 
 
 def test_record_stream_is_stable_across_runs(capsys):

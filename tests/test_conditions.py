@@ -101,35 +101,34 @@ def test_amp_on_mo2():
 
 def test_build_amp_refuses_hexagon():
     brs, s = canonical("O6")
-    table = closure_table(s, brs.rs)
-    omp = check_condition_omp(s, brs.rs, table)
-    for args in ((None,), (table,), (table, omp), (table, omp, check_condition_oml(s, brs.rs, table))):
-        with pytest.raises(ValidationError) as err:
-            build_amp(s, brs.rs, *args)
-        assert err.value.code == "condition-omp"
-        assert err.value.witness == omp.witness
+    with pytest.raises(ValidationError) as err:
+        build_amp(s, brs.rs)
+    assert err.value.code == "condition-omp"
+    assert err.value.witness == check_condition_omp(s, brs.rs).witness
 
 
-def test_build_amp_refuses_a_given_failed_preferred_view_condition():
+def test_build_amp_refuses_a_failed_preferred_view_condition():
     brs, s = canonical("greechie_cycle_4")
-    table = closure_table(s, brs.rs)
-    oml = check_condition_oml(s, brs.rs, table)
-    for args in ((table,), (table, check_condition_omp(s, brs.rs, table), oml)):
-        with pytest.raises(ValidationError) as err:
-            build_amp(s, brs.rs, *args)
-        assert err.value.code == "condition-oml" and err.value.witness == oml.witness
+    with pytest.raises(ValidationError) as err:
+        build_amp(s, brs.rs)
+    assert err.value.code == "condition-oml"
+    assert err.value.witness == check_condition_oml(s, brs.rs).witness
 
 
-def test_build_amp_with_a_given_closure_table(monkeypatch):
+def test_amp_reads_the_arrays_kept_on_the_sum():
+    """The closure table and the preferred views are kept on the sum, once
+    per system: a later call returns the same array, & chooses the views
+    the preferred-view condition found, and a fresh sum of the same system
+    builds the same &."""
     import orthoview.conditions as cond
 
     brs, s = canonical("greechie_cycle_5")
-    expected = build_amp(s, brs.rs)
-    table = closure_table(s, brs.rs)
-    monkeypatch.setattr(cond, "closure_table", lambda *a: pytest.fail("table recomputed"))
-    amp = build_amp(s, brs.rs, table)
-    assert (amp.table == expected.table).all() and (amp.chosen_view == expected.chosen_view).all()
-    assert check_condition_omp(s, brs.rs, table).ok and check_condition_oml(s, brs.rs, table).ok
+    amp = build_amp(s, brs.rs)
+    table, pref = closure_table(s, brs.rs), cond._preferred_views(s, brs.rs)
+    assert closure_table(s, brs.rs) is table and cond._preferred_views(s, brs.rs) is pref
+    assert np.array_equal(amp.chosen_view, pref.T)
+    fresh = build_amp(quotient_sum(build_presum(brs.rs)), brs.rs)
+    assert np.array_equal(fresh.table, amp.table) and np.array_equal(fresh.chosen_view, amp.chosen_view)
 
 
 def test_amp_axioms_pass_on_mo2():

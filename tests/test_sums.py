@@ -161,6 +161,26 @@ def test_view_closure_refuses_unknown_classes():
         assert (err.value.code, err.value.witness) == ("unknown-element", (c,))
 
 
+def test_sum_refuses_unknown_pairs_and_classes():
+    """class_of names the view a system lacks, then the element a view
+    lacks; label refuses an index past either end instead of wrapping to
+    the last class or raising IndexError."""
+    s = quotient_sum(build_presum(firefly()))
+    cases = [
+        (lambda: s.class_of("Z", "Top"), ("unknown-view", ("Z",))),
+        (lambda: s.class_of("X", "Up"), ("unknown-element", ("X", "Up"))),
+        (lambda: s.class_of("X", "nothing"), ("unknown-element", ("X", "nothing"))),
+        (lambda: s.label(-1), ("unknown-element", (-1,))),
+        (lambda: s.label(s.order.n), ("unknown-element", (s.order.n,))),
+        (lambda: s.label(99), ("unknown-element", (99,))),
+    ]
+    for call, want in cases:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert (err.value.code, err.value.witness) == want
+    assert s.label(s.class_of("Y", "Up")) == "Y/Up" and s.label(s.order.n - 1)
+
+
 def test_pass_paths_never_build_the_dense_relation(monkeypatch, capsys, tmp_path):
     """The roundtrip, `orthoview sum` and `orthoview amp` read the pre-sum
     factored, on canonical systems up to a relabelled 2^6 (2430 pairs):

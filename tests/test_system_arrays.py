@@ -498,14 +498,11 @@ def test_view_subfamilies_satisfy_the_theorems(k, data):
     s = quotient_sum(build_presum(sub))
     assert sub.columns[0].shape[1] == s.order.n == covered <= len(pairs)
     so = sum_as_orthoposet(s, BooleanRepresentationSystem(sub, orthos))
-    table = closure_table(s, sub)
-    omp = check_condition_omp(s, sub, table)
-    if omp:
+    if check_condition_omp(s, sub):
         assert is_orthomodular_poset(so)
-        oml = check_condition_oml(s, sub, table)
-        if oml:
+        if check_condition_oml(s, sub):
             assert is_orthomodular_lattice(so)
-            assert verify_amp_axioms(build_amp(s, sub, table, omp, oml), so).ok
+            assert verify_amp_axioms(build_amp(s, sub), so).ok
 
 
 def test_ortho_over_another_order_is_decided_by_the_scan():
@@ -562,6 +559,33 @@ def test_closure_table_and_properties_match_reference():
     assert {"", "ill-defined-closure", "extension"} <= seen
 
 
+def test_each_system_paired_with_a_sum_gets_its_own_arrays():
+    """The arrays kept on a sum are keyed by the system, which hashes by
+    identity: a mutant paired with its parent's sum, after the parent's
+    table is kept there, gets its own table, or its own ill-defined-closure,
+    and the kept arrays cannot be written."""
+    import orthoview.conditions as cond
+
+    seen = set()
+    for name, rs, _, orig in mutants():
+        s = quotient_sum(build_presum(orig))
+        table = closure_table(s, orig)
+        assert not table.flags.writeable, name
+        got = outcome(closure_table, s, rs)
+        assert same_outcome(got, outcome(reference_closure_table, s, rs)), name
+        assert closure_table(s, orig) is table
+        seen.add(got[0])
+    assert {"ok", "ill-defined-closure"} <= seen
+    for name, rs, _ in systems():
+        s = quotient_sum(build_presum(rs))
+        pref = cond._preferred_views(s, rs)
+        with pytest.raises(ValueError):
+            pref[0, 0] = 0
+        if check_condition_omp(s, rs) and check_condition_oml(s, rs):
+            amp = build_amp(s, rs)
+            assert not (amp.table.flags.writeable or amp.chosen_view.flags.writeable), name
+
+
 def test_conditions_match_reference():
     seen = set()
     for name, rs, s in closure_cases():
@@ -570,43 +594,37 @@ def test_conditions_match_reference():
         except InternalCheckError:
             continue
         for check, reference in ((check_condition_omp, reference_condition_omp), (check_condition_oml, reference_condition_oml)):
-            got = outcome(check, s, rs, table)
+            got = outcome(check, s, rs)
             assert got == ("ok", reference(s, table)), name
             seen.add(got[1][1])
     assert {"", "no-shared-view", "no-preferred-view"} <= seen
 
 
-def test_build_amp_matches_reference(monkeypatch):
-    import orthoview.conditions as cond
-
+def test_build_amp_matches_reference():
     built = 0
     for name, rs, _ in systems():
         s = quotient_sum(build_presum(rs))
-        table = closure_table(s, rs)
-        omp, oml = check_condition_omp(s, rs, table), check_condition_oml(s, rs, table)
-        if not (omp and oml):
+        if not (check_condition_omp(s, rs) and check_condition_oml(s, rs)):
             continue
-        amp = build_amp(s, rs, table)
-        want = reference_build_amp(s, table)
+        amp = build_amp(s, rs)
+        want = reference_build_amp(s, closure_table(s, rs))
         assert np.array_equal(amp.table, want[0]) and np.array_equal(amp.chosen_view, want[1]), name
-        with monkeypatch.context() as m:
-            for fn in ("check_condition_omp", "check_condition_oml"):
-                m.setattr(cond, fn, lambda *a: pytest.fail("condition re-checked"))
-            given = build_amp(s, rs, table, omp, oml)
-        assert np.array_equal(given.table, amp.table) and np.array_equal(given.chosen_view, amp.chosen_view)
         built += 1
     assert built >= 6
 
 
-def test_build_amp_internal_failures_match_reference():
-    # verdicts claiming conditions the table fails: greechie_cycle_4 has no
-    # preferred view for some pair; one view fixing every class makes
-    # a & b = a ^ b, which this sum (no lattice) lacks for some pair
+def test_build_amp_internal_failures_match_reference(monkeypatch):
+    # with one view fixing every class both conditions hold and
+    # a & b = a ^ b, which the sum of greechie_cycle_4 (no lattice) lacks
+    # for some pair
+    import orthoview.conditions as cond
+
     rs = system("greechie_cycle_4")
     s = quotient_sum(build_presum(rs))
-    for table, code in ((closure_table(s, rs), "no-preferred-view"), (np.arange(s.order.n)[None], "amp-meet-missing")):
-        got = outcome(build_amp, s, rs, table, OK, OK)
-        assert got[0] == code and got == outcome(reference_build_amp, s, table)
+    table = np.arange(s.order.n)[None]
+    monkeypatch.setattr(cond, "closure_table", lambda *a: table)
+    got = outcome(build_amp, s, rs)
+    assert got[0] == "amp-meet-missing" and got == outcome(reference_build_amp, s, table)
 
 
 def amp_cases():
@@ -618,9 +636,8 @@ def amp_cases():
         if orthos is None:
             continue
         s = quotient_sum(build_presum(rs))
-        table = closure_table(s, rs)
-        if check_condition_omp(s, rs, table) and check_condition_oml(s, rs, table):
-            out.append((name, build_amp(s, rs, table), sum_as_orthoposet(s, BooleanRepresentationSystem(rs, orthos))))
+        if check_condition_omp(s, rs) and check_condition_oml(s, rs):
+            out.append((name, build_amp(s, rs), sum_as_orthoposet(s, BooleanRepresentationSystem(rs, orthos))))
     so = next(so for name, _, so in out if name == "greechie_cycle_5")
     rng = np.random.default_rng(5)
     out.append(("random", AmpOperation(rng.integers(0, so.n, (so.n, so.n)), None), so))
