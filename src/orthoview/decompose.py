@@ -246,9 +246,9 @@ def build_canonical_rs(o, cap=32, subs=None):
 
     One view per boolean subalgebra (named B0, B1, ... in enumeration
     order), the induced order as the view poset, and the upper projection
-    restricted to the source carrier as every transformation table, all
-    gathered at once: every view's projection of the host, read at the
-    carriers laid end to end. The result is validated against both axiom
+    restricted to the source carrier as every transformation table, held
+    as columns: pair (B, x) reads column x, every view's projection of host
+    element x. The result is validated against both axiom
     batteries before it is returned; a failure would disprove the
     construction and surfaces as an error.
     """
@@ -258,7 +258,10 @@ def build_canonical_rs(o, cap=32, subs=None):
     posets, orthos = _views(o, subs)
     proj = _projections(o, [sub.carrier for sub in subs], np.arange(o.n))
     carriers = np.concatenate([sub.carrier for sub in subs] + [np.empty(0, np.intp)])
-    rs = RepresentationSystem(views, tuple(posets), proj[:, carriers], {})
+    # the columns are distinct: x in carrier B projects to x there, so x
+    # and y read alike in every view only if x <= y <= x
+    used, cid = np.unique(carriers, return_inverse=True)
+    rs = RepresentationSystem(views, tuple(posets), proj[:, used], cid, {})
     validate_rs(rs)
     v = check_boolean_rs_axioms(rs, tuple(orthos))
     if not v:

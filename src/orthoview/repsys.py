@@ -23,19 +23,21 @@ def _table_error(i, j, code):
 @dataclass(frozen=True, eq=False)
 class RepresentationSystem:
     """Views, one poset per view, and a total element map f_(i|j) for every
-    ordered pair of views, all held in one read-only index array g.
+    ordered pair of views, all held as the distinct columns of their tables.
 
     Pairs (view k, element x) are numbered a = off[k] + x, by view and then
-    by element (the pre-sum order), and g[i, a] is the view-i index of the
-    translation of pair a, so g[i, off[j]:off[j + 1]] is the table f_(i|j).
-    `holes`, read-only too, maps each table (i, j) that was absent, or did
-    not have one entry per element of view j, to missing-transform or
-    bad-transform; its block of g holds -1. `make_rs` builds a system from
-    a {(i, j): table} mapping. Tables never change after construction, and
-    systems compare and hash by identity.
+    by element (the pre-sum order). Column G[:, cid[a]] is how every view
+    sees pair a: G[i, cid[a]] is the view-i index of the translation of
+    pair a, so G[i, cid[off[j]:off[j + 1]]] is the table f_(i|j). G is
+    V x R: pairs share a column iff every view sees them alike, and every
+    column is some pair's. The constructor refuses any other (G, cid) as
+    bad-columns. `holes` maps each table (i, j) that was absent, or did not
+    have one entry per element of view j, to missing-transform or
+    bad-transform; its entries read -1. `make_rs` builds a system from a
+    {(i, j): table} mapping. G, cid and holes are read-only, and systems
+    compare and hash by identity.
 
-    Column g[:, a] is how every view sees pair a, and `columns` holds the
-    distinct ones. Each law is decided and named on them (`_first_failure`):
+    Each law is decided and named on the columns (`_first_failure`):
     `monotony` and `composition` are the verdicts of those two laws, and
     together they make the pre-sum transitive: (k, x) <= (j, y) <= (i, z)
     gives f_(i|k)(x) <= f_(i|j)(f_(j|k)(x)) <= f_(i|j)(y) <= z.
@@ -43,12 +45,28 @@ class RepresentationSystem:
 
     views: tuple
     posets: tuple
-    g: np.ndarray
+    G: np.ndarray
+    cid: np.ndarray
     holes: dict
 
     def __post_init__(self):
-        self.g.flags.writeable = False
+        G, cid = self.G, self.cid
+        G.flags.writeable = cid.flags.writeable = False
         object.__setattr__(self, "holes", MappingProxyType(dict(self.holes)))
+        if G.ndim != 2 or len(G) != len(self.views) or cid.shape != (self.off[-1],):
+            raise ValidationError("bad-columns", f"G {G.shape} and cid {cid.shape} do not fit {len(self.views)} views and {self.off[-1]} pairs")
+        R = G.shape[1]
+        bad = np.flatnonzero((cid < 0) | (cid >= R))
+        if bad.size:
+            raise ValidationError("bad-columns", f"pair {bad[0]} has no column", (int(bad[0]),))
+        bad = np.flatnonzero(np.bincount(cid, minlength=R) == 0)
+        if bad.size:
+            raise ValidationError("bad-columns", f"column {bad[0]} is no pair's", (int(bad[0]),))
+        _, first, inverse = np.unique(_column_keys(G), return_index=True, return_inverse=True)
+        bad = np.flatnonzero(first[inverse] != np.arange(R))
+        if bad.size:
+            r, s = int(first[inverse[bad[0]]]), int(bad[0])
+            raise ValidationError("bad-columns", f"columns {r} and {s} are equal", (r, s))
 
     def view_index(self, view):
         try:
@@ -65,17 +83,20 @@ class RepresentationSystem:
         return np.cumsum([0] + [p.n for p in self.posets], dtype=np.intp)
 
     def transform(self, i, j):
-        """The table f_(i|j), translating view j into view i: a slice of g."""
+        """The table f_(i|j), translating view j into view i, read-only; its
+        hole's code, or bad-transform if an entry lies outside view i."""
         vi, vj = self.view_index(i), self.view_index(j)
-        if (i, j) in self.holes:
-            raise _table_error(i, j, self.holes[(i, j)])
-        return self.g[vi, self.off[vj]:self.off[vj + 1]]
+        t = self.G[vi, self.cid[self.off[vj]:self.off[vj + 1]]]
+        if (i, j) in self.holes or ((t < 0) | (t >= self.posets[vi].n)).any():
+            raise _table_error(i, j, self.holes.get((i, j), "bad-transform"))
+        t.flags.writeable = False
+        return t
 
     @cached_property
     def transforms(self):
         """The tables as a read-only {(i, j): tuple} mapping, built on first
         read. Missing tables are left out; a bad one reads as its block of -1."""
-        off, rows = self.off.tolist(), self.g.tolist()
+        off, rows = self.off.tolist(), self.G[:, self.cid].tolist()
         return MappingProxyType({
             (i, j): tuple(row[off[k]:off[k + 1]])
             for i, row in zip(self.views, rows) for k, j in enumerate(self.views)
@@ -83,37 +104,22 @@ class RepresentationSystem:
 
     @cached_property
     def stacked(self):
-        """(off, g), once every table is known to map view j into view i.
+        """off, once every table is known to map view j into view i.
 
         Raises missing-transform or bad-transform for the first table, in
         row-major (i, j) order, that is a hole or holds an index outside
         view i.
         """
-        off, g = self.off, self.g
-        out = (g < 0) | (g >= np.diff(off)[:, None])
+        off, G, cid = self.off, self.G, self.cid
+        out = (G < 0) | (G >= np.diff(off)[:, None])
         at = {v: k for k, v in enumerate(self.views)}
         faults = [(at[i], at[j]) for i, j in self.holes]
         for vi in np.flatnonzero(out.any(axis=1))[:1]:
-            faults.append((int(vi), int(np.searchsorted(off, out[vi].argmax(), "right")) - 1))
+            faults.append((int(vi), int(np.searchsorted(off, out[vi, cid].argmax(), "right")) - 1))
         if faults:
             i, j = (self.views[k] for k in min(faults))
             raise _table_error(i, j, self.holes.get((i, j), "bad-transform"))
-        return off, g
-
-    @cached_property
-    def columns(self):
-        """(G, cid): G is the V x R array of the distinct columns of g, and
-        cid maps each pair to its column, so g == G[:, cid]. Pairs share a
-        column iff every view sees them alike. Read-only. The columns are
-        compared as byte strings, in the narrowest dtype holding g."""
-        g = self.g
-        narrow = np.result_type(*map(np.min_scalar_type, (g.min(initial=0), g.max(initial=0))))
-        cols = np.ascontiguousarray(g.T, narrow)
-        keys = cols.view(np.dtype((np.void, cols.itemsize * cols.shape[1]))).ravel()
-        _, first, cid = np.unique(keys, return_index=True, return_inverse=True)
-        G = g[:, first]
-        G.flags.writeable = cid.flags.writeable = False
-        return G, cid
+        return off
 
     @cached_property
     def monotony(self):
@@ -122,7 +128,7 @@ class RepresentationSystem:
         (a, b) of the scan, a pair of pairs of one view, holds in view i by
         the view-i entries of its two columns alone."""
         self.stacked  # raises for a missing or bad table
-        G, cid = self.columns
+        G, cid = self.G, self.cid
         leqs = [p.leq for p in self.posets]
         a, b = _within_views(self, np.concatenate([m.ravel() for m in leqs] + [np.empty(0, bool)]))
         hit = _first_failure(G, cid[np.stack([a, b])], lambda i, v: leqs[i][v[0], v[1]])
@@ -139,8 +145,7 @@ class RepresentationSystem:
         naming the first failure of a scan over i, j, k, x. For a = (k, x)
         in column r, f_(j|k)(x) is pair off[j] + G[j, r], so item (j, a)
         holds in view i by (j, r) alone: V x R items, not V x P."""
-        off, _ = self.stacked
-        G, cid = self.columns
+        off, G, cid = self.stacked, self.G, self.cid
         leqs = [p.leq for p in self.posets]
         routed = cid[off[:-1, None] + G]  # routed[j, r]: the column of f_(j|k)(x) for (k, x) in column r
         items = np.stack([np.broadcast_to(np.arange(G.shape[1]), G.shape).ravel(), routed.ravel()])
@@ -163,7 +168,8 @@ def make_rs(views, posets, tables):
     """Assemble a RepresentationSystem from a {(i, j): table} mapping, each
     table the view-i index of every element of view j. Absent identity tables
     are materialized; any other absent table, or one of the wrong length, is
-    recorded as a hole, and its block of g holds -1."""
+    recorded as a hole, whose entries read -1. The distinct columns of the
+    tables laid out as one V x P array are kept."""
     views, posets = tuple(views), tuple(posets)
     holes, blocks = {}, []
     for i in views:
@@ -174,8 +180,16 @@ def make_rs(views, posets, tables):
                 t = repeat(-1, src.n)
             blocks.append(t)
     pairs = sum(p.n for p in posets)
-    g = np.fromiter(chain.from_iterable(blocks), np.intp, len(views) * pairs)
-    return RepresentationSystem(views, posets, g.reshape(len(views), pairs), holes)
+    g = np.fromiter(chain.from_iterable(blocks), np.intp, len(views) * pairs).reshape(len(views), pairs)
+    _, first, cid = np.unique(_column_keys(g), return_index=True, return_inverse=True)
+    return RepresentationSystem(views, posets, g[:, first], cid, holes)
+
+
+def _column_keys(g):
+    """The columns of g as byte strings, in the narrowest dtype holding g."""
+    narrow = np.result_type(*map(np.min_scalar_type, (g.min(initial=0), g.max(initial=0))))
+    cols = np.ascontiguousarray(g.T, narrow)
+    return cols.view(np.dtype((np.void, cols.itemsize * cols.shape[1]))).ravel()
 
 
 def apply_transform(rs, i, j, x):
@@ -202,7 +216,7 @@ def _first_failure(G, items, holds):
     the failure mask of every item there; None when every item holds in
     every view.
 
-    items is an m x N array: column k holds the m columns of g on which
+    items is an m x N array: column k holds the m columns of G on which
     scan item k depends, and holds(i, v) is the mask of the tuples whose
     view-i entries are v, an m x D array, that satisfy the law there. Each
     distinct tuple is evaluated once per view, one view at a time."""
@@ -228,12 +242,11 @@ def check_rs_axioms(rs):
     evaluation.
     """
     try:
-        off, g = rs.stacked
+        off = rs.stacked
     except ValidationError as e:
         return Verdict(False, e.code, e.witness)
     owner = np.repeat(np.arange(len(rs.views)), np.diff(off))
-    a = np.arange(off[-1])
-    bad = np.flatnonzero(g[owner, a] != a - off[owner])  # f_(k|k)(x) != x for a = (k, x)
+    bad = np.flatnonzero(rs.G[owner, rs.cid] != np.arange(off[-1]) - off[owner])  # f_(k|k)(x) != x for a = (k, x)
     if bad.size:
         return Verdict(False, "identity", rs.pair(bad[0]))
     return rs.monotony and rs.composition
@@ -295,8 +308,7 @@ def check_boolean_rs_axioms(rs, orthos):
         b = is_boolean_algebra(o)
         if not b:
             return Verdict(False, "view-not-boolean", (v, b.code) + b.witness)
-    off, _ = rs.stacked
-    G, cid = rs.columns
+    off, G, cid = rs.stacked, rs.G, rs.cid
     tables = [o.poset.tables()[0] for o in orthos]
     joins = np.concatenate([jn.ravel() for jn in tables] + [np.empty(0, np.intp)])
     x, y = _within_views(rs, np.ones(len(joins), bool))

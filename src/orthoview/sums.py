@@ -17,8 +17,8 @@ class PreSum:
     """Tagged union of all view elements under the translated order:
     (i, x) <= (j, y) iff the view-j translation of x sits below y.
     The relation is a preorder, not a partial order: distinct pairs may be
-    mutually comparable. Pair a's row of it is above[cid[a]], with cid from
-    `rs.columns` and above an R x P array (`repsys._above`), both read-only."""
+    mutually comparable. Pair a's row of it is above[cid[a]], with cid the
+    system's `cid` and above an R x P array (`repsys._above`), both read-only."""
 
     pairs: tuple
     cid: np.ndarray
@@ -43,7 +43,7 @@ def build_presum(rs):
     decides and names the first intransitive (a, b).
     """
     rs.stacked  # raises for a missing or bad table
-    G, cid = rs.columns
+    G, cid = rs.G, rs.cid
     pairs = tuple((v, e) for v, p in zip(rs.views, rs.posets) for e in p.elements)
     above = _above(rs.posets, G)
     reflexive = above[cid, np.arange(len(cid))]
@@ -138,8 +138,8 @@ def view_closure(s, rs, view, c):
     A class c outside 0..n-1 raises unknown-element first."""
     s.order._check_index(c)
     vi = rs.view_index(view)
-    off, g = rs.stacked
-    results = np.unique(s.klass[off[vi] + g[vi, s.klass == c]])
+    off = rs.stacked
+    results = np.unique(s.klass[off[vi] + rs.G[vi, rs.cid[s.klass == c]]])
     if len(results) != 1:
         raise _ill_defined_closure(s, view, c)
     return int(results[0])
@@ -149,17 +149,17 @@ def view_closure(s, rs, view, c):
 def closure_table(s, rs):
     """view_closure for every (view, class), as a read-only views x classes array.
 
-    One gather over the `stacked` tables: the class of the view-i image of
-    every pair, compared across all members of each class; the first
-    ill-defined (view, class) in row-major order raises."""
-    off, g = rs.stacked
-    klass = s.klass
-    images = klass[off[:-1, None] + g]
+    One gather of the class of the view-i image of each of the K distinct
+    (class, column) of the pairs (K = R for the system's own sum), compared
+    across each class; the first ill-defined (view, class) in row-major order raises."""
+    off, R = rs.stacked, rs.G.shape[1]
+    klass, col = np.divmod(np.unique(s.klass * R + rs.cid, return_inverse=True)[0], R)
+    images = s.klass[off[:-1, None] + rs.G[:, col]]
     table = np.empty((len(rs.views), s.order.n), dtype=np.intp)
     table[:, klass] = images
-    i, a = np.nonzero(images != table[:, klass])
+    i, k = np.nonzero(images != table[:, klass])
     if len(i):
-        i, c = min(zip(i.tolist(), klass[a].tolist()))
+        i, c = min(zip(i.tolist(), klass[k].tolist()))
         raise _ill_defined_closure(s, rs.views[i], c)
     table.flags.writeable = False
     return table
@@ -198,7 +198,7 @@ def sum_as_orthoposet(s, brs):
     (j, 1_j) always puts the tops in one class, whose complements are the
     bottoms, so bottoms in two classes fail `ill-defined-ortho` there first.
     """
-    off = brs.rs.stacked[0][:-1]
+    off = brs.rs.stacked[:-1]
     klass = s.klass
     comp = np.concatenate([np.asarray(o.ortho) + k for k, o in zip(off, brs.orthos)] + [np.empty(0, np.intp)])
     images = klass[comp]

@@ -189,6 +189,13 @@ def oracle_is_omp(leq, ortho):
     return True
 
 
+def table_array(rs):
+    """The V x P array of a system's tables, G[:, cid]: row i holds the
+    view-i index of the translation of every pair, so its block of view j
+    is the table f_(i|j)."""
+    return rs.G[:, rs.cid]
+
+
 def mutate_random_entry(rs, rng):
     """A copy of rs with one random transform entry rewired at random."""
     from orthoview import make_rs

@@ -24,7 +24,7 @@ from orthoview import (
 
 from orthoview.cli import main
 
-from _models import as_orthoposet, boolean_algebra, mutate_random_entry, reference_boolean_rs_axioms
+from _models import as_orthoposet, boolean_algebra, mutate_random_entry, reference_boolean_rs_axioms, table_array
 
 
 def firefly():
@@ -95,6 +95,51 @@ def test_apply_transform_errors():
     assert err.value.code == "unknown-element"
 
 
+def test_out_of_range_tables_are_bad_transforms():
+    # a table of the right length with an entry outside view Y, below 0 or
+    # at |Y|: the rs axioms name it bad-transform, and so does every read
+    # of it, also at an element whose own entry is in range
+    rs = firefly()
+    for entry in (-1, rs.poset_of("Y").n):
+        transforms = dict(rs.transforms)
+        transforms[("Y", "X")] = (entry,) + transforms[("Y", "X")][1:]
+        bad = make_rs(rs.views, rs.posets, transforms)
+        v = check_rs_axioms(bad)
+        assert (v.code, v.witness) == ("bad-transform", ("Y", "X"))
+        reads = [lambda: bad.transform("Y", "X")] + [lambda x=x: apply_transform(bad, "Y", "X", x) for x in rs.poset_of("X").elements[:2]]
+        for read in reads:
+            with pytest.raises(ValidationError) as err:
+                read()
+            assert (err.value.code, err.value.witness) == ("bad-transform", ("Y", "X"))
+        assert apply_transform(bad, "X", "Y", "Up") == "Top"
+
+
+def test_constructor_refuses_broken_columns():
+    """G and cid must be the distinct columns of the tables and each pair's
+    column: a shape that does not fit, a cid out of range, an unused column
+    and two equal columns are each refused as bad-columns, naming the pair
+    or the columns."""
+    rs = firefly()
+    G, cid = rs.G, rs.cid
+    R, P = G.shape[1], len(cid)
+    assert check_rs_axioms(RepresentationSystem(rs.views, rs.posets, G.copy(), cid.copy(), rs.holes)).ok
+    moved = lambda a, r: np.where(np.arange(P) == a, r, cid)  # pair a sent to column r
+    twins = G.copy()
+    twins[:, 2] = twins[:, 1]
+    cases = [
+        (G[:1], cid, ()),
+        (G, cid[:-1], ()),
+        (G, moved(3, R), (3,)),
+        (G, moved(4, -1), (4,)),
+        (np.hstack([G, G[:, :1] + 100]), cid, (R,)),
+        (twins, cid, (1, 2)),
+    ]
+    for G, cid, witness in cases:
+        with pytest.raises(ValidationError) as err:
+            RepresentationSystem(rs.views, rs.posets, G.copy(), cid.copy(), {})
+        assert (err.value.code, err.value.witness) == ("bad-columns", witness)
+
+
 def test_composition_violation_located():
     bad = mutate(firefly(), ("X", "Y"), "Down", "NotSeen")
     v = check_rs_axioms(bad)
@@ -130,12 +175,13 @@ def test_missing_transform_located():
 
 
 def test_systems_compare_by_identity():
-    # the index array is no field to compare: == must not ask numpy for a
-    # truth value, and a system hashes by identity
+    # the column arrays are no fields to compare: == must not ask numpy for
+    # a truth value, and a system hashes by identity
     rs = firefly()
     assert rs == rs and rs != firefly() and len({rs, rs}) == 1
-    assert [f.name for f in fields(RepresentationSystem)] == ["views", "posets", "g", "holes"]
-    assert rs.g.dtype == np.intp and rs.g.shape == (2, 10) and not rs.g.flags.writeable
+    assert [f.name for f in fields(RepresentationSystem)] == ["views", "posets", "G", "cid", "holes"]
+    assert rs.G.dtype == np.intp and table_array(rs).shape == (2, 10)
+    assert not (rs.G.flags.writeable or rs.cid.flags.writeable)
     assert not rs.transform("Y", "X").flags.writeable
     with pytest.raises(TypeError):
         rs.transforms[("X", "Y")] = (0,) * 5
@@ -172,15 +218,14 @@ def test_table_faults_in_zero_width_blocks_and_wrong_lengths(capsys, tmp_path):
     for tables, code, witness, hole in cases:
         rs = make_rs(["X", "E"], [x, e], tables)
         v = check_rs_axioms(rs)
-        assert rs.g.shape == (2, 2) and (v.code, v.witness) == (code, witness)
+        assert table_array(rs).shape == (2, 2) and (v.code, v.witness) == (code, witness)
         assert (witness in rs.holes) == hole
         with pytest.raises(ValidationError) as err:
             rs.stacked
         assert (err.value.code, err.value.witness) == (code, witness)
-        if hole:
-            with pytest.raises(ValidationError) as err:
-                rs.transform(*witness)
-            assert (err.value.code, err.value.witness) == (code, witness)
+        with pytest.raises(ValidationError) as err:
+            rs.transform(*witness)
+        assert (err.value.code, err.value.witness) == (code, witness)
     # in row X, a zero-width hole before an out-of-range table is named
     # first, and after it second
     posets = {"X": x, "E": e, "Y": FinitePoset.from_covers(("c",), ())}
@@ -189,7 +234,7 @@ def test_table_faults_in_zero_width_blocks_and_wrong_lengths(capsys, tmp_path):
         v = check_rs_axioms(make_rs(views, [posets[k] for k in views], tables))
         assert (v.code, v.witness) == want
     rs = make_rs((), (), {})
-    assert rs.g.shape == (0, 0) and rs.holes == {} and check_rs_axioms(rs).ok
+    assert rs.G.shape == (0, 0) and rs.holes == {} and check_rs_axioms(rs).ok
 
 
 def test_round_trips_are_inflationary():

@@ -6,14 +6,15 @@ zoo systems, canonical systems, one-view systems, random single-entry
 mutants, mutants with every table redrawn and broken & tables. The sum
 orthoposet and the decomposition roundtrip, which read the sum's class
 array, are held to the same loops, also on doctored sums. The system laws,
-decided on the distinct columns of g, are held to the loops at both
-extremes of the column count R: R = P on one-view systems and on redrawn
-tables, R much below P on canonical systems and on their view subfamilies,
-and on table mutants of systems whose pair count sits at a 64-bit word
-edge. The tables themselves, built as one index array, are held table by
-table to loops that build each one on its own."""
+decided on the distinct columns (G, cid) of the tables, are held to the
+loops at both extremes of the column count R: R = P on one-view systems
+and on redrawn tables, R much below P on canonical systems and on their
+view subfamilies, and on table mutants of systems whose pair count sits at
+a 64-bit word edge. The tables themselves, held as those columns, are held
+table by table to loops that build each one on its own."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -74,6 +75,7 @@ from _models import (
     reference_boolean_rs_axioms,
     reference_build_amp,
     reference_canonical_tables,
+    reference_closure,
     reference_closure_properties,
     reference_closure_table,
     reference_condition_oml,
@@ -85,6 +87,7 @@ from _models import (
     reference_rs_axioms,
     reference_sum_as_orthoposet,
     shuffled,
+    table_array,
 )
 
 
@@ -149,7 +152,7 @@ def mutants():
         if len(rs.views) == 1:
             continue
         redrawn = rs
-        while len({tuple(c) for c in redrawn.g.T}) < redrawn.g.shape[1]:
+        while redrawn.G.shape[1] < len(redrawn.cid):
             tables = {(i, j): tuple(rng.randrange(p.n) for _ in range(q.n)) for i, p in zip(rs.views, rs.posets) for j, q in zip(rs.views, rs.posets) if i != j}
             redrawn = make_rs(rs.views, rs.posets, tables)
         out.append((f"{name}~redrawn", redrawn, orthos, rs))
@@ -180,7 +183,7 @@ def test_canonical_tables_match_reference():
         subs = enumerate_boolean_subalgebras(o)
         rs = build_canonical_rs(o, subs=subs).rs
         want = reference_canonical_tables(o, subs)
-        assert rs.holes == {} and rs.g.shape == (len(subs), sum(sub.size for sub in subs)), name
+        assert rs.holes == {} and table_array(rs).shape == (len(subs), sum(sub.size for sub in subs)), name
         assert all(rs.transform(i, j).tolist() == list(t) for (i, j), t in want.items()), name
         assert rs.transforms == want, name
 
@@ -300,18 +303,71 @@ def test_adjunction_witness_is_first_in_scan_order():
     assert got == ("ok", reference_boolean_rs_axioms(bad, orthos)) == ("ok", (False, "ortho-adjunction", ("B1", "B2", "b", "a'")))
 
 
-def test_columns_are_the_distinct_columns_of_g():
-    """g == G[:, cid] and the columns of G are pairwise distinct, on every
-    system, mutant and word-edge system; R = P and R < P are both reached,
-    R = P also with more than one view."""
+def test_columns_are_distinct_and_used():
+    """The columns of G are pairwise distinct and each is some pair's, on
+    every parsed, canonical, mutant and word-edge system, on view
+    subfamilies and on canonical systems of part of the subalgebras; R = P
+    and R < P are both reached, R = P also with more than one view."""
     cases = [rs for _, rs, _ in systems()] + [rs for _, rs, _, _ in mutants()] + [edge_system(size)[0] for size in EDGES]
+    cases += [build_repsys(doc)[0] for _, doc in map_documents()]
+    rng = random.Random(21)
+    for k in range(len(SUBFAMILY_HOSTS)):
+        subs, brs = canonical_with_carriers(k)
+        for _ in range(4):
+            keep = sorted(rng.sample(range(len(subs)), rng.randint(1, len(subs))))
+            cases += [subfamily(brs.rs, keep), build_canonical_rs(SUBFAMILY_HOSTS[k], subs=[subs[v] for v in keep]).rs]
     extremes = set()
     for rs in cases:
-        G, cid = rs.columns
-        assert np.array_equal(rs.g, G[:, cid])
-        assert len({tuple(c) for c in G.T}) == G.shape[1]
-        extremes.add((len(rs.views) > 1, G.shape[1] == rs.g.shape[1]))
+        G, cid = rs.G, rs.cid
+        assert len({tuple(c) for c in G.T}) == G.shape[1] and set(cid.tolist()) == set(range(G.shape[1]))
+        extremes.add((len(rs.views) > 1, G.shape[1] == len(cid)))
     assert extremes == {(False, True), (True, True), (True, False)}
+
+
+def random_poset(rng, name):
+    """A random order on one to four elements named name0, name1, ..."""
+    n = rng.randint(1, 4)
+    rel = np.triu(np.array([[rng.random() < 0.4 for _ in range(n)] for _ in range(n)]), 1)
+    return FinitePoset(tuple(f"{name}{x}" for x in range(n)), reference_closure(rel))
+
+
+def test_transitive_systems_share_columns_across_views():
+    """No system with two or more views, one of them not empty, identity
+    tables and a transitive pre-sum has R = P.
+
+    Let x be maximal in view k, j another view and y = f_(j|k)(x). Then
+    (k, x) <= (j, y), as f_(j|k)(x) <= y, and (j, y) <= (k, f_(k|j)(y)),
+    so transitivity gives (k, x) <= (k, f_(k|j)(y)): with the identity
+    table, x <= f_(k|j)(y), and x is maximal, so f_(k|j)(y) = x. Hence
+    (j, y) <= (k, x) too. The two pairs are mutually comparable, so their
+    pre-sum rows are equal, and so are their columns, since up-sets in a
+    poset are equal only for equal elements: two pairs of different views
+    share a column, and R < P.
+
+    Checked pair by pair, with the pre-sum read from the loop, on
+    `systems()`, on the mutants with identity tables and a transitive
+    pre-sum, and on random systems of two or three views."""
+    rng = random.Random(23)
+    cases = [("built", rs) for _, rs, _ in systems()] + [("built", rs) for _, rs, _, _ in mutants()]
+    for _ in range(1500):
+        views = ("U", "V", "W")[:rng.randint(2, 3)]
+        posets = [random_poset(rng, v) for v in views]
+        tables = {(i, j): tuple(rng.randrange(p.n) for _ in range(q.n)) for i, p in zip(views, posets) for j, q in zip(views, posets) if i != j}
+        cases.append(("random", make_rs(views, posets, tables)))
+    held = Counter()
+    for source, rs in cases:
+        if reference_rs_axioms(rs)[1] in ("missing-transform", "bad-transform", "identity") or presum_outcome(rs)[0] != "ok":
+            continue
+        for k, p in enumerate(rs.posets):
+            for x in np.flatnonzero(p.leq.sum(axis=1) == 1):  # maximal: only x lies above x
+                for j, view in enumerate(rs.views):
+                    if j != k:
+                        y = rs.transform(view, rs.views[k])[x]
+                        assert rs.cid[rs.off[k] + x] == rs.cid[rs.off[j] + y]
+        if len(rs.views) > 1 and len(rs.cid):
+            assert rs.G.shape[1] < len(rs.cid)
+            held[source] += 1
+    assert held["built"] >= 20 and held["random"] >= 50
 
 
 def test_missing_and_bad_tables_match_reference():
@@ -475,28 +531,37 @@ def canonical_with_carriers(k):
     return subs, build_canonical_rs(o, subs=subs)
 
 
+def subfamily(rs, keep):
+    """The system of views keep of a canonical system rs, with their
+    tables: its pairs are those of the kept views, and its columns those
+    of rs restricted to the kept views, at the columns these pairs use."""
+    pairs = np.concatenate([np.arange(rs.off[v], rs.off[v + 1]) for v in keep])
+    used, cid = np.unique(rs.cid[pairs], return_inverse=True)
+    return RepresentationSystem(tuple(rs.views[v] for v in keep), tuple(rs.posets[v] for v in keep), rs.G[np.ix_(keep, used)], cid, {})
+
+
 @settings(max_examples=64, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, len(SUBFAMILY_HOSTS) - 1), st.data())
 def test_view_subfamilies_satisfy_the_theorems(k, data):
     """Every system law quantifies over views and pairs of views, so any
     nonempty family of a canonical system's views, with their tables, is
-    again a boolean system, built here straight from g. Its sum need not be
-    its host, and the paper's theorems must still hold: both batteries pass,
-    as in the loops; the classes are the distinct columns, one per host
-    element the views cover; the shared-view condition makes the sum an
-    OMP, and with the preferred-view condition an OML whose & satisfies its
-    axioms."""
+    again a boolean system, built here from its columns (`subfamily`). Its
+    sum need not be its host, and the paper's theorems must still hold:
+    both batteries pass, as in the loops; the classes are the distinct
+    columns, one per host element the views cover; the shared-view
+    condition makes the sum an OMP, and with the preferred-view condition
+    an OML whose & satisfies its axioms."""
     subs, brs = canonical_with_carriers(k)
     rs = brs.rs
     keep = sorted(data.draw(st.sets(st.integers(0, len(rs.views) - 1), min_size=1)))
-    pairs = np.concatenate([np.arange(rs.off[v], rs.off[v + 1]) for v in keep])
-    sub = RepresentationSystem(tuple(rs.views[v] for v in keep), tuple(rs.posets[v] for v in keep), rs.g[np.ix_(keep, pairs)], {})
+    sub = subfamily(rs, keep)
+    pairs = len(sub.cid)
     orthos = tuple(brs.orthos[v] for v in keep)
     assert outcome(check_rs_axioms, sub) == ("ok", reference_rs_axioms(sub)) == ("ok", (True, "", ()))
     assert outcome(check_boolean_rs_axioms, sub, orthos) == ("ok", reference_boolean_rs_axioms(sub, orthos)) == ("ok", (True, "", ()))
     covered = len({x for v in keep for x in subs[v].carrier})
     s = quotient_sum(build_presum(sub))
-    assert sub.columns[0].shape[1] == s.order.n == covered <= len(pairs)
+    assert sub.G.shape[1] == s.order.n == covered <= pairs
     so = sum_as_orthoposet(s, BooleanRepresentationSystem(sub, orthos))
     if check_condition_omp(s, sub):
         assert is_orthomodular_poset(so)
@@ -549,14 +614,18 @@ def closure_cases():
 
 
 def test_closure_table_and_properties_match_reference():
-    seen = set()
+    """The table is gathered on the K distinct (class, column) of the
+    pairs: K = R for a system's own sum, and K > R for some mutant paired
+    with its parent's sum."""
+    seen, wider = set(), 0
     for name, rs, s in closure_cases():
         assert same_outcome(outcome(closure_table, s, rs), outcome(reference_closure_table, s, rs)), name
         got = outcome(verify_closure_properties, s, rs)
         want = outcome(reference_closure_properties, s, rs)
         assert got == want, name
         seen.add(got[1][1] if got[0] == "ok" else got[0])
-    assert {"", "ill-defined-closure", "extension"} <= seen
+        wider += len(set(zip(s.klass.tolist(), rs.cid.tolist()))) > rs.G.shape[1]
+    assert {"", "ill-defined-closure", "extension"} <= seen and wider >= 3
 
 
 def test_each_system_paired_with_a_sum_gets_its_own_arrays():
