@@ -14,9 +14,15 @@ maximal runs of other non-whitespace characters. The parser works on the
 token texts alone, as plain strings, and reads each section and map body
 as one slice of them: the entries of a map body whose every other token is
 ';' (one-token entries, as `serialize` writes them) are a stride of it, and
-those of any other body are its tokens joined and cut at each ';'. Errors
-carry the 1-based line and column of their token, which the positioned
-scanner `_tokenize` computes only once an error is raised.
+those of any other body are its tokens joined and cut at each ';'. A run of
+consecutive map blocks is read as one: the entries of all its bodies are
+split at their '->' together and checked against their views block by
+block, and only a run that some check refuses is read again one block at
+a time, to name its first error. A map keeps its entries as two id
+columns (`MapSpec`), and `build_repsys` lays every table of a document out
+with one scatter. The cyclic garbage collector is paused during `parse`.
+Errors carry the 1-based line and column of their token, which the
+positioned scanner `_tokenize` computes only once an error is raised.
 Ids: element ids and view names are single tokens that must not contain
 '<', ':' or '->', so that covers, ortho pairs, map headers and entries
 split back into ids, and must not be '*', which a map entry reads as its
@@ -31,17 +37,20 @@ unlisted element; tables for Vi<Vi are implicit identities.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
+from operator import is_not
 from typing import NamedTuple
 
 import numpy as np
 
 from .poset import FinitePoset, ValidationError, _closed_stack, _pair_indices, size_groups
 from .ortho import OrthoPoset, ortho_stack
-from .repsys import make_rs
+from .repsys import make_rs, _rs_from_array
 
 
 class ParseError(Exception):
@@ -53,13 +62,14 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class MapSpec:
-    """One `map target<source` block: explicit entries plus optional default."""
+class MapSpec(NamedTuple):
+    """One `map target<source` block: its explicit entries as two id
+    columns, sources[k] -> images[k], plus an optional default."""
 
     target: str
     source: str
-    entries: tuple
+    sources: tuple
+    images: tuple
     default: str = None
 
 
@@ -110,16 +120,18 @@ def _find(tokens, stop, lo, hi):
 
 
 def _split_pairs(items, sep):
-    """(lefts, rights) of items that each split at exactly one sep into two
-    nonempty parts, or None if some item does not."""
+    """(lefts, rights), two tuples, of items that each split at exactly one
+    sep into two nonempty parts, or None if some item does not."""
     if not items:
         return (), ()
-    lefts, _, rights = zip(*map(str.partition, items, repeat(sep)))
-    # an item without sep has an empty right part; partition splits at the
-    # first sep, so a second one is left in a right part
-    if "" in lefts or "" in rights or sep in " ".join(rights):
+    if not all(map((1).__eq__, map(str.count, items, repeat(sep)))):
         return None
-    return lefts, rights
+    # every item holds one sep, so the joined items split into their parts,
+    # with no per-item tuple as str.partition makes
+    parts = tuple(sep.join(items).split(sep))
+    if "" in parts:
+        return None
+    return parts[0::2], parts[1::2]
 
 
 class _Parser:
@@ -140,7 +152,7 @@ class _Parser:
             tok = _tokenize(self.text)[at]
             raise ParseError(message, tok.line, tok.col)
         lines = self.text.splitlines()
-        raise ParseError(message, len(lines), len(lines[-1]) + 1 if lines else 1)
+        raise ParseError(message, len(lines) or 1, len(lines[-1]) + 1 if lines else 1)
 
     def next(self, expect=None):
         if self.pos == len(self.tokens):
@@ -246,11 +258,66 @@ class _Parser:
             self.fail("unterminated map block", n)
         self.pos = end + 1
         lefts, rights = split
-        entries = tuple(zip(lefts, rights))
         if "*" not in lefts:
-            return MapSpec(target, source, entries)
+            return MapSpec(target, source, lefts, rights)
         k = lefts.index("*")
-        return MapSpec(target, source, entries[:k] + entries[k + 1:], rights[k])
+        return MapSpec(target, source, lefts[:k] + lefts[k + 1:], rights[:k] + rights[k + 1:], rights[k])
+
+    def map_run(self, ids, maps):
+        """Read the run of map blocks from the header at the cursor up to the
+        next head that is not `map`, and add their specs to maps, with
+        whole-run list and string operations; ids is as for `map`. Returns
+        False, having read nothing, if some block would be refused: `map`
+        then reads the blocks one at a time and raises the first error."""
+        tokens, n = self.tokens, len(self.tokens)
+        heads, items, offsets = [], [], [0]
+        h = self.pos
+        try:
+            while True:
+                b = tokens.index("{", h)
+                e = tokens.index("}", b)
+                heads.append(tokens[h] if b == h + 1 else "".join(tokens[h:b]))
+                # the body's items, as `map` reads them
+                body = tokens[b + 1:e:2]
+                if tokens[b + 2:e:2].count(";") != (e - b - 1) // 2 or ";" in body:
+                    body = list(filter(None, "".join(tokens[b + 1:e]).split(";")))
+                items += body
+                offsets.append(len(items))
+                h = e + 1
+                while h < n and tokens[h] == ";":
+                    h += 1
+                if h == n or tokens[h] != "map":
+                    break
+                h += 1
+        except ValueError:  # no '{' or no '}'
+            return False
+        headers, entries = _split_pairs(heads, "<"), _split_pairs(items, "->")
+        if headers is None or entries is None or not ids.keys() >= set(chain(*headers)):
+            return False
+        targets, sources = headers
+        lefts, rights = entries
+        blocks = list(map(slice, offsets, offsets[1:]))
+        srcs, imgs = list(map(lefts.__getitem__, blocks)), list(map(rights.__getitem__, blocks))
+        if not all(map(set.issuperset, [ids[v][0] for v in sources], srcs)):
+            return False
+        if not all(map(set.issuperset, [ids[v][1] for v in targets], imgs)):
+            return False
+        defaults = [None] * len(heads)
+        k = -1
+        for _ in range(lefts.count("*")):
+            k = lefts.index("*", k + 1)
+            m = bisect_right(offsets, k) - 1
+            if defaults[m] is not None:
+                return False
+            defaults[m] = rights[k]
+            j = k - offsets[m]
+            srcs[m], imgs[m] = srcs[m][:j] + srcs[m][j + 1:], imgs[m][:j] + imgs[m][j + 1:]
+        # a header is one target<source key
+        if len(set(heads)) != len(heads) or not maps.keys().isdisjoint(heads):
+            return False
+        maps.update(zip(heads, map(MapSpec, targets, sources, srcs, imgs, defaults)))
+        self.pos = h
+        return True
 
     def refuse_entry(self, end, source, target, src, dst):
         """Raise at the first entry before end that is malformed, names an
@@ -274,6 +341,7 @@ class _Parser:
         views = {}
         ids = {}
         maps = {}
+        runs = True  # False once a run is refused: its blocks are read one at a time
         while True:
             at = self.pos
             if at == len(tokens):
@@ -299,10 +367,13 @@ class _Parser:
                 views[vname] = vdoc = self.structure(vkind, vname)
                 ids[vname] = {"*", *vdoc.elements}, set(vdoc.elements)
             elif head == "map":
+                if runs and self.map_run(ids, maps):
+                    continue
+                runs = False
                 mspec = self.map(ids)
-                key = mspec.target, mspec.source
+                key = f"{mspec.target}<{mspec.source}"
                 if key in maps:
-                    self.fail(f"duplicate map {mspec.target}<{mspec.source}", at)
+                    self.fail(f"duplicate map {key}", at)
                 maps[key] = mspec
             else:
                 self.fail(f"unknown section {head!r} in repsys", at)
@@ -310,7 +381,21 @@ class _Parser:
 
 
 def parse(text):
-    """Parse one model document; raises ParseError with line/column."""
+    """Parse one model document; raises ParseError with line/column.
+
+    The cyclic garbage collector is paused while it runs: no parsed
+    document holds a reference cycle, and each collection would walk the
+    parser's large token and item lists."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text):
     p = _Parser(text)
     kind = p.next()
     if kind not in ("poset", "orthoposet", "repsys"):
@@ -344,7 +429,7 @@ def serialize(doc):
         body = "\n".join(_structure_lines(vdoc, indent="  "))
         chunks.append(f"  view {vname} = {vdoc.kind} {{\n{body}\n  }}")
     for m in doc.maps:
-        entries = [f"    {a}->{b}" for a, b in m.entries]
+        entries = [f"    {a}->{b}" for a, b in zip(m.sources, m.images)]
         if m.default is not None:
             entries.append(f"    * -> {m.default}")
         body = " ;\n".join(entries)
@@ -433,7 +518,10 @@ def build_repsys(doc):
     with no default is rejected. Identity tables are implicit. The views
     are built in stacks (`_view_stacks`); when a stack fails, the views are
     built again one at a time, in document order, so that the first
-    failing view raises its own error.
+    failing view raises its own error. The tables are laid out by one
+    scatter (`_scatter_tables`); when it refuses the maps, they are read
+    one at a time, in document order, so that the first failing map raises
+    its own error (`_map_tables`).
     """
     if doc.kind != "repsys":
         raise ValidationError("wrong-kind", f"cannot build a repsys from a {doc.kind!r} document", (doc.kind,))
@@ -445,13 +533,77 @@ def build_repsys(doc):
         for vdoc in vdocs:
             (build_orthoposet if vdoc.kind == "orthoposet" else build_poset)(vdoc)
         raise
-    by_name = dict(zip(names, posets))
+    laid = _scatter_tables(names, posets, doc.maps)
+    if laid is None:
+        rs = make_rs(names, posets, _map_tables(dict(zip(names, posets)), doc.maps))
+    else:
+        rs = _rs_from_array(names, posets, *laid)
+    return rs, tuple(orthos)
+
+
+def _scatter_tables(names, posets, maps):
+    """(g, holes) for `_rs_from_array`: the maps' tables laid out in one
+    V x P array by one scatter. The identity block of each view without a
+    map to itself and each default over its map's block come first, then
+    every entry. None if two views or two maps share a name or key, or a
+    map names an unknown view, names an id its view lacks, misses an
+    element with no default or lists a source twice: the per-map walk then
+    builds the tables or names the error."""
+    V, M = len(names), len(maps)
+    targets, sources, srcs, imgs, defaults = zip(*maps) if maps else ((),) * 5
+    vi = dict(zip(names, count()))
+    if len(vi) != V or len(set(zip(targets, sources))) != M:
+        return None
+    ti = np.fromiter(map(vi.get, targets, repeat(-1)), np.intp, M)
+    si = np.fromiter(map(vi.get, sources, repeat(-1)), np.intp, M)
+    if (ti < 0).any() or (si < 0).any():
+        return None
+    sizes = np.array([p.n for p in posets], np.intp)
+    off = np.concatenate(([0], np.cumsum(sizes)))
+    P = int(off[-1])
+    view_of = np.repeat(np.arange(V), sizes)  # the view of each pair
+    local = np.arange(P) - off[view_of]  # its element
+    # element ids are words of one vocabulary; index[k, w] is word w's
+    # element of view k, or -1, as in the last column, the unknown word
+    elements = list(chain.from_iterable(p.elements for p in posets))
+    vocab = dict(zip(dict.fromkeys(elements), count()))
+    W = len(vocab)
+    index = np.full((V, W + 1), -1, np.intp)
+    index[view_of, np.fromiter(map(vocab.__getitem__, elements), np.intp, P)] = local
+    lens = np.fromiter(map(len, srcs), np.intp, M)
+    N = int(lens.sum())
+    rows, cols = np.repeat(ti, lens), np.repeat(si, lens)
+    a = index[cols, np.fromiter(map(vocab.get, chain.from_iterable(srcs), repeat(W)), np.intp, N)]
+    b = index[rows, np.fromiter(map(vocab.get, chain.from_iterable(imgs), repeat(W)), np.intp, N)]
+    d = index[ti, np.fromiter(map(vocab.get, defaults, repeat(W)), np.intp, M)]
+    listed = np.fromiter(map(is_not, defaults, repeat(None)), bool, M)
+    if (a < 0).any() or (b < 0).any() or (d[listed] < 0).any() or (lens != sizes[si])[~listed].any():
+        return None
+    at = off[cols] + a  # the pair of each entry's source
+    seen = np.zeros((V, P), bool)
+    seen[rows, at] = True
+    if np.count_nonzero(seen) != N:  # a source listed twice
+        return None
+    fill = np.full((V, V), -2, np.intp)  # -2: no map listed
+    fill[ti, si] = d
+    g = fill.clip(-1)[:, view_of]
+    own = fill.diagonal()[view_of] == -2
+    g[view_of[own], own.nonzero()[0]] = local[own]
+    g[rows, at] = b
+    np.fill_diagonal(fill, 0)
+    return g, {(names[i], names[j]): "missing-transform" for i, j in zip(*(fill == -2).nonzero())}
+
+
+def _map_tables(by_name, maps):
+    """The {(target, source): table} of the maps, read one map at a time in
+    document order; raises unknown-element or incomplete-map at the first
+    map that names an id its view lacks or misses an element."""
     tables = {}
-    for m in doc.maps:
+    for m in maps:
         src, dst = by_name[m.source]._index, by_name[m.target]._index
         table = [None] * len(src)
         try:
-            for a, b in m.entries:
+            for a, b in zip(m.sources, m.images):
                 table[src[a]] = dst[b]
             if m.default is not None:
                 d = dst[m.default]
@@ -468,8 +620,7 @@ def build_repsys(doc):
                 (m.target, m.source, hole),
             )
         tables[(m.target, m.source)] = table
-    rs = make_rs(names, posets, tables)
-    return rs, tuple(orthos)
+    return tables
 
 
 def build(doc):

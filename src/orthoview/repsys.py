@@ -168,8 +168,8 @@ def make_rs(views, posets, tables):
     """Assemble a RepresentationSystem from a {(i, j): table} mapping, each
     table the view-i index of every element of view j. Absent identity tables
     are materialized; any other absent table, or one of the wrong length, is
-    recorded as a hole, whose entries read -1. The distinct columns of the
-    tables laid out as one V x P array are kept."""
+    recorded as a hole, whose entries read -1. The tables are laid out as
+    one V x P array and handed to `_rs_from_array`."""
     views, posets = tuple(views), tuple(posets)
     holes, blocks = {}, []
     for i in views:
@@ -181,8 +181,15 @@ def make_rs(views, posets, tables):
             blocks.append(t)
     pairs = sum(p.n for p in posets)
     g = np.fromiter(chain.from_iterable(blocks), np.intp, len(views) * pairs).reshape(len(views), pairs)
+    return _rs_from_array(views, posets, g, holes)
+
+
+def _rs_from_array(views, posets, g, holes):
+    """The system whose tables are laid out in g, a V x P array (row i,
+    columns off[j]:off[j + 1] the table f_(i|j)): its distinct columns are
+    kept."""
     _, first, cid = np.unique(_column_keys(g), return_index=True, return_inverse=True)
-    return RepresentationSystem(views, posets, g[:, first], cid, holes)
+    return RepresentationSystem(tuple(views), tuple(posets), g[:, first], cid, holes)
 
 
 def _column_keys(g):

@@ -546,7 +546,7 @@ def reference_map_tables(doc):
     for m in doc.maps:
         src, dst = views[m.source].elements, views[m.target].elements
         table = [None] * len(src)
-        for a, b in m.entries:
+        for a, b in zip(m.sources, m.images):
             table[src.index(a)] = dst.index(b)
         if m.default is not None:
             table = [dst.index(m.default) if t is None else t for t in table]
@@ -898,7 +898,7 @@ class _RefStream:
         self.tokens = tokens
         self.pos = 0
         lines = text.splitlines()
-        self.end = (len(lines), len(lines[-1]) + 1 if lines else 1)
+        self.end = (len(lines) or 1, len(lines[-1]) + 1 if lines else 1)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -1018,7 +1018,7 @@ def _ref_map(ts, views):
             raise ParseError("duplicate default entry", *at)
         else:
             default = rhs
-    return MapSpec(target, source, tuple(entries), default)
+    return MapSpec(target, source, tuple(a for a, _ in entries), tuple(b for _, b in entries), default)
 
 
 def reference_parse(text):

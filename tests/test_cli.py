@@ -323,7 +323,7 @@ def write_repsys(path, rs, orthos):
     """A repsys document of orthoposet views; identity tables stay implicit."""
     views = tuple((v, doc_from_orthoposet(v, o)) for v, o in zip(rs.views, orthos))
     maps = tuple(
-        MapSpec(i, j, tuple((rs.poset_of(j).elements[x], rs.poset_of(i).elements[t]) for x, t in enumerate(table)))
+        MapSpec(i, j, rs.poset_of(j).elements, tuple(rs.poset_of(i).elements[t] for t in table))
         for (i, j), table in sorted(rs.transforms.items())
         if i != j
     )

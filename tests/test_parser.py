@@ -2,6 +2,7 @@
 per-character scan, totality, the id rule, parse/serialize roundtrips and
 the parser against the token-stream reference parser."""
 
+import gc
 import random
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthoview import ParseError, parse, serialize, zoo
+from orthoview import ParseError, modelio, parse, serialize, zoo
 from orthoview.cli import main
-from orthoview.modelio import MapSpec, ModelDocument, _scan, _tokenize
+from orthoview.modelio import MapSpec, ModelDocument, _Parser, _scan, _tokenize
 
 from _models import reference_parse, reference_tokenize
 
@@ -26,12 +27,20 @@ def _outcome(parser, text):
         return str(e), e.line, e.col
 
 
+def _read_by_runs(text):
+    """parse(text) with the one-block reader switched off: every map block
+    is read by the run reader, or the parse fails."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Parser, "map", None)
+        return parse(text)
+
+
 V = "view V = poset { elements x y ; covers x<y }"
 U = "view U = poset { elements u }"
 
 # (document, str(err), line, col) for every ParseError site of the parser.
 ERROR_CASES = [
-    ("", "line 0, column 1: unexpected end of input (wanted a token)", 0, 1),
+    ("", "line 1, column 1: unexpected end of input (wanted a token)", 1, 1),
     ("poset", "line 1, column 6: unexpected end of input (wanted a token)", 1, 6),
     ("poset p", "line 1, column 8: unexpected end of input (wanted {)", 1, 8),
     ("poset p elements x", "line 1, column 9: expected '{', found 'elements'", 1, 9),
@@ -239,11 +248,11 @@ def documents(draw, kinds=("poset", "orthoposet", "repsys")):
     for target, source in keys:
         dst, src = docs[target].elements, docs[source].elements
         if not dst:
-            maps.append(MapSpec(target, source, ()))
+            maps.append(MapSpec(target, source, (), ()))
             continue
         entries = draw(st.lists(st.tuples(st.sampled_from(src), st.sampled_from(dst)), max_size=4)) if src else []
         default = draw(st.none() | st.sampled_from(dst))
-        maps.append(MapSpec(target, source, tuple(entries), default))
+        maps.append(MapSpec(target, source, tuple(a for a, _ in entries), tuple(b for _, b in entries), default))
     return ModelDocument(kind, name, views=views, maps=tuple(maps))
 
 
@@ -259,7 +268,7 @@ def test_parse_serialize_roundtrip(doc):
         with pytest.raises(ParseError, match=r"illegal (element id|view name) '\*' \(ids may not be '\*'"):
             parse(serialize(doc))
     else:
-        assert parse(serialize(doc)) == doc
+        assert parse(serialize(doc)) == doc == _read_by_runs(serialize(doc))
 
 
 # -- the parser against the token-stream reference -----------------------------
@@ -326,19 +335,70 @@ _STRIDED = """repsys t {
 """
 
 
+# Two runs of map blocks split by a view: strided bodies beside a spaced
+# default and a header written as three tokens; the second run repeats the
+# key A<B of the first, which an edit of either header can undo.
+_RUNS = """repsys u {
+  view A = poset { elements 0 a- 1 ; covers 0<a- a-<1 } ;
+  view B = poset { elements 0 >b 1 ; covers 0<>b >b<1 } ;
+  map B<A { 0->0 ; a-->>b ; 1->1 } ;
+  map A < B { >b->a- ; * -> 1 } ;
+  view C = poset { elements c } ;
+  map C<A { 0->c ; a-->c ; 1->c } ;
+  map A<B { 0->0 ; * -> a- }
+}
+"""
+
+
 def test_parse_matches_reference_on_every_single_edit_of_strided_maps():
     """Every drop, and every insert or replacement by a word of the grammar
     or a token of the document, at every token of a system whose maps are
-    all read as a stride."""
+    all read as a stride, and of one whose maps form two runs. An edit that
+    parses reads each of its map blocks in a run."""
     assert parse(_STRIDED) == reference_parse(_STRIDED)
-    tokens = [t.text for t in _tokenize(_STRIDED)]
-    words = sorted(set(_WORDS) | set(tokens) | {"a->b->c", "0->>b", "a--->1"})
-    for i in range(len(tokens) + 1):
-        edits = [tokens[:i] + tokens[i + 1:]]
-        edits += [tokens[:i] + [w] + tokens[i + j:] for w in words for j in (0, 1)]
-        for edit in edits:
-            edited = "".join(t + ("\n" if k % 4 == 3 else " ") for k, t in enumerate(edit))
-            assert _outcome(parse, edited) == _outcome(reference_parse, edited), edited
+    for text in (_STRIDED, _RUNS):
+        tokens = [t.text for t in _tokenize(text)]
+        words = sorted(set(_WORDS) | set(tokens) | {"a->b->c", "0->>b", "a--->1"})
+        for i in range(len(tokens) + 1):
+            edits = [tokens[:i] + tokens[i + 1:]]
+            edits += [tokens[:i] + [w] + tokens[i + j:] for w in words for j in (0, 1)]
+            for edit in edits:
+                edited = "".join(t + ("\n" if k % 4 == 3 else " ") for k, t in enumerate(edit))
+                got = _outcome(parse, edited)
+                assert got == _outcome(reference_parse, edited), edited
+                if isinstance(got, ModelDocument):
+                    assert _read_by_runs(edited) == got, edited
+
+
+def test_edits_reach_both_outcomes_of_the_run_document():
+    """_RUNS itself is refused at its repeated key; an edit of that header
+    gives a document whose maps form two runs."""
+    assert _outcome(parse, _RUNS) == _outcome(reference_parse, _RUNS) == ("line 8, column 3: duplicate map A<B", 8, 3)
+    text = _RUNS.replace("map A<B", "map A<A")
+    doc = parse(text)
+    assert doc == reference_parse(text) == _read_by_runs(text)
+    assert [m[:2] for m in doc.maps] == [("B", "A"), ("A", "B"), ("C", "A"), ("A", "A")]
+    assert doc.maps[1] == MapSpec("A", "B", (">b",), ("a-",), "1")
+
+
+def test_parse_leaves_the_collector_as_it_found_it(monkeypatch):
+    """parse pauses the cyclic collector while it runs, and leaves it on or
+    off as the caller had it, after a document and after a ParseError."""
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert parse(zoo()["firefly"].text).kind == "repsys"
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError):
+                parse(f"repsys r {{ {V} ; map V<V {{ x }} }}")
+            assert gc.isenabled() is enabled
+            with monkeypatch.context() as mp:
+                mp.setattr(modelio, "_parse", lambda text: gc.isenabled())
+                assert parse("") is False
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 _MAP_VIEWS = "view A = poset { elements 0 a- a 1 } ; view B = poset { elements 0 >b b 1 }"
@@ -371,7 +431,10 @@ def map_bodies(draw):
 @given(map_bodies(), map_bodies())
 def test_parse_matches_reference_on_map_bodies(forth, back):
     text = f"repsys r {{ {_MAP_VIEWS} ;\n map B<A {{ {forth} }} ;\n map A<B {{ {back} }} }}"
-    assert _outcome(parse, text) == _outcome(reference_parse, text)
+    got = _outcome(parse, text)
+    assert got == _outcome(reference_parse, text)
+    if isinstance(got, ModelDocument):
+        assert _read_by_runs(text) == got
 
 
 def test_parse_matches_reference_on_canonical_systems(monkeypatch):
@@ -383,5 +446,5 @@ def test_parse_matches_reference_on_canonical_systems(monkeypatch):
     for s in (structures.boolean_algebra(4), structures.greechie_cycle(6), structures.greechie_cycle(7)):
         text, views, _ = documents.canonical_repsys_text(s, random.Random(0))
         doc = parse(text)
-        assert doc == reference_parse(text)
+        assert doc == reference_parse(text) == _read_by_runs(text)
         assert len(doc.maps) == views * (views - 1)

@@ -49,6 +49,7 @@ from orthoview import (
     is_orthomodular_lattice,
     is_orthomodular_poset,
     make_rs,
+    modelio,
     parse,
     quotient_sum,
     roundtrip_check,
@@ -206,18 +207,22 @@ def map_documents():
                 continue
             src, dst = rs.poset_of(j).elements, rs.poset_of(i).elements
             default = max(sorted(set(table)), key=table.count) if rng.random() < 0.7 else None
-            entries = tuple((src[x], dst[t]) for x, t in enumerate(table) if t != default or rng.random() < 0.3)
-            maps.append(MapSpec(i, j, entries, None if default is None else dst[default]))
+            listed = [x for x, t in enumerate(table) if t != default or rng.random() < 0.3]
+            entries = tuple(src[x] for x in listed), tuple(dst[table[x]] for x in listed)
+            maps.append(MapSpec(i, j, *entries, None if default is None else dst[default]))
         rng.shuffle(maps)
         views = tuple((v, doc_from_orthoposet(v, o)) for v, o in zip(rs.views, orthos))
         out.append((name, parse(serialize(ModelDocument("repsys", name, views=views, maps=tuple(maps))))))
     return tuple(out)
 
 
-def test_map_tables_match_reference():
+def test_map_tables_match_reference(monkeypatch):
     """build_repsys's index array, table by table, against the entry-by-entry
     fill; a left-out map is a missing-transform hole, which the rs axioms
-    name as the loop does."""
+    name as the loop does. No map of these documents lists a source twice,
+    so the one scatter lays out every table, and the per-map walk never
+    runs."""
+    monkeypatch.setattr(modelio, "_map_tables", None)
     codes = set()
     for name, doc in map_documents():
         rs, _ = build_repsys(doc)
@@ -247,15 +252,74 @@ def test_incomplete_map_matches_reference():
         if k is None:
             continue
         m = doc.maps[k]
-        entries = list(m.entries)
-        del entries[rng.randrange(len(entries))]
-        maps = doc.maps[:k] + (replace(m, entries=tuple(entries)),) + doc.maps[k + 1:]
+        x = rng.randrange(len(m.sources))
+        shorter = m._replace(sources=m.sources[:x] + m.sources[x + 1:], images=m.images[:x] + m.images[x + 1:])
+        maps = doc.maps[:k] + (shorter,) + doc.maps[k + 1:]
         cut = replace(doc, maps=maps)
         table = reference_map_tables(cut)[(m.target, m.source)]
         hole = dict(doc.views)[m.source].elements[table.index(None)]
         assert outcome(build_repsys, cut) == ("incomplete-map", (m.target, m.source, hole)), name
         edited += 1
     assert edited >= 6
+    # two incomplete maps listed against view order: B<A, which misses a,
+    # comes first in the document, A<B, which misses b, first in view order
+    doc = parse(f"repsys r {{ {_AB} ; map B<A {{ 0->0 ; 1->1 }} ; map A<B {{ 0->0 ; 1->1 }} }}")
+    hole = dict(doc.views)["A"].elements[reference_map_tables(doc)[("B", "A")].index(None)]
+    assert outcome(build_repsys, doc) == ("incomplete-map", ("B", "A", hole)) == ("incomplete-map", ("B", "A", "a"))
+    # as many entries as elements, but one source listed twice in place of a
+    doc = parse(f"repsys r {{ {_AB} ; map B<A {{ 0->0 ; 0->b ; 1->1 }} ; map A<B {{ * -> 1 }} }}")
+    assert reference_map_tables(doc)[("B", "A")] == (1, None, 2)
+    assert outcome(build_repsys, doc) == ("incomplete-map", ("B", "A", "a"))
+
+
+_AB = "view A = poset { elements 0 a 1 ; covers 0<a a<1 } ; view B = poset { elements 0 b 1 ; covers 0<b b<1 }"
+
+
+def test_repeated_source_takes_its_last_image():
+    """A map that lists a source twice, or three times, takes the image
+    listed last, as the entry-by-entry fill does, with or without a
+    default."""
+    rng = random.Random(29)
+    repeated = 0
+    for name, doc in map_documents():
+        maps = []
+        for m in doc.maps:
+            images = dict(doc.views)[m.target].elements
+            if m.sources and len(images) > 1:
+                k = rng.randrange(len(m.sources))
+                x, y = m.sources[k], m.images[k]
+                other = [t for t in images if t != y]
+                # one listing before the original, another after it
+                sources = (x,) + m.sources + (x,)
+                m = m._replace(sources=sources, images=(rng.choice(other),) + m.images + (rng.choice(other),))
+                repeated += 1
+            maps.append(m)
+        doubled = replace(doc, maps=tuple(maps))
+        assert parse(serialize(doubled)) == doubled, name
+        rs, _ = build_repsys(doubled)
+        for (i, j), t in reference_map_tables(doubled).items():
+            assert rs.transform(i, j).tolist() == list(t), name
+    assert repeated > 100
+
+
+@pytest.mark.parametrize(
+    "maps, unknown",
+    [
+        ([MapSpec("B", "A", ("0", "q", "1"), ("0", "b", "1"))], "q"),  # a source no view has
+        ([MapSpec("B", "A", ("0", "b", "1"), ("0", "b", "1"))], "b"),  # a source of the other view
+        ([MapSpec("B", "A", ("0", "a", "1"), ("0", "a", "1"))], "a"),  # an image of the other view
+        ([MapSpec("B", "A", ("0", "a"), ("0", "b"), "q")], "q"),  # a default no view has
+        ([MapSpec("B", "A", ("0", "a"), ("0", "b"), "a")], "a"),  # a default of the other view
+        # the first bad map in document order, not in view order
+        ([MapSpec("B", "A", ("0",), ("0",), "x"), MapSpec("A", "B", ("0",), ("0",), "y")], "x"),
+    ],
+)
+def test_unknown_ids_in_maps_are_named(maps, unknown):
+    """Maps of hand-built documents (the parser refuses them) that name an
+    id their view lacks, as a source, an image or the default: build_repsys
+    raises unknown-element for the first such id in document order."""
+    doc = replace(parse(f"repsys r {{ {_AB} }}"), maps=tuple(maps))
+    assert outcome(build_repsys, doc) == ("unknown-element", (unknown,))
 
 
 def test_rs_axioms_match_reference():
