@@ -17,10 +17,10 @@ as one slice of them: the entries of a map body whose every other token is
 those of any other body are its tokens joined and cut at each ';'. A run of
 consecutive map blocks is read as one: the entries of all its bodies are
 split at their '->' together and checked against their views block by
-block, and only a run that some check refuses is read again one block at
-a time, to name its first error. A map keeps its entries as two id
-columns (`MapSpec`), and `build_repsys` lays every table of a document out
-with one scatter. The cyclic garbage collector is paused during `parse`.
+block; a run that some check refuses is walked one block at a time only
+to name its first error. A map keeps its entries as two id columns
+(`MapSpec`), and `build_repsys` lays every table out, or names the first
+failing map, with one scatter. The cyclic collector is paused in `parse`.
 Errors carry the 1-based line and column of their token, which the
 positioned scanner `_tokenize` computes only once an error is raised.
 Ids: element ids and view names are single tokens that must not contain
@@ -48,9 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .poset import FinitePoset, ValidationError, _closed_stack, _pair_indices, size_groups
+from .poset import FinitePoset, InternalCheckError, ValidationError, _closed_stack, _pair_indices, size_groups
 from .ortho import OrthoPoset, ortho_stack
-from .repsys import make_rs, _rs_from_array
+from .repsys import _rs_from_array
 
 
 class ParseError(Exception):
@@ -117,6 +117,15 @@ def _find(tokens, stop, lo, hi):
         return tokens.index(stop, lo, hi)
     except ValueError:
         return hi
+
+
+def _entries(tokens, lo, hi):
+    """The entries of the map body tokens[lo:hi]: a stride of it when every
+    other token is ';' (as `serialize` writes it), else its cuts at ';'."""
+    items = tokens[lo:hi:2]
+    if tokens[lo + 1:hi:2].count(";") != (hi - lo) // 2 or ";" in items:
+        items = list(filter(None, "".join(tokens[lo:hi]).split(";")))
+    return items
 
 
 def _split_pairs(items, sep):
@@ -226,49 +235,12 @@ class _Parser:
             self.fail(f"unknown element {next(e for e in named if e not in seen)!r} in {name!r}")
         return ModelDocument(kind, name, elements, covers, ortho)
 
-    def map(self, ids):
-        """The map block whose header is at the cursor; ids holds the
-        (ids and '*', ids) sets of each view read so far."""
-        tokens, at = self.tokens, self.pos
-        n = len(tokens)
-        b = _find(tokens, "{", at, n) + 1
-        if b == at + 1:
-            self.fail("map needs a target<source header")
-        header = tokens[at] if b == at + 2 else "".join(tokens[at:b - 1])
-        target, _, source = header.partition("<")
-        if not target or not source or "<" in source:
-            self.fail(f"malformed map header {header!r}", at)
-        for v in (target, source):
-            if v not in ids:
-                self.fail(f"map references unknown view {v!r}", at)
-        if b > n:
-            self.fail("unexpected end of input (wanted {)", n)
-        self.pos = b
-        end = _find(tokens, "}", b, n)
-        # one-token entries between ';' are every other token of the body;
-        # otherwise an entry is the concatenation of its item's tokens
-        items = tokens[b:end:2]
-        if tokens[b + 1:end:2].count(";") != (end - b) // 2 or ";" in items:
-            items = list(filter(None, "".join(tokens[b:end]).split(";")))
-        split = _split_pairs(items, "->")
-        src, dst = ids[source][0], ids[target][1]
-        if split is None or not src.issuperset(split[0]) or not dst.issuperset(split[1]) or split[0].count("*") > 1:
-            self.refuse_entry(end, source, target, src, dst)
-        if end == n:
-            self.fail("unterminated map block", n)
-        self.pos = end + 1
-        lefts, rights = split
-        if "*" not in lefts:
-            return MapSpec(target, source, lefts, rights)
-        k = lefts.index("*")
-        return MapSpec(target, source, lefts[:k] + lefts[k + 1:], rights[:k] + rights[k + 1:], rights[k])
-
     def map_run(self, ids, maps):
         """Read the run of map blocks from the header at the cursor up to the
         next head that is not `map`, and add their specs to maps, with
-        whole-run list and string operations; ids is as for `map`. Returns
-        False, having read nothing, if some block would be refused: `map`
-        then reads the blocks one at a time and raises the first error."""
+        whole-run list and string operations; ids holds the (ids and '*',
+        ids) sets of each view read so far. Returns False, having read
+        nothing, if some block would be refused (see `refuse_maps`)."""
         tokens, n = self.tokens, len(self.tokens)
         heads, items, offsets = [], [], [0]
         h = self.pos
@@ -277,11 +249,7 @@ class _Parser:
                 b = tokens.index("{", h)
                 e = tokens.index("}", b)
                 heads.append(tokens[h] if b == h + 1 else "".join(tokens[h:b]))
-                # the body's items, as `map` reads them
-                body = tokens[b + 1:e:2]
-                if tokens[b + 2:e:2].count(";") != (e - b - 1) // 2 or ";" in body:
-                    body = list(filter(None, "".join(tokens[b + 1:e]).split(";")))
-                items += body
+                items += _entries(tokens, b + 1, e)
                 offsets.append(len(items))
                 h = e + 1
                 while h < n and tokens[h] == ";":
@@ -319,6 +287,43 @@ class _Parser:
         self.pos = h
         return True
 
+    def refuse_maps(self, ids, keys):
+        """Raise the first error of a run of map blocks `map_run` refused,
+        reading a block at a time and walking the entries of a block only if
+        refused in bulk; keys holds the map keys read before the run."""
+        tokens, n = self.tokens, len(self.tokens)
+        while True:
+            at = self.pos
+            b = _find(tokens, "{", at, n) + 1
+            if b == at + 1:
+                self.fail("map needs a target<source header")
+            header = tokens[at] if b == at + 2 else "".join(tokens[at:b - 1])
+            target, _, source = header.partition("<")
+            if not target or not source or "<" in source:
+                self.fail(f"malformed map header {header!r}", at)
+            for v in (target, source):
+                if v not in ids:
+                    self.fail(f"map references unknown view {v!r}", at)
+            if b > n:
+                self.fail("unexpected end of input (wanted {)", n)
+            end = _find(tokens, "}", b, n)
+            split = _split_pairs(_entries(tokens, b, end), "->")
+            src, dst = ids[source][0], ids[target][1]
+            if split is None or not src.issuperset(split[0]) or not dst.issuperset(split[1]) or split[0].count("*") > 1:
+                self.pos = b
+                self.refuse_entry(end, source, target, src, dst)
+            if end == n:
+                self.fail("unterminated map block", n)
+            if header in keys:
+                self.fail(f"duplicate map {header}", at - 1)
+            keys.add(header)
+            h = end + 1
+            while h < n and tokens[h] == ";":
+                h += 1
+            if h == n or tokens[h] != "map":
+                raise InternalCheckError("map-run", f"the run of map blocks before token {h} was refused but holds no error", (h,))
+            self.pos = h + 1
+
     def refuse_entry(self, end, source, target, src, dst):
         """Raise at the first entry before end that is malformed, names an
         element its view lacks, or repeats the default."""
@@ -341,7 +346,6 @@ class _Parser:
         views = {}
         ids = {}
         maps = {}
-        runs = True  # False once a run is refused: its blocks are read one at a time
         while True:
             at = self.pos
             if at == len(tokens):
@@ -367,14 +371,8 @@ class _Parser:
                 views[vname] = vdoc = self.structure(vkind, vname)
                 ids[vname] = {"*", *vdoc.elements}, set(vdoc.elements)
             elif head == "map":
-                if runs and self.map_run(ids, maps):
-                    continue
-                runs = False
-                mspec = self.map(ids)
-                key = f"{mspec.target}<{mspec.source}"
-                if key in maps:
-                    self.fail(f"duplicate map {key}", at)
-                maps[key] = mspec
+                if not self.map_run(ids, maps):
+                    self.refuse_maps(ids, set(maps))
             else:
                 self.fail(f"unknown section {head!r} in repsys", at)
         return ModelDocument("repsys", name, views=tuple(views.items()), maps=tuple(maps.values()))
@@ -518,11 +516,8 @@ def build_repsys(doc):
     with no default is rejected. Identity tables are implicit. The views
     are built in stacks (`_view_stacks`); when a stack fails, the views are
     built again one at a time, in document order, so that the first
-    failing view raises its own error. The tables are laid out by one
-    scatter (`_scatter_tables`); when it refuses the maps, they are read
-    one at a time, in document order, so that the first failing map raises
-    its own error (`_map_tables`).
-    """
+    failing view raises its own error. One scatter lays out the tables, or
+    names the first failing map (`_scatter_tables`)."""
     if doc.kind != "repsys":
         raise ValidationError("wrong-kind", f"cannot build a repsys from a {doc.kind!r} document", (doc.kind,))
     names = [v for v, _ in doc.views]
@@ -533,31 +528,29 @@ def build_repsys(doc):
         for vdoc in vdocs:
             (build_orthoposet if vdoc.kind == "orthoposet" else build_poset)(vdoc)
         raise
-    laid = _scatter_tables(names, posets, doc.maps)
-    if laid is None:
-        rs = make_rs(names, posets, _map_tables(dict(zip(names, posets)), doc.maps))
-    else:
-        rs = _rs_from_array(names, posets, *laid)
-    return rs, tuple(orthos)
+    return _rs_from_array(names, posets, *_scatter_tables(names, posets, doc.maps)), tuple(orthos)
 
 
 def _scatter_tables(names, posets, maps):
     """(g, holes) for `_rs_from_array`: the maps' tables laid out in one
     V x P array by one scatter. The identity block of each view without a
     map to itself and each default over its map's block come first, then
-    every entry. None if two views or two maps share a name or key, or a
-    map names an unknown view, names an id its view lacks, misses an
-    element with no default or lists a source twice: the per-map walk then
-    builds the tables or names the error."""
+    every entry; a source listed twice takes the image listed last. Raises
+    unknown-view, then duplicate-map, unknown-element or incomplete-map,
+    each at the first map in document order that has one; incomplete-map
+    names the first element that map misses."""
     V, M = len(names), len(maps)
     targets, sources, srcs, imgs, defaults = zip(*maps) if maps else ((),) * 5
     vi = dict(zip(names, count()))
-    if len(vi) != V or len(set(zip(targets, sources))) != M:
-        return None
     ti = np.fromiter(map(vi.get, targets, repeat(-1)), np.intp, M)
     si = np.fromiter(map(vi.get, sources, repeat(-1)), np.intp, M)
     if (ti < 0).any() or (si < 0).any():
-        return None
+        view = next(v for v in chain.from_iterable(zip(targets, sources)) if v not in vi)
+        raise ValidationError("unknown-view", f"a map names no view {view!r}", (view,))
+    if len(set(zip(targets, sources))) != M:
+        seen = set()
+        key = next(k for k in zip(targets, sources) if k in seen or seen.add(k))
+        raise ValidationError("duplicate-map", "duplicate map {}<{}".format(*key), key)
     sizes = np.array([p.n for p in posets], np.intp)
     off = np.concatenate(([0], np.cumsum(sizes)))
     P = int(off[-1])
@@ -576,51 +569,34 @@ def _scatter_tables(names, posets, maps):
     a = index[cols, np.fromiter(map(vocab.get, chain.from_iterable(srcs), repeat(W)), np.intp, N)]
     b = index[rows, np.fromiter(map(vocab.get, chain.from_iterable(imgs), repeat(W)), np.intp, N)]
     d = index[ti, np.fromiter(map(vocab.get, defaults, repeat(W)), np.intp, M)]
-    listed = np.fromiter(map(is_not, defaults, repeat(None)), bool, M)
-    if (a < 0).any() or (b < 0).any() or (d[listed] < 0).any() or (lens != sizes[si])[~listed].any():
-        return None
-    at = off[cols] + a  # the pair of each entry's source
-    seen = np.zeros((V, P), bool)
-    seen[rows, at] = True
-    if np.count_nonzero(seen) != N:  # a source listed twice
-        return None
+    if (a < 0).any() or (b < 0).any() or (d[np.fromiter(map(is_not, defaults, repeat(None)), bool, M)] < 0).any():
+        for m, s, t in zip(maps, si, ti):  # idx raises unknown-element at the first id a map's views lack
+            for x, y in zip(m.sources, m.images):
+                posets[s].idx(x), posets[t].idx(y)
+            if m.default is not None:
+                posets[t].idx(m.default)
+        raise InternalCheckError("unknown-element", "the scatter refused an id that every map's views have")
     fill = np.full((V, V), -2, np.intp)  # -2: no map listed
     fill[ti, si] = d
     g = fill.clip(-1)[:, view_of]
     own = fill.diagonal()[view_of] == -2
     g[view_of[own], own.nonzero()[0]] = local[own]
-    g[rows, at] = b
+    # numpy leaves unsaid which of the values assigned to one index is kept,
+    # so each cell takes the entry listed last for it, found with maximum.at
+    last = np.full(V * P, -1, np.intp)
+    np.maximum.at(last, rows * P + off[cols] + a, np.arange(N))
+    cells = np.flatnonzero(last >= 0)
+    np.put(g, cells, b[last[cells]])
+    # a map with no default must fill each cell of its block
+    short = (d < 0) & (np.bincount(np.repeat(np.arange(M), lens)[last[cells]], minlength=M) < sizes[si])
+    if short.any():
+        k = short.argmax()
+        m, hole = maps[k], posets[si[k]].elements[(g[ti[k], off[si[k]]:off[si[k] + 1]] < 0).argmax()]
+        raise ValidationError(
+            "incomplete-map", f"map {m.target}<{m.source} misses {hole!r} and has no default", (m.target, m.source, hole)
+        )
     np.fill_diagonal(fill, 0)
     return g, {(names[i], names[j]): "missing-transform" for i, j in zip(*(fill == -2).nonzero())}
-
-
-def _map_tables(by_name, maps):
-    """The {(target, source): table} of the maps, read one map at a time in
-    document order; raises unknown-element or incomplete-map at the first
-    map that names an id its view lacks or misses an element."""
-    tables = {}
-    for m in maps:
-        src, dst = by_name[m.source]._index, by_name[m.target]._index
-        table = [None] * len(src)
-        try:
-            for a, b in zip(m.sources, m.images):
-                table[src[a]] = dst[b]
-            if m.default is not None:
-                d = dst[m.default]
-                table = [d if t is None else t for t in table]
-        except KeyError as e:
-            # an id one of the two views lacks: idx raises unknown-element
-            by_name[m.source].idx(e.args[0])
-            by_name[m.target].idx(e.args[0])
-        if None in table:
-            hole = by_name[m.source].elements[table.index(None)]
-            raise ValidationError(
-                "incomplete-map",
-                f"map {m.target}<{m.source} misses {hole!r} and has no default",
-                (m.target, m.source, hole),
-            )
-        tables[(m.target, m.source)] = table
-    return tables
 
 
 def build(doc):

@@ -30,12 +30,12 @@ class RepresentationSystem:
     sees pair a: G[i, cid[a]] is the view-i index of the translation of
     pair a, so G[i, cid[off[j]:off[j + 1]]] is the table f_(i|j). G is
     V x R: pairs share a column iff every view sees them alike, and every
-    column is some pair's. The constructor refuses any other (G, cid) as
-    bad-columns. `holes` maps each table (i, j) that was absent, or did not
-    have one entry per element of view j, to missing-transform or
-    bad-transform; its entries read -1. `make_rs` builds a system from a
-    {(i, j): table} mapping. G, cid and holes are read-only, and systems
-    compare and hash by identity.
+    column is some pair's. The constructor refuses two views of one name as
+    duplicate-view, and any other (G, cid) as bad-columns. `holes` maps
+    each table (i, j) that was absent, or did not have one entry per
+    element of view j, to missing-transform or bad-transform; its entries
+    read -1. `make_rs` builds a system from a {(i, j): table} mapping. G,
+    cid and holes are read-only, and systems compare and hash by identity.
 
     Each law is decided and named on the columns (`_first_failure`):
     `monotony` and `composition` are the verdicts of those two laws, and
@@ -53,6 +53,10 @@ class RepresentationSystem:
         G, cid = self.G, self.cid
         G.flags.writeable = cid.flags.writeable = False
         object.__setattr__(self, "holes", MappingProxyType(dict(self.holes)))
+        if len(set(self.views)) != len(self.views):
+            seen = set()
+            view = next(v for v in self.views if v in seen or seen.add(v))
+            raise ValidationError("duplicate-view", f"duplicate view {view!r}", (view,))
         if G.ndim != 2 or len(G) != len(self.views) or cid.shape != (self.off[-1],):
             raise ValidationError("bad-columns", f"G {G.shape} and cid {cid.shape} do not fit {len(self.views)} views and {self.off[-1]} pairs")
         R = G.shape[1]

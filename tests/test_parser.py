@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthoview import ParseError, modelio, parse, serialize, zoo
+from orthoview import InternalCheckError, ParseError, modelio, parse, serialize, zoo
 from orthoview.cli import main
 from orthoview.modelio import MapSpec, ModelDocument, _Parser, _scan, _tokenize
 
@@ -28,10 +28,10 @@ def _outcome(parser, text):
 
 
 def _read_by_runs(text):
-    """parse(text) with the one-block reader switched off: every map block
-    is read by the run reader, or the parse fails."""
+    """parse(text) with the error walk switched off: every map block is
+    read by the run reader, or the parse fails."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Parser, "map", None)
+        mp.setattr(_Parser, "refuse_maps", None)
         return parse(text)
 
 
@@ -379,6 +379,23 @@ def test_edits_reach_both_outcomes_of_the_run_document():
     assert doc == reference_parse(text) == _read_by_runs(text)
     assert [m[:2] for m in doc.maps] == [("B", "A"), ("A", "B"), ("C", "A"), ("A", "A")]
     assert doc.maps[1] == MapSpec("A", "B", (">b",), ("a-",), "1")
+
+
+def test_a_run_refused_without_an_error_is_internal(monkeypatch, tmp_path, capsys):
+    """The walk that names the error of a refused run finds none when the
+    run reader refuses a valid run: parse raises InternalCheckError, and
+    the CLI exits 3 with its one-line message and no traceback."""
+    monkeypatch.setattr(_Parser, "map_run", lambda self, ids, maps: False)
+    text = zoo()["firefly"].text
+    with pytest.raises(InternalCheckError) as err:
+        parse(text)
+    assert err.value.code == "map-run"
+    path = tmp_path / "firefly.oml-model"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("internal consistency failure [map-run]: ")
+    assert "Traceback" not in out.err and out.err.count("\n") == 1
 
 
 def test_parse_leaves_the_collector_as_it_found_it(monkeypatch):

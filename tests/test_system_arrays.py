@@ -35,6 +35,7 @@ from orthoview import (
     build_amp,
     build_canonical_rs,
     build_orthoposet,
+    build_poset,
     build_presum,
     build_repsys,
     check_boolean_rs_axioms,
@@ -49,7 +50,6 @@ from orthoview import (
     is_orthomodular_lattice,
     is_orthomodular_poset,
     make_rs,
-    modelio,
     parse,
     quotient_sum,
     roundtrip_check,
@@ -216,13 +216,10 @@ def map_documents():
     return tuple(out)
 
 
-def test_map_tables_match_reference(monkeypatch):
+def test_map_tables_match_reference():
     """build_repsys's index array, table by table, against the entry-by-entry
     fill; a left-out map is a missing-transform hole, which the rs axioms
-    name as the loop does. No map of these documents lists a source twice,
-    so the one scatter lays out every table, and the per-map walk never
-    runs."""
-    monkeypatch.setattr(modelio, "_map_tables", None)
+    name as the loop does."""
     codes = set()
     for name, doc in map_documents():
         rs, _ = build_repsys(doc)
@@ -269,6 +266,9 @@ def test_incomplete_map_matches_reference():
     # as many entries as elements, but one source listed twice in place of a
     doc = parse(f"repsys r {{ {_AB} ; map B<A {{ 0->0 ; 0->b ; 1->1 }} ; map A<B {{ * -> 1 }} }}")
     assert reference_map_tables(doc)[("B", "A")] == (1, None, 2)
+    assert outcome(build_repsys, doc) == ("incomplete-map", ("B", "A", "a"))
+    # a map that misses two elements names the first of them
+    doc = parse(f"repsys r {{ {_AB} ; map B<A {{ 0->0 }} }}")
     assert outcome(build_repsys, doc) == ("incomplete-map", ("B", "A", "a"))
 
 
@@ -320,6 +320,40 @@ def test_unknown_ids_in_maps_are_named(maps, unknown):
     raises unknown-element for the first such id in document order."""
     doc = replace(parse(f"repsys r {{ {_AB} }}"), maps=tuple(maps))
     assert outcome(build_repsys, doc) == ("unknown-element", (unknown,))
+
+
+@pytest.mark.parametrize(
+    "maps, code, witness",
+    [
+        ([MapSpec("Q", "A", ("0",), ("0",), "0")], "unknown-view", ("Q",)),
+        ([MapSpec("B", "Q", ("0",), ("0",), "0")], "unknown-view", ("Q",)),
+        # the first unknown view in document order, before any unknown id
+        ([MapSpec("B", "A", ("q",), ("0",), "0"), MapSpec("A", "R", (), (), "0"), MapSpec("Q", "A", (), (), "0")],
+         "unknown-view", ("R",)),
+        ([MapSpec("B", "A", (), (), "0"), MapSpec("A", "B", (), (), "0"), MapSpec("B", "A", ("q",), ("0",), "1")],
+         "duplicate-map", ("B", "A")),
+    ],
+)
+def test_unknown_views_and_repeated_keys_in_maps_are_named(maps, code, witness):
+    """Maps of hand-built documents (the parser refuses them) that name a
+    view the document lacks, or repeat a target<source key: build_repsys
+    raises unknown-view for the first such view, then duplicate-map for the
+    first repeated key, in document order, before any unknown id."""
+    doc = replace(parse(f"repsys r {{ {_AB} }}"), maps=tuple(maps))
+    assert outcome(build_repsys, doc) == (code, witness)
+    if code == "duplicate-map":
+        with pytest.raises(ValidationError, match="duplicate map B<A"):
+            build_repsys(doc)
+
+
+def test_two_views_of_one_name_are_refused():
+    """A hand-built document, or a make_rs call, with two views of one name
+    raises duplicate-view: no name would reach the second view."""
+    doc = parse(f"repsys r {{ {_AB} ; map B<A {{ * -> 0 }} }}")
+    views = doc.views + doc.views[:1]
+    assert outcome(build_repsys, replace(doc, views=views)) == ("duplicate-view", ("A",))
+    posets = [build_poset(v) for _, v in views]
+    assert outcome(make_rs, [v for v, _ in views], posets, {}) == ("duplicate-view", ("A",))
 
 
 def test_rs_axioms_match_reference():
