@@ -41,9 +41,10 @@ def subalgebra(o, carrier):
     An index outside 0..n-1 raises unknown-element before any law is read.
     Once the carrier holds the bounds, its complements and the host joins
     and meets of its pairs, its induced order is an ortholattice whose joins
-    and meets are the host's, so distributivity and 2^|atoms| elements, read
-    from the host tables restricted to it, decide whether it is boolean; a
-    non-distributive carrier is named by its first failing triple."""
+    and meets are the host's, so Foulis-Holland on the host tables
+    restricted to it decides whether it is boolean, and then it has
+    2^|atoms| elements; a non-boolean carrier is named by its first
+    non-distributive triple."""
     carrier = tuple(sorted(set(int(i) for i in carrier)))
     (sub,) = _check_carriers(o, [carrier], name=True)
     if isinstance(sub, ValidationError):
@@ -86,7 +87,6 @@ def _check_carriers(o, carriers, name=False):
             "not-ortho-closed": lortho < 0,
             "not-closed": missing | (ljn < 0) | (lmt < 0),  # join-meet-missing where missing
             "not-boolean": ~_foulis_holland(ljn, lmt, lortho),
-            "bad-cardinality": 2.0 ** atoms.sum(axis=1) != s,
         }
         laws = list(faults)
         broken = np.stack([f.reshape(len(ks), -1).any(axis=1) for f in faults.values()], axis=1)
@@ -96,8 +96,6 @@ def _check_carriers(o, carriers, name=False):
             if law == "not-boolean":
                 witness = tuple(els[x] for x in c[j, list(distributivity_failure(ljn[j], lmt[j]))])
                 return ValidationError(law, "induced order is not boolean: not-distributive", witness)
-            if law == "bad-cardinality":
-                return ValidationError(law, f"|carrier|={s} != 2^{int(atoms[j].sum())}")
             at = tuple(np.argwhere(faults[law][j])[0].tolist())
             if law == "unknown-element":
                 i = int(given[j, at[0]])

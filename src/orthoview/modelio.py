@@ -15,14 +15,17 @@ token texts alone, as plain strings, and reads each section and map body
 as one slice of them: the entries of a map body whose every other token is
 ';' (one-token entries, as `serialize` writes them) are a stride of it, and
 those of any other body are its tokens joined and cut at each ';'. A run of
-consecutive map blocks is read as one: the entries of all its bodies are
-split at their '->' together and checked against their views block by
-block; a run that some check refuses is walked one block at a time only
-to name its first error. A map keeps its entries as two id columns
-(`MapSpec`), and `build_repsys` lays every table out, or names the first
+consecutive map blocks, up to _RUN_BLOCKS of them, is read as one: the
+entries of all its bodies are split at their '->' together and translated
+block by block, through the {id: local index} dict each view gets when it
+is read, into the two index columns of a `MapSpec`; a run that some check
+or lookup refuses is walked one block at a time only to name its first
+error. The parser is the only code that turns an element id of a map into
+an element; `build_repsys` lays every table out, or names the first
 failing map, with one scatter. The cyclic collector is paused in `parse`.
-Errors carry the 1-based line and column of their token, which the
-positioned scanner `_tokenize` computes only once an error is raised.
+Errors carry the 1-based line and column of their token, found once an
+error is raised by counting the tokens line by line and positioning the
+one line that holds it.
 Ids: element ids and view names are single tokens that must not contain
 '<', ':' or '->', so that covers, ortho pairs, map headers and entries
 split back into ids, and must not be '*', which a map entry reads as its
@@ -42,7 +45,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import is_not
 from typing import NamedTuple
 
@@ -63,14 +66,15 @@ class ParseError(Exception):
 
 
 class MapSpec(NamedTuple):
-    """One `map target<source` block: its explicit entries as two id
-    columns, sources[k] -> images[k], plus an optional default."""
+    """One `map target<source` block: its explicit entries as two columns
+    of view-local element indices, sources[k] (of the source view) ->
+    images[k] (of the target view), plus an optional default image."""
 
     target: str
     source: str
     sources: tuple
     images: tuple
-    default: str = None
+    default: int = None
 
 
 @dataclass(frozen=True)
@@ -84,28 +88,19 @@ class ModelDocument:
     maps: tuple = ()
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-
 _TOKEN = re.compile(r"[{};]|[^\s{};]+")
+# the most map blocks read as one run: the entry ids split out of a run live
+# until it is translated, so this bounds the memory they hold (the canonical
+# 2^6 system's 41 006 blocks in one run took parse's peak to 139 MiB, in
+# runs of 512 to 66 MiB)
+_RUN_BLOCKS = 512
 # '#' to the next line break of str.splitlines
 _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def _tokenize(text):
-    """The tokens with their 1-based line and column."""
-    return [
-        _Token(m.group(), ln, m.start() + 1)
-        for ln, line in enumerate(text.splitlines(), start=1)
-        for m in _TOKEN.finditer(line.split("#", 1)[0])
-    ]
-
-
 def _scan(text):
-    """The token texts of _tokenize(text), from the whole text at once:
+    """The token texts of text, from the whole text at once: those _TOKEN
+    finds on each line of str.splitlines with its comment cut off, since
     str.split and the regex's \\s split at the same code points."""
     text = _COMMENT.sub("", text)
     return text.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
@@ -157,10 +152,14 @@ class _Parser:
         """Raise a ParseError at token `at` (default: the next one), or at
         the end of the input if there is no such token."""
         at = self.pos if at is None else at
-        if at < len(self.tokens):
-            tok = _tokenize(self.text)[at]
-            raise ParseError(message, tok.line, tok.col)
         lines = self.text.splitlines()
+        if at < len(self.tokens):
+            for k, line in enumerate(lines):  # no token spans a line break
+                on = len(_scan(line))
+                if at < on:
+                    tok = list(_TOKEN.finditer(line.partition("#")[0]))[at]
+                    raise ParseError(message, k + 1, tok.start() + 1)
+                at -= on
         raise ParseError(message, len(lines) or 1, len(lines[-1]) + 1 if lines else 1)
 
     def next(self, expect=None):
@@ -235,12 +234,13 @@ class _Parser:
             self.fail(f"unknown element {next(e for e in named if e not in seen)!r} in {name!r}")
         return ModelDocument(kind, name, elements, covers, ortho)
 
-    def map_run(self, ids, maps):
+    def map_run(self, index, maps):
         """Read the run of map blocks from the header at the cursor up to the
-        next head that is not `map`, and add their specs to maps, with
-        whole-run list and string operations; ids holds the (ids and '*',
-        ids) sets of each view read so far. Returns False, having read
-        nothing, if some block would be refused (see `refuse_maps`)."""
+        next head that is not `map`, or up to _RUN_BLOCKS blocks, and add
+        their specs to maps, with whole-run list and string operations;
+        index holds the {id: local index} dict of each view read so far,
+        which translates the entries. Returns False, having read nothing, if
+        some block would be refused (see `refuse_maps`)."""
         tokens, n = self.tokens, len(self.tokens)
         heads, items, offsets = [], [], [0]
         h = self.pos
@@ -254,40 +254,41 @@ class _Parser:
                 h = e + 1
                 while h < n and tokens[h] == ";":
                     h += 1
-                if h == n or tokens[h] != "map":
+                if h == n or tokens[h] != "map" or len(heads) == _RUN_BLOCKS:
                     break
                 h += 1
         except ValueError:  # no '{' or no '}'
             return False
         headers, entries = _split_pairs(heads, "<"), _split_pairs(items, "->")
-        if headers is None or entries is None or not ids.keys() >= set(chain(*headers)):
+        if headers is None or entries is None or not index.keys() >= set(chain(*headers)):
             return False
         targets, sources = headers
         lefts, rights = entries
-        blocks = list(map(slice, offsets, offsets[1:]))
-        srcs, imgs = list(map(lefts.__getitem__, blocks)), list(map(rights.__getitem__, blocks))
-        if not all(map(set.issuperset, [ids[v][0] for v in sources], srcs)):
-            return False
-        if not all(map(set.issuperset, [ids[v][1] for v in targets], imgs)):
-            return False
-        defaults = [None] * len(heads)
-        k = -1
-        for _ in range(lefts.count("*")):
-            k = lefts.index("*", k + 1)
-            m = bisect_right(offsets, k) - 1
-            if defaults[m] is not None:
-                return False
-            defaults[m] = rights[k]
-            j = k - offsets[m]
-            srcs[m], imgs[m] = srcs[m][:j] + srcs[m][j + 1:], imgs[m][:j] + imgs[m][j + 1:]
         # a header is one target<source key
         if len(set(heads)) != len(heads) or not maps.keys().isdisjoint(heads):
+            return False
+        blocks = list(map(slice, offsets, offsets[1:]))
+        srcs, imgs = list(map(lefts.__getitem__, blocks)), list(map(rights.__getitem__, blocks))
+        defaults = [None] * len(heads)
+        k = -1
+        try:  # a KeyError is an id the entry's view lacks
+            for _ in range(lefts.count("*")):
+                k = lefts.index("*", k + 1)
+                m = bisect_right(offsets, k) - 1
+                if defaults[m] is not None:
+                    return False
+                defaults[m] = index[targets[m]][rights[k]]
+                j = k - offsets[m]
+                srcs[m], imgs[m] = srcs[m][:j] + srcs[m][j + 1:], imgs[m][:j] + imgs[m][j + 1:]
+            srcs = list(map(tuple, map(map, [index[v].__getitem__ for v in sources], srcs)))
+            imgs = list(map(tuple, map(map, [index[v].__getitem__ for v in targets], imgs)))
+        except KeyError:
             return False
         maps.update(zip(heads, map(MapSpec, targets, sources, srcs, imgs, defaults)))
         self.pos = h
         return True
 
-    def refuse_maps(self, ids, keys):
+    def refuse_maps(self, index, keys):
         """Raise the first error of a run of map blocks `map_run` refused,
         reading a block at a time and walking the entries of a block only if
         refused in bulk; keys holds the map keys read before the run."""
@@ -302,14 +303,14 @@ class _Parser:
             if not target or not source or "<" in source:
                 self.fail(f"malformed map header {header!r}", at)
             for v in (target, source):
-                if v not in ids:
+                if v not in index:
                     self.fail(f"map references unknown view {v!r}", at)
             if b > n:
                 self.fail("unexpected end of input (wanted {)", n)
             end = _find(tokens, "}", b, n)
             split = _split_pairs(_entries(tokens, b, end), "->")
-            src, dst = ids[source][0], ids[target][1]
-            if split is None or not src.issuperset(split[0]) or not dst.issuperset(split[1]) or split[0].count("*") > 1:
+            src, dst = index[source], index[target]
+            if split is None or not src.keys() >= {*split[0]} - {"*"} or not dst.keys() >= {*split[1]} or split[0].count("*") > 1:
                 self.pos = b
                 self.refuse_entry(end, source, target, src, dst)
             if end == n:
@@ -333,7 +334,7 @@ class _Parser:
             if _split_pairs([entry], "->") is None:
                 self.fail(f"malformed map entry {entry!r}", at)
             lhs, rhs = entry.split("->")
-            if lhs not in src:
+            if lhs != "*" and lhs not in src:
                 self.fail(f"map entry uses unknown {source!r} element {lhs!r}", at)
             if rhs not in dst:
                 self.fail(f"map entry uses unknown {target!r} element {rhs!r}", at)
@@ -344,7 +345,7 @@ class _Parser:
     def repsys(self, name):
         tokens = self.tokens
         views = {}
-        ids = {}
+        index = {}
         maps = {}
         while True:
             at = self.pos
@@ -369,10 +370,10 @@ class _Parser:
                     self.fail(f"view must be a poset or orthoposet, not {vkind!r}", self.pos - 1)
                 self.next("{")
                 views[vname] = vdoc = self.structure(vkind, vname)
-                ids[vname] = {"*", *vdoc.elements}, set(vdoc.elements)
+                index[vname] = dict(zip(vdoc.elements, count()))
             elif head == "map":
-                if not self.map_run(ids, maps):
-                    self.refuse_maps(ids, set(maps))
+                if not self.map_run(index, maps):
+                    self.refuse_maps(index, set(maps))
             else:
                 self.fail(f"unknown section {head!r} in repsys", at)
         return ModelDocument("repsys", name, views=tuple(views.items()), maps=tuple(maps.values()))
@@ -426,10 +427,12 @@ def serialize(doc):
     for vname, vdoc in doc.views:
         body = "\n".join(_structure_lines(vdoc, indent="  "))
         chunks.append(f"  view {vname} = {vdoc.kind} {{\n{body}\n  }}")
+    elements = {vname: vdoc.elements for vname, vdoc in doc.views}
     for m in doc.maps:
-        entries = [f"    {a}->{b}" for a, b in zip(m.sources, m.images)]
+        src, dst = elements[m.source], elements[m.target]
+        entries = [f"    {src[a]}->{dst[b]}" for a, b in zip(m.sources, m.images)]
         if m.default is not None:
-            entries.append(f"    * -> {m.default}")
+            entries.append(f"    * -> {dst[m.default]}")
         body = " ;\n".join(entries)
         chunks.append(f"  map {m.target}<{m.source} {{\n{body}\n  }}")
     lines.append(" ;\n".join(chunks))
@@ -536,9 +539,9 @@ def _scatter_tables(names, posets, maps):
     V x P array by one scatter. The identity block of each view without a
     map to itself and each default over its map's block come first, then
     every entry; a source listed twice takes the image listed last. Raises
-    unknown-view, then duplicate-map, unknown-element or incomplete-map,
-    each at the first map in document order that has one; incomplete-map
-    names the first element that map misses."""
+    unknown-view, then duplicate-map, unknown-element (an index outside its
+    view) or incomplete-map, each at the first map in document order that
+    has one; incomplete-map names the first element that map misses."""
     V, M = len(names), len(maps)
     targets, sources, srcs, imgs, defaults = zip(*maps) if maps else ((),) * 5
     vi = dict(zip(names, count()))
@@ -556,26 +559,22 @@ def _scatter_tables(names, posets, maps):
     P = int(off[-1])
     view_of = np.repeat(np.arange(V), sizes)  # the view of each pair
     local = np.arange(P) - off[view_of]  # its element
-    # element ids are words of one vocabulary; index[k, w] is word w's
-    # element of view k, or -1, as in the last column, the unknown word
-    elements = list(chain.from_iterable(p.elements for p in posets))
-    vocab = dict(zip(dict.fromkeys(elements), count()))
-    W = len(vocab)
-    index = np.full((V, W + 1), -1, np.intp)
-    index[view_of, np.fromiter(map(vocab.__getitem__, elements), np.intp, P)] = local
     lens = np.fromiter(map(len, srcs), np.intp, M)
     N = int(lens.sum())
-    rows, cols = np.repeat(ti, lens), np.repeat(si, lens)
-    a = index[cols, np.fromiter(map(vocab.get, chain.from_iterable(srcs), repeat(W)), np.intp, N)]
-    b = index[rows, np.fromiter(map(vocab.get, chain.from_iterable(imgs), repeat(W)), np.intp, N)]
-    d = index[ti, np.fromiter(map(vocab.get, defaults, repeat(W)), np.intp, M)]
-    if (a < 0).any() or (b < 0).any() or (d[np.fromiter(map(is_not, defaults, repeat(None)), bool, M)] < 0).any():
-        for m, s, t in zip(maps, si, ti):  # idx raises unknown-element at the first id a map's views lack
-            for x, y in zip(m.sources, m.images):
-                posets[s].idx(x), posets[t].idx(y)
-            if m.default is not None:
-                posets[t].idx(m.default)
-        raise InternalCheckError("unknown-element", "the scatter refused an id that every map's views have")
+    owner = np.repeat(np.arange(M), lens)  # the map of each entry
+    rows, cols = ti[owner], si[owner]
+    a = np.fromiter(chain.from_iterable(srcs), np.intp, N)
+    b = np.fromiter(chain.from_iterable(imgs), np.intp, N)
+    given = np.fromiter(map(is_not, defaults, repeat(None)), bool, M)
+    d = np.full(M, -1, np.intp)
+    d[given] = list(compress(defaults, given))
+    outside = np.bincount(owner, (a < 0) | (a >= sizes[cols]) | (b < 0) | (b >= sizes[rows]), M) > 0
+    outside |= given & ((d < 0) | (d >= sizes[ti]))
+    if outside.any():
+        m = maps[outside.argmax()]
+        raise ValidationError(
+            "unknown-element", f"map {m.target}<{m.source} names an element index outside its views", (m.target, m.source)
+        )
     fill = np.full((V, V), -2, np.intp)  # -2: no map listed
     fill[ti, si] = d
     g = fill.clip(-1)[:, view_of]
@@ -588,7 +587,7 @@ def _scatter_tables(names, posets, maps):
     cells = np.flatnonzero(last >= 0)
     np.put(g, cells, b[last[cells]])
     # a map with no default must fill each cell of its block
-    short = (d < 0) & (np.bincount(np.repeat(np.arange(M), lens)[last[cells]], minlength=M) < sizes[si])
+    short = (d < 0) & (np.bincount(owner[last[cells]], minlength=M) < sizes[si])
     if short.any():
         k = short.argmax()
         m, hole = maps[k], posets[si[k]].elements[(g[ti[k], off[si[k]]:off[si[k] + 1]] < 0).argmax()]

@@ -5,10 +5,12 @@ rules, raw scans) so it can serve as an independent check on the library's
 own algorithms.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from orthoview import FinitePoset, OrthoPoset
-from orthoview.modelio import MapSpec, ModelDocument, ParseError, _tokenize
+from orthoview.modelio import MapSpec, ModelDocument, ParseError
 
 
 # -- literal structures, built from order rules rather than cover closure ----
@@ -544,12 +546,11 @@ def reference_map_tables(doc):
     views = dict(doc.views)
     tables = {}
     for m in doc.maps:
-        src, dst = views[m.source].elements, views[m.target].elements
-        table = [None] * len(src)
+        table = [None] * len(views[m.source].elements)
         for a, b in zip(m.sources, m.images):
-            table[src.index(a)] = dst.index(b)
+            table[a] = b
         if m.default is not None:
-            table = [dst.index(m.default) if t is None else t for t in table]
+            table = [m.default if t is None else t for t in table]
         tables[(m.target, m.source)] = tuple(table)
     return tables
 
@@ -863,6 +864,12 @@ def reference_amp_axioms(t, o, cap):
 # -- reference tokenizer -------------------------------------------------------
 
 
+class RefToken(NamedTuple):
+    text: str
+    line: int
+    col: int
+
+
 def reference_tokenize(text):
     """(text, line, col) of every .oml token, by the seed's per-character
     scan: '#' starts a comment, whitespace (str.isspace) separates tokens,
@@ -875,10 +882,10 @@ def reference_tokenize(text):
         for col, ch in enumerate(line + " ", start=1):
             if ch.isspace() or ch in "{};":
                 if cur:
-                    tokens.append(("".join(cur), ln, start))
+                    tokens.append(RefToken("".join(cur), ln, start))
                     cur = []
                 if ch in "{};":
-                    tokens.append((ch, ln, col))
+                    tokens.append(RefToken(ch, ln, col))
             else:
                 if not cur:
                     start = col
@@ -890,7 +897,8 @@ def reference_tokenize(text):
 #
 # The token-stream parser that `modelio.parse` replaced: a cursor over
 # positioned tokens, one generator step per block item and one `upto` scan
-# per section and map entry. Its `_ref_id` carries the `*` id rule too.
+# per section and map entry. Its `_ref_id` carries the `*` id rule too, and
+# `_ref_map` translates each entry to view-local indices one at a time.
 
 
 class _RefStream:
@@ -996,8 +1004,8 @@ def _ref_map(ts, views):
     for v in (target, source):
         if v not in views:
             raise ParseError(f"map references unknown view {v!r}", *at)
-    src_els = set(views[source].elements)
-    dst_els = set(views[target].elements)
+    src_els = {e: i for i, e in enumerate(views[source].elements)}
+    dst_els = {e: i for i, e in enumerate(views[target].elements)}
     ts.next("{")
     entries = []
     default = None
@@ -1013,17 +1021,17 @@ def _ref_map(ts, views):
         if rhs not in dst_els:
             raise ParseError(f"map entry uses unknown {target!r} element {rhs!r}", *at)
         if lhs != "*":
-            entries.append((lhs, rhs))
+            entries.append((src_els[lhs], dst_els[rhs]))
         elif default is not None:
             raise ParseError("duplicate default entry", *at)
         else:
-            default = rhs
+            default = dst_els[rhs]
     return MapSpec(target, source, tuple(a for a, _ in entries), tuple(b for _, b in entries), default)
 
 
 def reference_parse(text):
     """The model document of text, or a ParseError with line and column."""
-    ts = _RefStream(_tokenize(text), text)
+    ts = _RefStream(reference_tokenize(text), text)
     kind_tok = ts.next()
     if kind_tok.text not in ("poset", "orthoposet", "repsys"):
         raise ParseError(f"unknown model kind {kind_tok.text!r}", kind_tok.line, kind_tok.col)

@@ -323,7 +323,7 @@ def write_repsys(path, rs, orthos):
     """A repsys document of orthoposet views; identity tables stay implicit."""
     views = tuple((v, doc_from_orthoposet(v, o)) for v, o in zip(rs.views, orthos))
     maps = tuple(
-        MapSpec(i, j, rs.poset_of(j).elements, tuple(rs.poset_of(i).elements[t] for t in table))
+        MapSpec(i, j, tuple(range(len(table))), table)
         for (i, j), table in sorted(rs.transforms.items())
         if i != j
     )

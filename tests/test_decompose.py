@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from orthoview import (
@@ -34,6 +35,7 @@ from _models import (
     reference_boolean_carrier,
     reference_close,
     reference_canonical_tables,
+    reference_distributivity,
     reference_enumerate_boolean_subalgebras,
     reference_subalgebra,
     reference_subalgebra_pairs,
@@ -328,7 +330,7 @@ def forged_chain():
     without validation: not an orthoposet, but its whole carrier passes
     every law up to Foulis-Holland and has one atom for three elements. On
     a valid host a carrier that passes Foulis-Holland is boolean, so only
-    such a host reaches bad-cardinality."""
+    such a host is a carrier with the wrong cardinality."""
     from orthoview import FinitePoset, OrthoPoset
 
     p = FinitePoset(["0", "a", "1"], [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
@@ -340,8 +342,6 @@ def test_forged_chain_keeps_the_kernel_meet_table():
     forged chain's meet table comes from the kernel on leq.T, alone or in
     a stack, not from its complement, which is not antitone (read through
     it, a ^ a would be 0)."""
-    import numpy as np
-
     from orthoview.ortho import stack_boolean
     from orthoview.poset import _bound_tables, _least_bounds
 
@@ -397,10 +397,58 @@ def test_stacked_carrier_check_matches_reference_and_one_at_a_time():
             assert (got.code, got.witness) == (code, witness)
     laws = ("unknown-element", "missing-bounds", "not-ortho-closed", "join-meet-missing", "not-closed", "not-boolean")
     assert set(codes) == {"", *laws}
+
+
+def test_closed_carriers_that_pass_foulis_holland_are_boolean():
+    """The theorem that lets `_check_carriers` stop at Foulis-Holland, with
+    no cardinality law. On an orthoposet, a carrier that holds the bounds
+    and is closed under the complement and the host joins and meets is an
+    ortholattice in the induced order, whose joins and meets are the
+    host's. If it also passes Foulis-Holland, x = (x ^ y) v (x ^ y') for
+    all x and y in it, it is a boolean algebra (Kalmbach, *Orthomodular
+    Lattices*, 1983): distributive, with 2^|atoms| elements. Each side is
+    checked here by plain loops, on the carriers of the zoo, random and
+    pasted hosts, and both outcomes of Foulis-Holland are reached. The
+    forged chain, which is no orthoposet, shows that the host must be
+    one."""
+    from orthoview.decompose import _check_carriers
+
+    rng = random.Random(71)
+    hosts = [build_orthoposet(m.doc) for m in zoo().values() if m.kind == "orthoposet"]
+    hosts += [random_orthoposet(rng) for _ in range(30)]
+    triangle_with_chord = [("a", "b", "c"), ("c", "d", "e"), ("e", "f", "a"), ("a", "g", "d")]
+    pastings = [greechie_cycle(4), greechie_cycle(5), greechie_chain(3), greechie_pasting(triangle_with_chord)]
+    hosts += [as_orthoposet(shuffled(m, rng)) for m in pastings]
+
+    def foulis_holland(o, carrier):
+        """None if carrier breaks a closure hypothesis, else whether it
+        passes Foulis-Holland."""
+        inside = set(carrier)
+        if not inside <= set(range(o.n)) or not {o.least, o.greatest} <= inside:
+            return None
+        if not all(o.ortho[x] in inside for x in carrier):
+            return None
+        if not all(o.poset.join(x, y) in inside and o.poset.meet(x, y) in inside for x in carrier for y in carrier):
+            return None
+        return all(o.poset.join(o.poset.meet(x, y), o.poset.meet(x, o.ortho[y])) == x for x in carrier for y in carrier)
+
+    def atoms(o, carrier):
+        return int((o.poset.leq[np.ix_(carrier, carrier)].sum(axis=0) == 2).sum())
+
+    seen = Counter()
+    for o in hosts:
+        for carrier in mixed_carriers(o, rng):
+            fh = foulis_holland(o, carrier)
+            seen[fh] += 1
+            if fh:
+                leq = o.poset.leq[np.ix_(carrier, carrier)]
+                assert reference_distributivity(leq, [o.elements[x] for x in carrier])[0]
+                assert len(carrier) == 2 ** atoms(o, carrier)
+            if fh is not None:
+                assert (_check_carriers(o, [carrier])[0] is not None) == fh
+    assert seen[True] > 500 and seen[False] > 100, seen
     o = forged_chain()
-    (got,) = _check_carriers(o, [(0, 1, 2)], name=True)
-    assert got.code == reference_subalgebra(o, range(3))[1] == "bad-cardinality"
-    assert str(got) == "|carrier|=3 != 2^1"
+    assert foulis_holland(o, (0, 1, 2)) and 3 != 2 ** atoms(o, (0, 1, 2))
 
 
 def test_stacked_projections_match_the_per_subalgebra_loop():

@@ -5,16 +5,27 @@ the parser against the token-stream reference parser."""
 import gc
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthoview import InternalCheckError, ParseError, modelio, parse, serialize, zoo
+from orthoview import (
+    InternalCheckError,
+    ParseError,
+    build_canonical_rs,
+    build_repsys,
+    doc_from_orthoposet,
+    modelio,
+    parse,
+    serialize,
+    zoo,
+)
 from orthoview.cli import main
-from orthoview.modelio import MapSpec, ModelDocument, _Parser, _scan, _tokenize
+from orthoview.modelio import MapSpec, ModelDocument, _Parser, _scan
 
-from _models import reference_parse, reference_tokenize
+from _models import as_orthoposet, boolean_algebra, greechie_cycle, reference_parse, reference_tokenize, shuffled
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -154,25 +165,44 @@ _ODD = ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\xa
 odd_text = st.lists(st.sampled_from(_ODD) | st.text(max_size=3), max_size=40).map("".join)
 
 
+def _scan_and_places(text):
+    """The token texts of text, and the (line, column) at which `fail`
+    places each token index, then the end of input."""
+    places = []
+    parser = _Parser(text)
+    for at in range(len(parser.tokens) + 1):
+        with pytest.raises(ParseError) as err:
+            parser.fail("here", at)
+        places.append((err.value.line, err.value.col))
+    return parser.tokens, places
+
+
+def _reference_scan_and_places(text):
+    tokens = reference_tokenize(text)
+    lines = text.splitlines()
+    end = (len(lines) or 1, len(lines[-1]) + 1 if lines else 1)
+    return [t.text for t in tokens], [(t.line, t.col) for t in tokens] + [end]
+
+
 @PROPERTY
 @given(odd_text)
-def test_tokenize_matches_reference(text):
-    assert [(t.text, t.line, t.col) for t in _tokenize(text)] == reference_tokenize(text)
-    assert _scan(text) == [t.text for t in _tokenize(text)]
+def test_scan_and_fail_match_reference(text):
+    assert _scan_and_places(text) == _reference_scan_and_places(text)
 
 
-def test_scan_ends_comments_where_lines_end():
+def test_scan_and_fail_end_comments_where_lines_end():
     breaks = [c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2] + ["\r\n"]
     assert len(breaks) == 11
     for br in breaks:
         text = f"x #c{br}y;# {{{br}}}"
-        assert _scan(text) == [t.text for t in _tokenize(text)] == ["x", "y", ";", "}"]
+        assert _scan_and_places(text) == _reference_scan_and_places(text)
+        assert _scan(text) == ["x", "y", ";", "}"]
 
 
-def test_tokenize_matches_reference_on_the_zoo():
+def test_scan_and_fail_match_reference_on_the_zoo():
     for m in zoo().values():
         text = m.text.replace("\n", "\r\n") + "# trailing comment"
-        assert [(t.text, t.line, t.col) for t in _tokenize(text)] == reference_tokenize(text)
+        assert _scan_and_places(text) == _reference_scan_and_places(text)
 
 
 # -- totality: nothing but ParseError ------------------------------------------
@@ -198,7 +228,7 @@ def test_parse_is_total(text):
 def _edited(text, data, words=_WORDS):
     """The tokens of text after one to three drops, inserts or replacements
     by one of words."""
-    tokens = [t.text for t in _tokenize(text)]
+    tokens = _scan(text)
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, len(tokens)))
         edit = data.draw(st.sampled_from(["drop", "insert", "replace"]))
@@ -246,7 +276,7 @@ def documents(draw, kinds=("poset", "orthoposet", "repsys")):
     maps = []
     keys = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), unique=True)) if names else []
     for target, source in keys:
-        dst, src = docs[target].elements, docs[source].elements
+        dst, src = range(len(docs[target].elements)), range(len(docs[source].elements))
         if not dst:
             maps.append(MapSpec(target, source, (), ()))
             continue
@@ -271,6 +301,41 @@ def test_parse_serialize_roundtrip(doc):
         assert parse(serialize(doc)) == doc == _read_by_runs(serialize(doc))
 
 
+def test_parse_serialize_roundtrip_on_shuffled_canonical_systems():
+    """The canonical systems of 2^4 and of Greechie cycle 5, written as
+    documents whose views list their elements in a shuffled order and whose
+    maps list their entries shuffled, half of them with one entry left to a
+    default: the index columns come back from parse(serialize(doc)) as they
+    went in, and build_repsys makes the system's tables from them."""
+    rng = random.Random(31)
+    for model in (boolean_algebra(4), greechie_cycle(5)):
+        brs = build_canonical_rs(as_orthoposet(shuffled(model, rng)))
+        rs = brs.rs
+        views, position = [], {}
+        for v, o in zip(rs.views, brs.orthos):
+            vdoc = doc_from_orthoposet(v, o)
+            order = rng.sample(range(o.n), o.n)
+            views.append((v, replace(vdoc, elements=tuple(vdoc.elements[k] for k in order))))
+            position[v] = {k: new for new, k in enumerate(order)}
+        maps = []
+        for i in rs.views:
+            for j in rs.views:
+                table = rs.transform(i, j).tolist()
+                xs = rng.sample(range(len(table)), len(table))
+                default = position[i][table[xs.pop()]] if rng.random() < 0.5 else None
+                sources, images = tuple(position[j][x] for x in xs), tuple(position[i][table[x]] for x in xs)
+                maps.append(MapSpec(i, j, sources, images, default))
+        rng.shuffle(maps)
+        doc = ModelDocument("repsys", "shuffled", views=tuple(views), maps=tuple(maps))
+        assert parse(serialize(doc)) == doc == _read_by_runs(serialize(doc))
+        built, _ = build_repsys(doc)
+        for i in rs.views:
+            for j in rs.views:
+                want = dict(zip(rs.poset_of(j).elements, (rs.poset_of(i).elements[t] for t in rs.transform(i, j))))
+                got = dict(zip(built.poset_of(j).elements, (built.poset_of(i).elements[t] for t in built.transform(i, j))))
+                assert got == want, (i, j)
+
+
 # -- the parser against the token-stream reference -----------------------------
 
 
@@ -289,7 +354,7 @@ def test_parse_matches_reference_on_edited_documents(text, data):
     """Zoo and generated documents under token edits (words of the
     grammar, or tokens of the document itself, which make duplicates and
     unknown references), rejoined over line breaks and comments."""
-    tokens = _edited(text, data, _WORDS + [t.text for t in _tokenize(text)])
+    tokens = _edited(text, data, _WORDS + _scan(text))
     seps = data.draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
     edited = "".join(t + sep for t, sep in zip(tokens, seps))
     assert _outcome(parse, edited) == _outcome(reference_parse, edited)
@@ -311,7 +376,7 @@ def test_parse_matches_reference_on_every_single_edit():
     """Every drop, and every insert or replacement by a word of the grammar
     or a token of the document, at every token of two systems."""
     for text in (zoo()["firefly"].text, _SPACED):
-        tokens = [t.text for t in _tokenize(text)]
+        tokens = _scan(text)
         words = sorted(set(_WORDS) | set(tokens))
         for i in range(len(tokens) + 1):
             edits = [tokens[:i] + tokens[i + 1:]]
@@ -357,7 +422,7 @@ def test_parse_matches_reference_on_every_single_edit_of_strided_maps():
     parses reads each of its map blocks in a run."""
     assert parse(_STRIDED) == reference_parse(_STRIDED)
     for text in (_STRIDED, _RUNS):
-        tokens = [t.text for t in _tokenize(text)]
+        tokens = _scan(text)
         words = sorted(set(_WORDS) | set(tokens) | {"a->b->c", "0->>b", "a--->1"})
         for i in range(len(tokens) + 1):
             edits = [tokens[:i] + tokens[i + 1:]]
@@ -370,6 +435,35 @@ def test_parse_matches_reference_on_every_single_edit_of_strided_maps():
                     assert _read_by_runs(edited) == got, edited
 
 
+def test_runs_cut_after_any_block_parse_as_the_reference_does(monkeypatch):
+    """map_run reads at most _RUN_BLOCKS map blocks as one run. Cut after
+    every block, or every two or three, systems parse as whole runs do; cut
+    after every block, so that each refused block is a run of its own and
+    a repeated key lies in an earlier run, every single edit of _RUNS parses
+    as the reference parses it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import documents, structures
+
+    canonical = documents.canonical_repsys_text(structures.boolean_algebra(4), random.Random(0))[0]
+    runs = []
+    read = _Parser.map_run
+    monkeypatch.setattr(_Parser, "map_run", lambda self, index, maps: runs.append(len(maps)) or read(self, index, maps))
+    for blocks in (3, 2, 1):
+        monkeypatch.setattr(modelio, "_RUN_BLOCKS", blocks)
+        for text in (zoo()["firefly"].text, _STRIDED, _RUNS.replace("map A<B", "map A<A"), canonical):
+            assert parse(text) == reference_parse(text) == _read_by_runs(text)
+        runs.clear()
+        assert len(parse(canonical).maps) == 210 and runs == list(range(0, 210, blocks))
+    tokens = _scan(_RUNS)
+    words = sorted(set(_WORDS) | set(tokens))
+    for i in range(len(tokens) + 1):
+        edits = [tokens[:i] + tokens[i + 1:]]
+        edits += [tokens[:i] + [w] + tokens[i + j:] for w in words for j in (0, 1)]
+        for edit in edits:
+            edited = " ".join(edit)
+            assert _outcome(parse, edited) == _outcome(reference_parse, edited), edited
+
+
 def test_edits_reach_both_outcomes_of_the_run_document():
     """_RUNS itself is refused at its repeated key; an edit of that header
     gives a document whose maps form two runs."""
@@ -378,7 +472,7 @@ def test_edits_reach_both_outcomes_of_the_run_document():
     doc = parse(text)
     assert doc == reference_parse(text) == _read_by_runs(text)
     assert [m[:2] for m in doc.maps] == [("B", "A"), ("A", "B"), ("C", "A"), ("A", "A")]
-    assert doc.maps[1] == MapSpec("A", "B", (">b",), ("a-",), "1")
+    assert doc.maps[1] == MapSpec("A", "B", (1,), (1,), 2)  # >b -> a- ; * -> 1
 
 
 def test_a_run_refused_without_an_error_is_internal(monkeypatch, tmp_path, capsys):

@@ -205,11 +205,9 @@ def map_documents():
         for (i, j), table in sorted(rs.transforms.items()):
             if i == j or rng.random() < 0.2:
                 continue
-            src, dst = rs.poset_of(j).elements, rs.poset_of(i).elements
             default = max(sorted(set(table)), key=table.count) if rng.random() < 0.7 else None
             listed = [x for x, t in enumerate(table) if t != default or rng.random() < 0.3]
-            entries = tuple(src[x] for x in listed), tuple(dst[table[x]] for x in listed)
-            maps.append(MapSpec(i, j, *entries, None if default is None else dst[default]))
+            maps.append(MapSpec(i, j, tuple(listed), tuple(table[x] for x in listed), default))
         rng.shuffle(maps)
         views = tuple((v, doc_from_orthoposet(v, o)) for v, o in zip(rs.views, orthos))
         out.append((name, parse(serialize(ModelDocument("repsys", name, views=views, maps=tuple(maps))))))
@@ -284,7 +282,7 @@ def test_repeated_source_takes_its_last_image():
     for name, doc in map_documents():
         maps = []
         for m in doc.maps:
-            images = dict(doc.views)[m.target].elements
+            images = range(len(dict(doc.views)[m.target].elements))
             if m.sources and len(images) > 1:
                 k = rng.randrange(len(m.sources))
                 x, y = m.sources[k], m.images[k]
@@ -303,34 +301,36 @@ def test_repeated_source_takes_its_last_image():
 
 
 @pytest.mark.parametrize(
-    "maps, unknown",
+    "maps, key",
     [
-        ([MapSpec("B", "A", ("0", "q", "1"), ("0", "b", "1"))], "q"),  # a source no view has
-        ([MapSpec("B", "A", ("0", "b", "1"), ("0", "b", "1"))], "b"),  # a source of the other view
-        ([MapSpec("B", "A", ("0", "a", "1"), ("0", "a", "1"))], "a"),  # an image of the other view
-        ([MapSpec("B", "A", ("0", "a"), ("0", "b"), "q")], "q"),  # a default no view has
-        ([MapSpec("B", "A", ("0", "a"), ("0", "b"), "a")], "a"),  # a default of the other view
+        ([MapSpec("B", "A", (0, 3, 2), (0, 1, 2))], ("B", "A")),  # a source past its view's end
+        ([MapSpec("B", "A", (0, -1, 2), (0, 1, 2))], ("B", "A")),  # a negative source
+        ([MapSpec("B", "A", (0, 1, 2), (0, 3, 2))], ("B", "A")),  # an image past its view's end
+        ([MapSpec("B", "A", (0, 1), (0, -4), 2)], ("B", "A")),  # a negative image
+        ([MapSpec("B", "A", (0, 1), (0, 1), 3)], ("B", "A")),  # a default past its view's end
+        ([MapSpec("B", "A", (0, 1), (0, 1), -1)], ("B", "A")),  # a negative default
         # the first bad map in document order, not in view order
-        ([MapSpec("B", "A", ("0",), ("0",), "x"), MapSpec("A", "B", ("0",), ("0",), "y")], "x"),
+        ([MapSpec("B", "A", (0,), (0,), 1), MapSpec("A", "B", (3,), (0,), 1), MapSpec("A", "A", (0,), (0,), 9)],
+         ("A", "B")),
     ],
 )
-def test_unknown_ids_in_maps_are_named(maps, unknown):
-    """Maps of hand-built documents (the parser refuses them) that name an
-    id their view lacks, as a source, an image or the default: build_repsys
-    raises unknown-element for the first such id in document order."""
+def test_indices_outside_their_views_are_named(maps, key):
+    """Maps of hand-built documents (the parser makes none) whose source,
+    image or default lies outside its view: build_repsys raises
+    unknown-element at the first such map in document order."""
     doc = replace(parse(f"repsys r {{ {_AB} }}"), maps=tuple(maps))
-    assert outcome(build_repsys, doc) == ("unknown-element", (unknown,))
+    assert outcome(build_repsys, doc) == ("unknown-element", key)
 
 
 @pytest.mark.parametrize(
     "maps, code, witness",
     [
-        ([MapSpec("Q", "A", ("0",), ("0",), "0")], "unknown-view", ("Q",)),
-        ([MapSpec("B", "Q", ("0",), ("0",), "0")], "unknown-view", ("Q",)),
-        # the first unknown view in document order, before any unknown id
-        ([MapSpec("B", "A", ("q",), ("0",), "0"), MapSpec("A", "R", (), (), "0"), MapSpec("Q", "A", (), (), "0")],
+        ([MapSpec("Q", "A", (0,), (0,), 0)], "unknown-view", ("Q",)),
+        ([MapSpec("B", "Q", (0,), (0,), 0)], "unknown-view", ("Q",)),
+        # the first unknown view in document order, before any index outside its view
+        ([MapSpec("B", "A", (7,), (0,), 0), MapSpec("A", "R", (), (), 0), MapSpec("Q", "A", (), (), 0)],
          "unknown-view", ("R",)),
-        ([MapSpec("B", "A", (), (), "0"), MapSpec("A", "B", (), (), "0"), MapSpec("B", "A", ("q",), ("0",), "1")],
+        ([MapSpec("B", "A", (), (), 0), MapSpec("A", "B", (), (), 0), MapSpec("B", "A", (7,), (0,), 1)],
          "duplicate-map", ("B", "A")),
     ],
 )
@@ -338,7 +338,8 @@ def test_unknown_views_and_repeated_keys_in_maps_are_named(maps, code, witness):
     """Maps of hand-built documents (the parser refuses them) that name a
     view the document lacks, or repeat a target<source key: build_repsys
     raises unknown-view for the first such view, then duplicate-map for the
-    first repeated key, in document order, before any unknown id."""
+    first repeated key, in document order, before any index outside its
+    view."""
     doc = replace(parse(f"repsys r {{ {_AB} }}"), maps=tuple(maps))
     assert outcome(build_repsys, doc) == (code, witness)
     if code == "duplicate-map":
