@@ -18,11 +18,12 @@ those of any other body are its tokens joined and cut at each ';'. A run of
 consecutive map blocks, up to _RUN_BLOCKS of them, is read as one: the
 entries of all its bodies are split at their '->' together and translated
 block by block, through the {id: local index} dict each view gets when it
-is read, into the two index columns of a `MapSpec`; a run that some check
-or lookup refuses is walked one block at a time only to name its first
-error. The parser is the only code that turns an element id of a map into
-an element; `build_repsys` lays every table out, or names the first
-failing map, with one scatter. The cyclic collector is paused in `parse`.
+is read, into the two index columns of a `MapSpec`; a run refused in bulk
+is cut at its first block at fault by one walk over its headers, and the
+entries before the cut are walked only if refused in bulk. The parser is
+the only code that turns an element id of a map into an element;
+`build_repsys` lays every table out, or names the first failing map,
+with one scatter. The cyclic collector is paused in `parse`.
 Errors carry the 1-based line and column of their token, found once an
 error is raised by counting the tokens line by line and positioning the
 one line that holds it.
@@ -46,7 +47,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import is_not
+from operator import index as as_index, is_not
 from typing import NamedTuple
 
 import numpy as np
@@ -94,6 +95,8 @@ _TOKEN = re.compile(r"[{};]|[^\s{};]+")
 # 2^6 system's 41 006 blocks in one run took parse's peak to 139 MiB, in
 # runs of 512 to 66 MiB)
 _RUN_BLOCKS = 512
+# the unknown-element message of a map that names a value outside its views
+_NOT_AN_INDEX = "map {}<{} names a value that is not an element index of its views"
 # '#' to the next line break of str.splitlines
 _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
@@ -158,9 +161,9 @@ class _Parser:
                 on = len(_scan(line))
                 if at < on:
                     tok = list(_TOKEN.finditer(line.partition("#")[0]))[at]
-                    raise ParseError(message, k + 1, tok.start() + 1)
+                    raise ParseError(message, k + 1, tok.start() + 1) from None
                 at -= on
-        raise ParseError(message, len(lines) or 1, len(lines[-1]) + 1 if lines else 1)
+        raise ParseError(message, len(lines) or 1, len(lines[-1]) + 1 if lines else 1) from None
 
     def next(self, expect=None):
         if self.pos == len(self.tokens):
@@ -239,34 +242,36 @@ class _Parser:
         next head that is not `map`, or up to _RUN_BLOCKS blocks, and add
         their specs to maps, with whole-run list and string operations;
         index holds the {id: local index} dict of each view read so far,
-        which translates the entries. Returns False, having read nothing, if
-        some block would be refused (see `refuse_maps`)."""
-        tokens, n = self.tokens, len(self.tokens)
-        heads, items, offsets = [], [], [0]
-        h = self.pos
-        try:
-            while True:
+        which translates the entries. A refused run is cut at its first block
+        at fault (`cut`), and its first error is raised."""
+        tokens, n, h = self.tokens, len(self.tokens), self.pos
+        heads, spans, items, offsets = [], [], [], [0]
+        while True:
+            try:
                 b = tokens.index("{", h)
                 e = tokens.index("}", b)
-                heads.append(tokens[h] if b == h + 1 else "".join(tokens[h:b]))
-                items += _entries(tokens, b + 1, e)
-                offsets.append(len(items))
-                h = e + 1
-                while h < n and tokens[h] == ";":
-                    h += 1
-                if h == n or tokens[h] != "map" or len(heads) == _RUN_BLOCKS:
-                    break
+            except ValueError:  # the block runs to the end of the input
+                b, e = _find(tokens, "{", h, n), n
+            heads.append(tokens[h] if b == h + 1 else "".join(tokens[h:b]))
+            spans.append((h, b, e))
+            items += _entries(tokens, b + 1, e)
+            offsets.append(len(items))
+            h = e + 1
+            while h < n and tokens[h] == ";":
                 h += 1
-        except ValueError:  # no '{' or no '}'
-            return False
-        headers, entries = _split_pairs(heads, "<"), _split_pairs(items, "->")
-        if headers is None or entries is None or not index.keys() >= set(chain(*headers)):
-            return False
-        targets, sources = headers
-        lefts, rights = entries
+            if h >= n or tokens[h] != "map" or len(heads) == _RUN_BLOCKS:
+                break
+            h += 1
         # a header is one target<source key
-        if len(set(heads)) != len(heads) or not maps.keys().isdisjoint(heads):
-            return False
+        headers, fault = _split_pairs(heads, "<"), None
+        if e == n or headers is None or not index.keys() >= set(chain(*headers)) or len(set(heads)) != len(heads) or not maps.keys().isdisjoint(heads):
+            c, fault = self.cut(index, set(maps), heads, spans)
+            del heads[c:], spans[c:], items[offsets[c]:], offsets[c + 1:]
+            headers = _split_pairs(heads, "<")
+        entries = _split_pairs(items, "->")
+        if entries is None:
+            self.refuse_entry(index, heads, spans)
+        (targets, sources), (lefts, rights) = headers, entries
         blocks = list(map(slice, offsets, offsets[1:]))
         srcs, imgs = list(map(lefts.__getitem__, blocks)), list(map(rights.__getitem__, blocks))
         defaults = [None] * len(heads)
@@ -276,77 +281,65 @@ class _Parser:
                 k = lefts.index("*", k + 1)
                 m = bisect_right(offsets, k) - 1
                 if defaults[m] is not None:
-                    return False
+                    self.refuse_entry(index, heads, spans)
                 defaults[m] = index[targets[m]][rights[k]]
                 j = k - offsets[m]
                 srcs[m], imgs[m] = srcs[m][:j] + srcs[m][j + 1:], imgs[m][:j] + imgs[m][j + 1:]
             srcs = list(map(tuple, map(map, [index[v].__getitem__ for v in sources], srcs)))
             imgs = list(map(tuple, map(map, [index[v].__getitem__ for v in targets], imgs)))
         except KeyError:
-            return False
+            self.refuse_entry(index, heads, spans)
+        if fault:
+            self.fail(*fault)
         maps.update(zip(heads, map(MapSpec, targets, sources, srcs, imgs, defaults)))
         self.pos = h
-        return True
 
-    def refuse_maps(self, index, keys):
-        """Raise the first error of a run of map blocks `map_run` refused,
-        reading a block at a time and walking the entries of a block only if
-        refused in bulk; keys holds the map keys read before the run."""
-        tokens, n = self.tokens, len(self.tokens)
-        while True:
-            at = self.pos
-            b = _find(tokens, "{", at, n) + 1
-            if b == at + 1:
-                self.fail("map needs a target<source header")
-            header = tokens[at] if b == at + 2 else "".join(tokens[at:b - 1])
-            target, _, source = header.partition("<")
+    def cut(self, index, keys, heads, spans):
+        """(c, (message, at)) for the first block of a run whose header,
+        braces or key (in keys or earlier in the run) is at fault: its error
+        and the c blocks whose entries are read first; (len(heads), None)."""
+        for k, (head, (h, b, e)) in enumerate(zip(heads, spans)):
+            target, _, source = head.partition("<")
+            if b == h:
+                return k, ("map needs a target<source header", h)
             if not target or not source or "<" in source:
-                self.fail(f"malformed map header {header!r}", at)
-            for v in (target, source):
-                if v not in index:
-                    self.fail(f"map references unknown view {v!r}", at)
-            if b > n:
-                self.fail("unexpected end of input (wanted {)", n)
-            end = _find(tokens, "}", b, n)
-            split = _split_pairs(_entries(tokens, b, end), "->")
-            src, dst = index[source], index[target]
-            if split is None or not src.keys() >= {*split[0]} - {"*"} or not dst.keys() >= {*split[1]} or split[0].count("*") > 1:
-                self.pos = b
-                self.refuse_entry(end, source, target, src, dst)
-            if end == n:
-                self.fail("unterminated map block", n)
-            if header in keys:
-                self.fail(f"duplicate map {header}", at - 1)
-            keys.add(header)
-            h = end + 1
-            while h < n and tokens[h] == ";":
-                h += 1
-            if h == n or tokens[h] != "map":
-                raise InternalCheckError("map-run", f"the run of map blocks before token {h} was refused but holds no error", (h,))
-            self.pos = h + 1
+                return k, (f"malformed map header {head!r}", h)
+            if not index.keys() >= {target, source}:
+                return k, (f"map references unknown view {source if target in index else target!r}", h)
+            if b == e:  # no '{' before the end of the input
+                return k, ("unexpected end of input (wanted {)", e)
+            if e == len(self.tokens):
+                return k + 1, ("unterminated map block", e)
+            if head in keys:
+                return k + 1, (f"duplicate map {head}", h - 1)
+            keys.add(head)
+        return len(heads), None
 
-    def refuse_entry(self, end, source, target, src, dst):
-        """Raise at the first entry before end that is malformed, names an
-        element its view lacks, or repeats the default."""
-        default = False
-        for at, item in self.items(end):
-            entry = "".join(item)
-            if _split_pairs([entry], "->") is None:
-                self.fail(f"malformed map entry {entry!r}", at)
-            lhs, rhs = entry.split("->")
-            if lhs != "*" and lhs not in src:
-                self.fail(f"map entry uses unknown {source!r} element {lhs!r}", at)
-            if rhs not in dst:
-                self.fail(f"map entry uses unknown {target!r} element {rhs!r}", at)
-            if lhs == "*" and default:
-                self.fail("duplicate default entry", at)
-            default = default or lhs == "*"
+    def refuse_entry(self, index, heads, spans):
+        """Raise at the first entry of the blocks with these headers and
+        (header, '{', '}') spans that is malformed, names an element its
+        view lacks, or repeats its block's default."""
+        for head, (_, b, e) in zip(heads, spans):
+            target, _, source = head.partition("<")
+            src, dst = index[source], index[target]
+            self.pos, default = b + 1, False
+            for at, item in self.items(e):
+                entry = "".join(item)
+                if _split_pairs([entry], "->") is None:
+                    self.fail(f"malformed map entry {entry!r}", at)
+                lhs, rhs = entry.split("->")
+                if lhs != "*" and lhs not in src:
+                    self.fail(f"map entry uses unknown {source!r} element {lhs!r}", at)
+                if rhs not in dst:
+                    self.fail(f"map entry uses unknown {target!r} element {rhs!r}", at)
+                if lhs == "*" and default:
+                    self.fail("duplicate default entry", at)
+                default = default or lhs == "*"
+        raise InternalCheckError("map-run", f"the run of map blocks at token {spans[0][0]} was refused but holds no error", spans[0][:1])
 
     def repsys(self, name):
         tokens = self.tokens
-        views = {}
-        index = {}
-        maps = {}
+        views, index, maps = {}, {}, {}
         while True:
             at = self.pos
             if at == len(tokens):
@@ -372,8 +365,7 @@ class _Parser:
                 views[vname] = vdoc = self.structure(vkind, vname)
                 index[vname] = dict(zip(vdoc.elements, count()))
             elif head == "map":
-                if not self.map_run(index, maps):
-                    self.refuse_maps(index, set(maps))
+                self.map_run(index, maps)
             else:
                 self.fail(f"unknown section {head!r} in repsys", at)
         return ModelDocument("repsys", name, views=tuple(views.items()), maps=tuple(maps.values()))
@@ -427,12 +419,15 @@ def serialize(doc):
     for vname, vdoc in doc.views:
         body = "\n".join(_structure_lines(vdoc, indent="  "))
         chunks.append(f"  view {vname} = {vdoc.kind} {{\n{body}\n  }}")
-    elements = {vname: vdoc.elements for vname, vdoc in doc.views}
+    elements = {vname: dict(enumerate(vdoc.elements)) for vname, vdoc in doc.views}
     for m in doc.maps:
         src, dst = elements[m.source], elements[m.target]
-        entries = [f"    {src[a]}->{dst[b]}" for a, b in zip(m.sources, m.images)]
-        if m.default is not None:
-            entries.append(f"    * -> {dst[m.default]}")
+        try:
+            entries = [f"    {src[a]}->{dst[b]}" for a, b in zip(m.sources, m.images)]
+            if m.default is not None:
+                entries.append(f"    * -> {dst[m.default]}")
+        except KeyError:  # a dict refuses the negative index a tuple counts from its end
+            raise ValidationError("unknown-element", _NOT_AN_INDEX.format(*m[:2]), m[:2]) from None
         body = " ;\n".join(entries)
         chunks.append(f"  map {m.target}<{m.source} {{\n{body}\n  }}")
     lines.append(" ;\n".join(chunks))
@@ -440,9 +435,7 @@ def serialize(doc):
     return "\n".join(lines) + "\n"
 
 
-def tokens_of(text):
-    """Token texts, for whitespace/comment-insensitive comparisons."""
-    return _scan(text)
+tokens_of = _scan  # token texts, for whitespace/comment-insensitive comparisons
 
 
 # -- building core structures from documents --------------------------------
@@ -539,9 +532,9 @@ def _scatter_tables(names, posets, maps):
     V x P array by one scatter. The identity block of each view without a
     map to itself and each default over its map's block come first, then
     every entry; a source listed twice takes the image listed last. Raises
-    unknown-view, then duplicate-map, unknown-element (an index outside its
-    view) or incomplete-map, each at the first map in document order that
-    has one; incomplete-map names the first element that map misses."""
+    unknown-view, then duplicate-map, unknown-element (a value that is not
+    an index of its view) or incomplete-map (naming the first element the
+    map misses), each at the first map in document order that has one."""
     V, M = len(names), len(maps)
     targets, sources, srcs, imgs, defaults = zip(*maps) if maps else ((),) * 5
     vi = dict(zip(names, count()))
@@ -563,18 +556,15 @@ def _scatter_tables(names, posets, maps):
     N = int(lens.sum())
     owner = np.repeat(np.arange(M), lens)  # the map of each entry
     rows, cols = ti[owner], si[owner]
-    a = np.fromiter(chain.from_iterable(srcs), np.intp, N)
-    b = np.fromiter(chain.from_iterable(imgs), np.intp, N)
+    a, b = _indices(srcs, N), _indices(imgs, N)
     given = np.fromiter(map(is_not, defaults, repeat(None)), bool, M)
     d = np.full(M, -1, np.intp)
-    d[given] = list(compress(defaults, given))
+    d[given] = _indices([list(compress(defaults, given))], -1)
     outside = np.bincount(owner, (a < 0) | (a >= sizes[cols]) | (b < 0) | (b >= sizes[rows]), M) > 0
     outside |= given & ((d < 0) | (d >= sizes[ti]))
     if outside.any():
-        m = maps[outside.argmax()]
-        raise ValidationError(
-            "unknown-element", f"map {m.target}<{m.source} names an element index outside its views", (m.target, m.source)
-        )
+        key = maps[outside.argmax()][:2]
+        raise ValidationError("unknown-element", _NOT_AN_INDEX.format(*key), key)
     fill = np.full((V, V), -2, np.intp)  # -2: no map listed
     fill[ti, si] = d
     g = fill.clip(-1)[:, view_of]
@@ -596,6 +586,15 @@ def _scatter_tables(names, posets, maps):
         )
     np.fill_diagonal(fill, 0)
     return g, {(names[i], names[j]): "missing-transform" for i, j in zip(*(fill == -2).nonzero())}
+
+
+def _indices(columns, n):
+    """The n values of columns, one after another, as an intp array, with -1
+    for each that is not an integer (np.intp reads "1" as 1 and 1.7 as 1)."""
+    try:
+        return np.fromiter(map(as_index, chain.from_iterable(columns)), np.intp, n)
+    except TypeError:
+        return np.fromiter((as_index(v) if hasattr(v, "__index__") else -1 for v in chain.from_iterable(columns)), np.intp, n)
 
 
 def build(doc):

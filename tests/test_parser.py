@@ -6,6 +6,7 @@ import gc
 import random
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -39,10 +40,10 @@ def _outcome(parser, text):
 
 
 def _read_by_runs(text):
-    """parse(text) with the error walk switched off: every map block is
-    read by the run reader, or the parse fails."""
+    """parse(text) with the entry walk switched off: the entries of every
+    map block are read in bulk by the run reader, or the parse fails."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Parser, "refuse_maps", None)
+        mp.setattr(_Parser, "refuse_entry", None)
         return parse(text)
 
 
@@ -464,6 +465,53 @@ def test_runs_cut_after_any_block_parse_as_the_reference_does(monkeypatch):
             assert _outcome(parse, edited) == _outcome(reference_parse, edited), edited
 
 
+# A run of four map blocks after a run holding the key A<A; every view has
+# the elements 0 x 1, so any header reads the entries of any block.
+_FAULT_HEAD = """repsys f {
+  view A = poset { elements 0 x 1 ; covers 0<x x<1 } ;
+  view B = poset { elements 0 x 1 } ;
+  map A<A { 0->0 ; * -> 1 } ;
+  view C = poset { elements 0 x 1 ; covers 0<1 } ;
+"""
+_FAULT_BLOCKS = [("B<A", ["0->0", "x->1", "* -> 1"]), ("A < B", ["x->x", "* -> 0"]), ("C<A", ["* -> x"]), ("C<B", ["0->1", "x->0", "1->x"])]
+
+
+def _two_faults(bad, i, fault, j):
+    """The run of _FAULT_BLOCKS with a bad entry of kind bad in block i, and
+    block j given a malformed header, an unknown view, a key of the earlier
+    run, the key of block 0, or no '}' (and nothing after it)."""
+    blocks = []
+    for k, (header, entries) in enumerate(_FAULT_BLOCKS[:j + 1] if fault == "unclosed" else _FAULT_BLOCKS):
+        if k == i:
+            entries = {"malformed": ["x"], "unknown": ["q->x"], "default": ["*->x", "* -> 0"]}[bad] + entries
+        if k == j:
+            header = {"malformed": "A<B<C", "view": "A<Z", "earlier": "A<A", "repeated": _FAULT_BLOCKS[0][0]}.get(fault, header)
+        blocks.append(f"  map {header} {{ {' ; '.join(entries)}" + ("" if fault == "unclosed" and k == j else " }"))
+    return _FAULT_HEAD + " ;\n".join(blocks) + ("\n" if fault == "unclosed" else "\n}\n")
+
+
+def test_a_bad_entry_and_a_block_at_fault_in_one_run_parse_as_the_reference_does(monkeypatch):
+    """A bad entry before, in or after a block whose header is malformed,
+    names an unknown view, repeats a key or lacks its '}': the first error
+    in the reference's reading order is raised, the entry's when it lies in
+    an earlier block or in a block whose header reads well. Runs of one,
+    two and _RUN_BLOCKS blocks cut the run at its first block too."""
+    reached = set()
+    for blocks in (modelio._RUN_BLOCKS, 2, 1):
+        monkeypatch.setattr(modelio, "_RUN_BLOCKS", blocks)
+        for bad, fault in product(["malformed", "unknown", "default"], ["malformed", "view", "earlier", "repeated", "unclosed"]):
+            for i, j in product(range(4), range(4)):
+                if fault == "repeated" and j == 0 or fault == "unclosed" and i > j:
+                    continue
+                text = _two_faults(bad, i, fault, j)
+                got = _outcome(parse, text)
+                assert got == _outcome(reference_parse, text), text
+                entry_first = i < j or i == j and fault in ("earlier", "repeated", "unclosed")
+                assert ("entry" in got[0]) is entry_first, text
+                reached.add((fault, entry_first))
+    assert len(reached) == 9  # a block with no '}' is the last, so no entry comes after it
+
+
 def test_edits_reach_both_outcomes_of_the_run_document():
     """_RUNS itself is refused at its repeated key; an edit of that header
     gives a document whose maps form two runs."""
@@ -476,10 +524,11 @@ def test_edits_reach_both_outcomes_of_the_run_document():
 
 
 def test_a_run_refused_without_an_error_is_internal(monkeypatch, tmp_path, capsys):
-    """The walk that names the error of a refused run finds none when the
-    run reader refuses a valid run: parse raises InternalCheckError, and
-    the CLI exits 3 with its one-line message and no traceback."""
-    monkeypatch.setattr(_Parser, "map_run", lambda self, ids, maps: False)
+    """The entry walk finds no error when the run reader refuses the
+    entries of a valid run, here made to read every entry as 'junk': parse
+    raises InternalCheckError, and the CLI exits 3 with its one-line
+    message and no traceback."""
+    monkeypatch.setattr(modelio, "_entries", lambda tokens, lo, hi: ["junk"])
     text = zoo()["firefly"].text
     with pytest.raises(InternalCheckError) as err:
         parse(text)

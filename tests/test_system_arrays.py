@@ -312,14 +312,38 @@ def test_repeated_source_takes_its_last_image():
         # the first bad map in document order, not in view order
         ([MapSpec("B", "A", (0,), (0,), 1), MapSpec("A", "B", (3,), (0,), 1), MapSpec("A", "A", (0,), (0,), 9)],
          ("A", "B")),
+        # values that are not integers, which np.intp would read as indices
+        ([MapSpec("B", "A", ("0", "1"), ("0", "1"), "2")], ("B", "A")),  # digit strings
+        ([MapSpec("B", "A", (0, 1.7), (0, 1), 2)], ("B", "A")),  # a float source
+        ([MapSpec("B", "A", (0, 1, 2), (0, 1, 0.5))], ("B", "A")),  # a float image
+        ([MapSpec("B", "A", (0, 1), (0, 1), "2")], ("B", "A")),  # a digit-string default
+        # the first bad map in document order, whether its value is no integer or an integer outside its view
+        ([MapSpec("B", "A", (0,), (0,), 1), MapSpec("A", "B", (0,), ("0",), 1), MapSpec("A", "A", (3,), (0,), 0)],
+         ("A", "B")),
+        ([MapSpec("B", "A", (0,), (0,), 1), MapSpec("A", "B", (0,), (-1,), 1), MapSpec("A", "A", ("0",), (0,), 0)],
+         ("A", "B")),
     ],
 )
 def test_indices_outside_their_views_are_named(maps, key):
     """Maps of hand-built documents (the parser makes none) whose source,
-    image or default lies outside its view: build_repsys raises
-    unknown-element at the first such map in document order."""
+    image or default is not an integer or lies outside its view:
+    build_repsys raises unknown-element at the first such map in document
+    order, and serialize, which would write a negative index as the element
+    counted from its view's end, refuses the document with the same error
+    at the same map."""
     doc = replace(parse(f"repsys r {{ {_AB} }}"), maps=tuple(maps))
-    assert outcome(build_repsys, doc) == ("unknown-element", key)
+    assert outcome(build_repsys, doc) == outcome(serialize, doc) == ("unknown-element", key)
+    with pytest.raises(ValidationError, match=f"^map {key[0]}<{key[1]} names a value that is not an element index of its views$"):
+        serialize(doc)
+
+
+def test_an_integral_float_is_refused_by_build_and_written_by_serialize():
+    """build_repsys takes integers only, so the image 2.0 is refused; the
+    element it names in serialize is the element 2, which parses back as
+    an equal document."""
+    doc = replace(parse(f"repsys r {{ {_AB} }}"), maps=(MapSpec("B", "A", (0, 1, 2), (0, 1, 2.0)),))
+    assert outcome(build_repsys, doc) == ("unknown-element", ("B", "A"))
+    assert parse(serialize(doc)) == doc
 
 
 @pytest.mark.parametrize(
