@@ -118,40 +118,16 @@ def _check_carriers(o, carriers, name=False):
     return out
 
 
-def _close(o, seed):
-    """Closure of a set under complement and existing joins/meets, or None
-    when some pair has no host join/meet (no subalgebra can contain it).
-    Each round gathers the host tables over the whole current carrier."""
-    join, meet = o.poset.tables()
-    ortho = np.array(o.ortho)
-    cur = np.zeros(o.n, dtype=bool)
-    cur[[o.least, o.greatest, *seed]] = True
-    while True:
-        idx = np.flatnonzero(cur)
-        jn, mt = join[idx[:, None], idx], meet[idx[:, None], idx]
-        if min(jn.min(), mt.min()) < 0:
-            return None
-        nxt = cur.copy()
-        nxt[ortho[idx]] = True
-        nxt[jn] = True
-        nxt[mt] = True
-        if (nxt == cur).all():
-            return frozenset(idx.tolist())
-        cur = nxt
-
-
-def _complements_are_joins(join, ortho, least, atoms):
-    """Whether each atom's complement is the host join of the others: the
-    join of its prefix and suffix joins. A missing join fails."""
-    pre = [least]
-    for a in atoms[:-1]:
-        pre.append(join[pre[-1], a])
-    suf = least
-    for p, a in zip(reversed(pre), reversed(atoms)):
-        if suf < 0 or join[p, suf] != ortho[a]:
-            return False
-        suf = join[a, suf]
-    return True
+def _atom_joins(join, ortho, least, atoms):
+    """The host joins of every subset of atoms, c[X] the join of those in
+    the bitmask X, as a sorted carrier; None if a join is missing or the
+    complement of some c[X] is not c[-1 - X], the join of the others."""
+    c = np.array([least], dtype=np.intp)
+    for a in atoms:
+        c = np.concatenate([c, join[c, a]])  # a missing join (-1) stays in c to the check
+    if (c < 0).any() or (ortho[c] != c[::-1]).any():
+        return None
+    return tuple(sorted(set(c.tolist())))
 
 
 def enumerate_boolean_subalgebras(o, cap=32):
@@ -160,32 +136,35 @@ def enumerate_boolean_subalgebras(o, cap=32):
     A depth-first search over atom sets in index order proposes them: a
     node (last atom, host join j so far, atoms) grows by each a > last,
     a != 0, with a <= j' (orthogonal to every atom chosen) and a host join
-    with j. At j = 1, atoms that pass `_complements_are_joins` are closed
-    by `_close`, one candidate at a time. The closures are then admitted
-    together by `_check_carriers`, which decides `subalgebra`'s laws on one
-    stack per carrier size and drops the failures unnamed.
+    with j. At j = 1 the candidate is the set of host joins of the atoms'
+    subsets (`_atom_joins`), refused when a join is missing or a join's
+    complement is not the join of the other atoms. The candidates are then
+    admitted together by `_check_carriers`, which decides `subalgebra`'s
+    laws on one stack per carrier size and drops the failures unnamed.
 
     This is complete on any host. A subalgebra's sorted atoms are pairwise
-    orthogonal and its joins are the host's, so every prefix join exists,
-    the last is 1 and each complement is the join of the other atoms; their
-    closure is the subalgebra, each element being a join of atoms. The
-    atoms of a boolean closure are its candidate's, so none comes twice.
+    orthogonal and its joins, meets and complement are the host's, so every
+    prefix join exists, the last is 1, and the subalgebra is the joins of
+    its atoms' subsets, each complemented by the join of the others. An
+    admitted candidate holds its atoms and is closed, and each of its
+    elements is a join of them, so it is their closure; its atoms are its
+    candidate's, so none comes twice.
     """
     if o.n > cap:
         raise ValidationError("cap-exceeded", f"{o.n} elements exceeds the cap of {cap}")
     join, _ = o.poset.tables()
     ortho = np.array(o.ortho)
     below = np.ascontiguousarray(o.poset.leq.T)  # below[y, a]: a <= y
-    closed, stack = [], [(-1, o.least, ())]
+    candidates, stack = [], [(-1, o.least, ())]
     while stack:
         last, cur, atoms = stack.pop()
         if cur != o.greatest:
             nxt = below[ortho[cur]] & (join[cur] >= 0)
             nxt[:last + 1] = nxt[o.least] = False
             stack.extend((a, int(join[cur, a]), atoms + (a,)) for a in np.flatnonzero(nxt)[::-1].tolist())
-        elif _complements_are_joins(join, ortho, o.least, atoms) and (c := _close(o, atoms)) is not None:
-            closed.append(tuple(sorted(c)))
-    found = [sub for sub in _check_carriers(o, closed) if sub is not None]
+        elif (c := _atom_joins(join, ortho, o.least, atoms)) is not None:
+            candidates.append(c)
+    found = [sub for sub in _check_carriers(o, candidates) if sub is not None]
     return tuple(sorted(found, key=lambda s: (s.size, s.carrier)))
 
 

@@ -25,8 +25,8 @@ the only code that turns an element id of a map into an element;
 `build_repsys` lays every table out, or names the first failing map,
 with one scatter. The cyclic collector is paused in `parse`.
 Errors carry the 1-based line and column of their token, found once an
-error is raised by counting the tokens line by line and positioning the
-one line that holds it.
+error is raised by counting the tokens of every line in one pass and
+positioning the one line that holds it.
 Ids: element ids and view names are single tokens that must not contain
 '<', ':' or '->', so that covers, ortho pairs, map headers and entries
 split back into ids, and must not be '*', which a map entry reads as its
@@ -46,7 +46,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import index as as_index, is_not
 from typing import NamedTuple
 
@@ -101,12 +101,17 @@ _NOT_AN_INDEX = "map {}<{} names a value that is not an element index of its vie
 _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
+def _padded(text):
+    """text without its comments and with spaces around each '{', '}' and
+    ';'. Neither step touches a line break, so its lines are text's."""
+    return _COMMENT.sub("", text).replace("{", " { ").replace("}", " } ").replace(";", " ; ")
+
+
 def _scan(text):
     """The token texts of text, from the whole text at once: those _TOKEN
     finds on each line of str.splitlines with its comment cut off, since
     str.split and the regex's \\s split at the same code points."""
-    text = _COMMENT.sub("", text)
-    return text.replace("{", " { ").replace("}", " } ").replace(";", " ; ").split()
+    return _padded(text).split()
 
 
 def _find(tokens, stop, lo, hi):
@@ -157,12 +162,11 @@ class _Parser:
         at = self.pos if at is None else at
         lines = self.text.splitlines()
         if at < len(self.tokens):
-            for k, line in enumerate(lines):  # no token spans a line break
-                on = len(_scan(line))
-                if at < on:
-                    tok = list(_TOKEN.finditer(line.partition("#")[0]))[at]
-                    raise ParseError(message, k + 1, tok.start() + 1) from None
-                at -= on
+            # the tokens up to the end of each line; no token spans a line break
+            ends = list(accumulate(map(len, map(str.split, _padded(self.text).splitlines()))))
+            k = bisect_right(ends, at)
+            tok = list(_TOKEN.finditer(lines[k].partition("#")[0]))[at - (ends[k - 1] if k else 0)]
+            raise ParseError(message, k + 1, tok.start() + 1) from None
         raise ParseError(message, len(lines) or 1, len(lines[-1]) + 1 if lines else 1) from None
 
     def next(self, expect=None):

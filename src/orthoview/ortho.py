@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class OrthoPoset:
     """
 
     def __init__(self, poset, ortho):
-        ortho = tuple(int(i) for i in ortho)
+        ortho = tuple(index(i) if hasattr(i, "__index__") else -1 for i in ortho)  # int() reads 3.9 as 3
         n = poset.n
         if len(ortho) != n or any(not 0 <= i < n for i in ortho):
             raise ValidationError("bad-ortho", "orthocomplement map must cover every element")

@@ -272,9 +272,9 @@ class FinitePoset:
             raise ValidationError("unknown-element", f"no element {element!r}", (element,)) from None
 
     def _check_index(self, *indices):
-        """Raise unknown-element for the first index outside 0..n-1."""
+        """Raise unknown-element for the first index not an integer in 0..n-1."""
         for i in indices:
-            if not 0 <= i < self.n:
+            if not (hasattr(i, "__index__") and 0 <= i < self.n):
                 raise ValidationError("unknown-element", f"no element at index {i}", (i,))
 
     def le(self, i, j):

@@ -455,13 +455,12 @@ def reference_worklist_subalgebras(o):
     as a closure. Every closure `subalgebra` admits is kept; the result is
     in (size, carrier) order."""
     from orthoview import ValidationError, subalgebra
-    from orthoview.decompose import _close
 
     found, tried, closures = [], set(), set()
 
     def consider(union):
         tried.add(union)
-        c = _close(o, union)
+        c = reference_close(o, union)
         if c is None or c in closures:
             return
         closures.add(c)

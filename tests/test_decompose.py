@@ -145,16 +145,22 @@ def test_enumeration_matches_reference_on_relabelled_families(model):
     assert_matches_reference(as_orthoposet(shuffled(model, random.Random(len(model[0])))))
 
 
-@FAMILIES
-def test_enumeration_closes_once_per_subalgebra(model, monkeypatch):
+def checked_candidates(monkeypatch):
+    """The lists of carriers `enumerate_boolean_subalgebras` hands
+    `_check_carriers`, one per call, recorded as the calls are made."""
     import orthoview.decompose as dec
 
-    seeds = []
-    original = dec._close
-    monkeypatch.setattr(dec, "_close", lambda o, seed: seeds.append(seed) or original(o, seed))
+    calls, check = [], dec._check_carriers
+    monkeypatch.setattr(dec, "_check_carriers", lambda o, cs, **kw: calls.append(list(cs)) or check(o, cs, **kw))
+    return calls
+
+
+@FAMILIES
+def test_enumeration_checks_one_candidate_per_subalgebra(model, monkeypatch):
+    calls = checked_candidates(monkeypatch)
     subs = enumerate_boolean_subalgebras(as_orthoposet(shuffled(model, random.Random(len(model[0])))))
-    # each closure starts from the atoms of the subalgebra it returns
-    assert sorted(map(sorted, seeds)) == sorted(sorted(s.atoms) for s in subs)
+    # on these families each candidate is one returned subalgebra's carrier
+    assert sorted(c for cs in calls for c in cs) == sorted(s.carrier for s in subs)
 
 
 def stirling2(k, m):
@@ -192,26 +198,8 @@ def test_enumeration_matches_worklist_on_large_hosts(model):
     assert enumerate_boolean_subalgebras(o, cap=128) == reference_worklist_subalgebras(o)
 
 
-def test_closure_matches_reference():
-    from orthoview.decompose import _close
-
-    rng = random.Random(13)
-    hosts = [as_orthoposet(shuffled(greechie_cycle(4), rng)) for _ in range(3)]
-    hosts += [random_orthoposet(rng) for _ in range(20)]
-    outcomes = set()
-    for o in hosts:
-        for _ in range(10):
-            seed = {rng.randrange(o.n) for _ in range(rng.randint(1, 3))}
-            closed = _close(o, seed)
-            assert closed == reference_close(o, seed)
-            outcomes.add(closed is None)
-    assert outcomes == {True, False}
-
-
 def test_subalgebra_boolean_check_matches_reference():
     # closed carriers, so only distributivity and the cardinality decide
-    from orthoview.decompose import _close
-
     rng = random.Random(29)
     hosts = [as_orthoposet(shuffled(greechie_cycle(4), rng)) for _ in range(3)]
     hosts += [as_orthoposet(shuffled(mo(3), rng)), as_orthoposet(shuffled(boolean_algebra(3), rng))]
@@ -219,7 +207,7 @@ def test_subalgebra_boolean_check_matches_reference():
     outcomes = set()
     for o in hosts:
         for _ in range(10):
-            carrier = _close(o, {rng.randrange(o.n) for _ in range(rng.randint(1, 3))})
+            carrier = reference_close(o, {rng.randrange(o.n) for _ in range(rng.randint(1, 3))})
             if carrier is None:
                 continue
             ok, code, witness, atoms = reference_boolean_carrier(o, carrier)
@@ -233,25 +221,65 @@ def test_subalgebra_boolean_check_matches_reference():
 
 
 def test_enumeration_validates_each_result_once(monkeypatch):
-    import orthoview.decompose as dec
-
-    closures, calls = [], []
-    close, check = dec._close, dec._check_carriers
-
-    def recorded_close(o, seed):
-        c = close(o, seed)
-        if c is not None:
-            closures.append(c)
-        return c
-
-    monkeypatch.setattr(dec, "_close", recorded_close)
-    monkeypatch.setattr(dec, "_check_carriers", lambda o, cs, **kw: calls.append(list(cs)) or check(o, cs, **kw))
+    calls = checked_candidates(monkeypatch)
     subs = enumerate_boolean_subalgebras(zoo_ortho("greechie_cycle_5"))
     assert len(subs) == 16
+    # one call, with every result's carrier once
     assert len(calls) == 1
-    # every closure, as a sorted carrier, once
-    assert Counter(calls[0]) == Counter(tuple(sorted(c)) for c in closures)
-    assert len(calls[0]) == len(closures)
+    assert sorted(calls[0]) == sorted(s.carrier for s in subs)
+
+
+def orthogonal_sets(o):
+    """Every set of pairwise orthogonal nonzero elements of o, as a sorted
+    tuple, by brute force: each element either joins the set or not."""
+    nonzero = [a for a in range(o.n) if a != o.least]
+    sets = [()]
+    for a in nonzero:
+        sets += [s + (a,) for s in sets if all(o.poset.le(a, o.ortho[b]) for b in s)]
+    return sets
+
+
+def test_atom_joins_admit_exactly_the_boolean_closures():
+    """The lemma behind the enumeration's candidates. Let A be nonzero,
+    pairwise orthogonal elements whose join, taken one at a time in index
+    order, is 1. The host joins of A's subsets form a boolean subalgebra
+    exactly when the closure of A under the complement and host joins and
+    meets does, and then both are the same carrier: every member of the
+    joins is in the closure, and a boolean closure with the partition of
+    unity A is the joins of A's subsets. Checked on every such A of small
+    hosts, with the closure and the boolean check as plain loops.
+
+    On an orthoposet host `_atom_joins` alone already decides: the join of
+    c[X] and c[Y] is c[X | Y], the least upper bound of the atoms of both,
+    so once each c[X] has the complement c[-1 - X] the meets are c[X & Y]
+    by de Morgan, and the joins are a boolean algebra of 2^|A| elements."""
+    from orthoview.decompose import _atom_joins
+
+    rng = random.Random(83)
+    hosts = [build_orthoposet(m.doc) for m in zoo().values() if m.kind == "orthoposet"]
+    hosts += [random_orthoposet(rng) for _ in range(30)]
+    hosts += [as_orthoposet(shuffled(m, rng)) for m in [double_chain(h) for h in range(1, 6)] + [greechie_cycle(4)]]
+    outcomes = Counter()
+    for o in hosts:
+        join, ortho = o.poset.tables()[0], np.array(o.ortho)
+        for atoms in orthogonal_sets(o):
+            j = o.least
+            for a in atoms:
+                j = None if j is None else o.poset.join(j, a)
+            if j != o.greatest:
+                continue
+            closed = reference_close(o, atoms)
+            want = closed is not None and reference_boolean_carrier(o, closed)[0]
+            carrier = _atom_joins(join, ortho, o.least, atoms)
+            try:
+                got = carrier is not None and subalgebra(o, carrier).carrier == carrier
+            except ValidationError:
+                got = False
+            assert got == want == (carrier is not None), (o.elements, atoms)
+            if want:
+                assert carrier == tuple(sorted(closed))
+            outcomes[want] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 20, outcomes
 
 
 def test_cap_exceeded():

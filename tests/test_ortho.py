@@ -63,6 +63,17 @@ def test_self_complement_on_chain_fails_complement_law():
     assert err.value.witness == ("a",)
 
 
+def test_non_integer_complement_map_rejected():
+    # int() would read the first two maps as (3, 2, 1, 0), the complement
+    els, leq, _ = boolean_algebra(2)
+    p = FinitePoset(els, leq)
+    for ortho in ([3.9, 2.2, 1.5, 0.1], ["3", "2", "1", "0"], [3, 2, 1, 0.0]):
+        with pytest.raises(ValidationError) as err:
+            OrthoPoset(p, ortho)
+        assert err.value.code == "bad-ortho"
+    assert OrthoPoset(p, np.array([3, 2, 1, 0])).ortho == (3, 2, 1, 0)
+
+
 def test_hexagon_accepted():
     o = zoo_ortho("O6")
     assert o.n == 6
