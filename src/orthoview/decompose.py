@@ -120,14 +120,16 @@ def _check_carriers(o, carriers, name=False):
 
 def _atom_joins(join, ortho, least, atoms):
     """The host joins of every subset of atoms, c[X] the join of those in
-    the bitmask X, as a sorted carrier; None if a join is missing or the
-    complement of some c[X] is not c[-1 - X], the join of the others."""
+    the bitmask X, as a sorted carrier; None at the first missing join or
+    if the complement of some c[X] is not c[-1 - X], the join of the others.
+    While every join exists they are distinct (an atom below the join of
+    others is below its complement too), so c never outgrows 2n."""
     c = np.array([least], dtype=np.intp)
     for a in atoms:
-        c = np.concatenate([c, join[c, a]])  # a missing join (-1) stays in c to the check
-    if (c < 0).any() or (ortho[c] != c[::-1]).any():
-        return None
-    return tuple(sorted(set(c.tolist())))
+        if (j := join[c, a]).min() < 0:
+            return None
+        c = np.concatenate([c, j])
+    return None if (ortho[c] != c[::-1]).any() else tuple(sorted(set(c.tolist())))
 
 
 def enumerate_boolean_subalgebras(o, cap=32):
@@ -136,11 +138,10 @@ def enumerate_boolean_subalgebras(o, cap=32):
     A depth-first search over atom sets in index order proposes them: a
     node (last atom, host join j so far, atoms) grows by each a > last,
     a != 0, with a <= j' (orthogonal to every atom chosen) and a host join
-    with j. At j = 1 the candidate is the set of host joins of the atoms'
-    subsets (`_atom_joins`), refused when a join is missing or a join's
-    complement is not the join of the other atoms. The candidates are then
-    admitted together by `_check_carriers`, which decides `subalgebra`'s
-    laws on one stack per carrier size and drops the failures unnamed.
+    with j. At j = 1 the candidate is the host joins of the atoms' subsets,
+    unless `_atom_joins` refuses it. The candidates are then admitted
+    together by `_check_carriers`, which decides `subalgebra`'s laws on one
+    stack per carrier size and drops the failures unnamed.
 
     This is complete on any host. A subalgebra's sorted atoms are pairwise
     orthogonal and its joins, meets and complement are the host's, so every

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .poset import FinitePoset, InternalCheckError, ValidationError, _closed_stack, _pair_indices, size_groups
+from .poset import FinitePoset, InternalCheckError, ValidationError, _as_index, _closed_stack, _pair_indices, size_groups
 from .ortho import OrthoPoset, ortho_stack
 from .repsys import _rs_from_array
 
@@ -598,7 +598,7 @@ def _indices(columns, n):
     try:
         return np.fromiter(map(as_index, chain.from_iterable(columns)), np.intp, n)
     except TypeError:
-        return np.fromiter((as_index(v) if hasattr(v, "__index__") else -1 for v in chain.from_iterable(columns)), np.intp, n)
+        return np.fromiter(map(_as_index, chain.from_iterable(columns)), np.intp, n)
 
 
 def build(doc):

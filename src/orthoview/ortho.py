@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
-from .poset import OK, InternalCheckError, ValidationError, Verdict, _check_laws, _each, _rows, size_groups, stack_tables
+from .poset import OK, InternalCheckError, ValidationError, Verdict, _as_index, _check_laws, _each, _rows, size_groups, stack_tables
 
 
 def _complement_faults(leq, ortho):
@@ -62,7 +61,7 @@ class OrthoPoset:
     """
 
     def __init__(self, poset, ortho):
-        ortho = tuple(index(i) if hasattr(i, "__index__") else -1 for i in ortho)  # int() reads 3.9 as 3
+        ortho = tuple(map(_as_index, ortho))
         n = poset.n
         if len(ortho) != n or any(not 0 <= i < n for i in ortho):
             raise ValidationError("bad-ortho", "orthocomplement map must cover every element")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index as as_index
 
 import numpy as np
 
@@ -137,6 +138,12 @@ def _bound_tables(leq, dual=None):
     meet = np.where(t < 0, -1, dual[(*_each(t), t)])
     meet.flags.writeable = False
     return join, meet
+
+
+def _as_index(v):
+    """v as an element index if it is an integer, else -1, which no element
+    has (int() would read 3.9 as 3 and "3" as 3)."""
+    return as_index(v) if hasattr(v, "__index__") else -1
 
 
 def _pair_indices(index, pairs):
@@ -274,7 +281,7 @@ class FinitePoset:
     def _check_index(self, *indices):
         """Raise unknown-element for the first index not an integer in 0..n-1."""
         for i in indices:
-            if not (hasattr(i, "__index__") and 0 <= i < self.n):
+            if not 0 <= _as_index(i) < self.n:
                 raise ValidationError("unknown-element", f"no element at index {i}", (i,))
 
     def le(self, i, j):

@@ -282,6 +282,54 @@ def test_atom_joins_admit_exactly_the_boolean_closures():
     assert outcomes[True] > 100 and outcomes[False] > 20, outcomes
 
 
+def prefix_suffix_host(k):
+    """The subsets of {1..k} that are empty, whole, a prefix {1..i}, a
+    suffix {i..k}, a singleton or a co-singleton, ordered by inclusion with
+    the set complement: an orthoposet of about 4k elements, since x and x'
+    have no other common bound than the empty and the whole set. Its
+    singletons, in index order, are an orthogonal set whose prefix joins
+    {1..i} all exist and end at 1, but {1} and {3} have no join."""
+    from orthoview import FinitePoset, OrthoPoset
+
+    whole = frozenset(range(1, k + 1))
+    sets = {frozenset(), whole}
+    for i in range(1, k + 1):
+        sets |= {frozenset(range(1, i + 1)), frozenset(range(i, k + 1)), frozenset({i}), whole - {i}}
+    sets = sorted(sets, key=lambda x: (len(x), sorted(x)))
+    leq = [[x <= y for y in sets] for x in sets]
+    names = ["".join(f"{i}." for i in sorted(x)) or "0" for x in sets]
+    return OrthoPoset(FinitePoset(names, leq), [sets.index(whole - x) for x in sets]), sets
+
+
+def test_atom_joins_refuse_at_the_first_missing_join():
+    """A candidate is refused at its first missing join, so the joins of
+    its atoms never outgrow 2n entries: while every join exists they are
+    distinct. Building all 2^k joins of the prefix/suffix host's k
+    singletons first would ask for 2^30 entries here; the table is read
+    through a wrapper that records the widest gather."""
+    from orthoview.decompose import _atom_joins
+
+    o, sets = prefix_suffix_host(30)
+    singletons = [sets.index(frozenset({i})) for i in range(1, 31)]
+    assert singletons == sorted(singletons)
+
+    class Widest:
+        def __init__(self, table):
+            self.table, self.widest = table, 0
+
+        def __getitem__(self, key):
+            self.widest = max(self.widest, len(key[0]))
+            assert self.widest <= o.n, self.widest
+            return self.table[key]
+
+    join = Widest(o.poset.tables()[0])
+    assert _atom_joins(join, np.array(o.ortho), o.least, singletons) is None
+    assert join.widest == 4  # {1} | {3} is missing from c = (0, {1}, {2}, {1, 2})
+    subs = enumerate_boolean_subalgebras(o, cap=128)
+    assert carriers(o, subs) == carriers(o, reference_worklist_subalgebras(o))
+    assert roundtrip_check(o, cap=128).ok
+
+
 def test_cap_exceeded():
     o = zoo_ortho("greechie_cycle_5")
     with pytest.raises(ValidationError) as err:
