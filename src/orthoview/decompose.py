@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import InternalCheckError, ValidationError, poset_stack, size_groups
+from .poset import InternalCheckError, ValidationError, _as_index, poset_stack, size_groups
 from .ortho import _foulis_holland, distributivity_failure, ortho_stack
 from .repsys import BooleanRepresentationSystem, RepresentationSystem, check_boolean_rs_axioms, validate_rs
 from .sums import build_presum, quotient_sum, sum_as_orthoposet
@@ -35,87 +35,46 @@ class BooleanSubalgebra:
 
 
 def subalgebra(o, carrier):
-    """Validate a carrier set and package it as a BooleanSubalgebra: the
-    one-carrier case of `_check_carriers`, raising the first law it breaks.
-
-    An index outside 0..n-1 raises unknown-element before any law is read.
-    Once the carrier holds the bounds, its complements and the host joins
-    and meets of its pairs, its induced order is an ortholattice whose joins
-    and meets are the host's, so Foulis-Holland on the host tables
-    restricted to it decides whether it is boolean, and then it has
-    2^|atoms| elements; a non-boolean carrier is named by its first
-    non-distributive triple."""
-    carrier = tuple(sorted(set(int(i) for i in carrier)))
-    (sub,) = _check_carriers(o, [carrier], name=True)
-    if isinstance(sub, ValidationError):
-        raise sub
-    return sub
-
-
-def _check_carriers(o, carriers, name=False):
-    """`subalgebra`'s laws, in its order, decided for every carrier (a
-    sorted tuple of distinct indices), those of one size s as one stack: an
-    (m, s, s) gather of the host join, meet and order tables, renumbered to
-    carrier positions for the Foulis-Holland test (see
-    `is_boolean_algebra`). Returns per carrier its BooleanSubalgebra or, if
-    it breaks a law, None; with name, the ValidationError of its first
-    broken law and that law's first witness in index order.
-
-    Every law is read on every carrier of a stack, so those after a
-    carrier's first broken law read values that are in range but
-    meaningless; only the first broken law counts."""
+    """Validate a carrier set and package it as a BooleanSubalgebra, raising
+    the first law it breaks: unknown-element, naming the given value (one
+    that `poset._as_index` reads as no index in 0..n-1), missing-bounds,
+    not-ortho-closed, join-meet-missing or not-closed (the first pair in
+    carrier order), then not-boolean. A carrier that holds the bounds, its
+    complements and the host joins and meets of its pairs is an
+    ortholattice whose joins and meets are the host's, so Foulis-Holland
+    on the host tables restricted to it decides whether it is boolean, and
+    then it has 2^|atoms| elements; a non-boolean carrier is named by its
+    first non-distributive triple."""
     els, n = o.elements, o.n
-    join, meet = o.poset.tables()
-    ortho = np.array(o.ortho, dtype=np.intp)
-    bounds = np.array([o.least, o.greatest], dtype=np.intp)
-    out = [None] * len(carriers)
-    for s, ks in size_groups([len(c) for c in carriers]).items():
-        given = np.array([carriers[k] for k in ks], dtype=np.intp).reshape(len(ks), s)
-        unknown = (given < 0) | (given >= n)
-        c = np.where(unknown, 0, given)
-        rows = np.arange(len(ks))[:, None]
-        local = np.full((len(ks), n), -1, dtype=np.intp)  # local[k, x]: the position of x in carrier k, or -1
-        local[rows, c] = np.arange(s)
-        grid = (c[:, :, None], c[:, None, :])
-        jn, mt = join[grid], meet[grid]
-        ljn, lmt, lortho = local[rows[..., None], jn], local[rows[..., None], mt], local[rows, ortho[c]]
-        missing = (jn < 0) | (mt < 0)
-        atoms = o.poset.leq[grid].sum(axis=1) == 2  # only the bottom strictly below them in the carrier
-        faults = {  # each law's failures on every carrier of the stack
-            "unknown-element": unknown,
-            "missing-bounds": local[:, bounds] < 0,
-            "not-ortho-closed": lortho < 0,
-            "not-closed": missing | (ljn < 0) | (lmt < 0),  # join-meet-missing where missing
-            "not-boolean": ~_foulis_holland(ljn, lmt, lortho),
-        }
-        laws = list(faults)
-        broken = np.stack([f.reshape(len(ks), -1).any(axis=1) for f in faults.values()], axis=1)
-        first = np.where(broken.any(axis=1), broken.argmax(axis=1), -1).tolist()
-
-        def error(j, law):
-            if law == "not-boolean":
-                witness = tuple(els[x] for x in c[j, list(distributivity_failure(ljn[j], lmt[j]))])
-                return ValidationError(law, "induced order is not boolean: not-distributive", witness)
-            at = tuple(np.argwhere(faults[law][j])[0].tolist())
-            if law == "unknown-element":
-                i = int(given[j, at[0]])
-                return ValidationError(law, f"no element at index {i}", (i,))
-            if law == "missing-bounds":
-                b = els[bounds[at[0]]]
-                return ValidationError(law, f"carrier lacks bound {b!r}", (b,))
-            ids = [els[x] for x in c[j, at]]
-            if law == "not-ortho-closed":
-                return ValidationError(law, f"complement of {ids[0]!r} missing", ids)
-            if missing[(j, *at)]:
-                return ValidationError("join-meet-missing", f"{ids[0]!r}, {ids[1]!r} lack a host join or meet", ids)
-            return ValidationError(law, f"join/meet of {ids[0]!r}, {ids[1]!r} leaves the carrier", ids)
-
-        for j, (k, law) in enumerate(zip(ks, first)):
-            if law < 0:
-                out[k] = BooleanSubalgebra(carriers[k], tuple(c[j, atoms[j]].tolist()))
-            elif name:
-                out[k] = error(j, laws[law])
-    return out
+    given = [(_as_index(v), v) for v in carrier]
+    unknown = [(i, v if i == -1 else i) for i, v in given if not 0 <= i < n]
+    if unknown:
+        v = min(unknown, key=lambda iv: iv[0])[1]  # the least index, a value that is none reading as -1
+        raise ValidationError("unknown-element", f"no element at index {v}", (v,))
+    c = np.array(sorted({i for i, _ in given}), dtype=np.intp)
+    for b in (o.least, o.greatest):
+        if b not in c:
+            raise ValidationError("missing-bounds", f"carrier lacks bound {els[b]!r}", (els[b],))
+    local = np.full(n, -1, dtype=np.intp)  # local[x]: the position of x in the carrier, or -1
+    local[c] = np.arange(len(c))
+    lortho = local[np.array(o.ortho, dtype=np.intp)[c]]
+    if (lortho < 0).any():
+        x = els[c[(lortho < 0).argmax()]]
+        raise ValidationError("not-ortho-closed", f"complement of {x!r} missing", [x])
+    jn, mt = (t[np.ix_(c, c)] for t in o.poset.tables())
+    ljn, lmt, missing = local[jn], local[mt], (jn < 0) | (mt < 0)
+    bad = missing | (ljn < 0) | (lmt < 0)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0].tolist())
+        x, y = ids = [els[i] for i in c[list(at)]]
+        if missing[at]:
+            raise ValidationError("join-meet-missing", f"{x!r}, {y!r} lack a host join or meet", ids)
+        raise ValidationError("not-closed", f"join/meet of {x!r}, {y!r} leaves the carrier", ids)
+    if not _foulis_holland(ljn, lmt, lortho):
+        witness = tuple(els[x] for x in c[list(distributivity_failure(ljn, lmt))])
+        raise ValidationError("not-boolean", "induced order is not boolean: not-distributive", witness)
+    atoms = o.poset.leq[np.ix_(c, c)].sum(axis=0) == 2  # only the bottom strictly below them in the carrier
+    return BooleanSubalgebra(tuple(c.tolist()), tuple(c[atoms].tolist()))
 
 
 def _atom_joins(join, ortho, least, atoms):
@@ -139,24 +98,29 @@ def enumerate_boolean_subalgebras(o, cap=32):
     node (last atom, host join j so far, atoms) grows by each a > last,
     a != 0, with a <= j' (orthogonal to every atom chosen) and a host join
     with j. At j = 1 the candidate is the host joins of the atoms' subsets,
-    unless `_atom_joins` refuses it. The candidates are then admitted
-    together by `_check_carriers`, which decides `subalgebra`'s laws on one
-    stack per carrier size and drops the failures unnamed.
+    admitted with the search's atoms unless `_atom_joins` refuses it.
 
-    This is complete on any host. A subalgebra's sorted atoms are pairwise
+    The host must be an orthoposet that passed its laws, as every
+    `OrthoPoset` did (`__init__` and `ortho_stack` check them). Then a
+    candidate c is a boolean algebra of 2^|A| elements with atoms A:
+    c[X] v c[Y] is c[X | Y], since an upper bound of both lies above every
+    atom of X | Y and so above their iterated join; the meets are c[X & Y],
+    by de Morgan through the complement check; and no two c[X] coincide,
+    since an atom below the join of other atoms would lie below its own
+    complement.
+
+    The search is complete. A subalgebra's sorted atoms are pairwise
     orthogonal and its joins, meets and complement are the host's, so every
     prefix join exists, the last is 1, and the subalgebra is the joins of
-    its atoms' subsets, each complemented by the join of the others. An
-    admitted candidate holds its atoms and is closed, and each of its
-    elements is a join of them, so it is their closure; its atoms are its
-    candidate's, so none comes twice.
+    its atoms' subsets, each complemented by the join of the others; its
+    atoms are its candidate's, so none comes twice.
     """
     if o.n > cap:
         raise ValidationError("cap-exceeded", f"{o.n} elements exceeds the cap of {cap}")
     join, _ = o.poset.tables()
     ortho = np.array(o.ortho)
     below = np.ascontiguousarray(o.poset.leq.T)  # below[y, a]: a <= y
-    candidates, stack = [], [(-1, o.least, ())]
+    found, stack = [], [(-1, o.least, ())]
     while stack:
         last, cur, atoms = stack.pop()
         if cur != o.greatest:
@@ -164,8 +128,7 @@ def enumerate_boolean_subalgebras(o, cap=32):
             nxt[:last + 1] = nxt[o.least] = False
             stack.extend((a, int(join[cur, a]), atoms + (a,)) for a in np.flatnonzero(nxt)[::-1].tolist())
         elif (c := _atom_joins(join, ortho, o.least, atoms)) is not None:
-            candidates.append(c)
-    found = [sub for sub in _check_carriers(o, candidates) if sub is not None]
+            found.append(BooleanSubalgebra(c, atoms))
     return tuple(sorted(found, key=lambda s: (s.size, s.carrier)))
 
 

@@ -141,9 +141,10 @@ def _bound_tables(leq, dual=None):
 
 
 def _as_index(v):
-    """v as an element index if it is an integer, else -1, which no element
-    has (int() would read 3.9 as 3 and "3" as 3)."""
-    return as_index(v) if hasattr(v, "__index__") else -1
+    """v as an element index if it is an integer other than a bool, else -1,
+    which no element has (int() would read 3.9 as 3, "3" as 3 and True as
+    1, and numpy reads a bool index as a mask)."""
+    return as_index(v) if hasattr(v, "__index__") and not isinstance(v, bool) else -1
 
 
 def _pair_indices(index, pairs):
@@ -279,7 +280,8 @@ class FinitePoset:
             raise ValidationError("unknown-element", f"no element {element!r}", (element,)) from None
 
     def _check_index(self, *indices):
-        """Raise unknown-element for the first index not an integer in 0..n-1."""
+        """Raise unknown-element for the first index that `_as_index` does
+        not read as one in 0..n-1."""
         for i in indices:
             if not 0 <= _as_index(i) < self.n:
                 raise ValidationError("unknown-element", f"no element at index {i}", (i,))

@@ -145,24 +145,6 @@ def test_enumeration_matches_reference_on_relabelled_families(model):
     assert_matches_reference(as_orthoposet(shuffled(model, random.Random(len(model[0])))))
 
 
-def checked_candidates(monkeypatch):
-    """The lists of carriers `enumerate_boolean_subalgebras` hands
-    `_check_carriers`, one per call, recorded as the calls are made."""
-    import orthoview.decompose as dec
-
-    calls, check = [], dec._check_carriers
-    monkeypatch.setattr(dec, "_check_carriers", lambda o, cs, **kw: calls.append(list(cs)) or check(o, cs, **kw))
-    return calls
-
-
-@FAMILIES
-def test_enumeration_checks_one_candidate_per_subalgebra(model, monkeypatch):
-    calls = checked_candidates(monkeypatch)
-    subs = enumerate_boolean_subalgebras(as_orthoposet(shuffled(model, random.Random(len(model[0])))))
-    # on these families each candidate is one returned subalgebra's carrier
-    assert sorted(c for cs in calls for c in cs) == sorted(s.carrier for s in subs)
-
-
 def stirling2(k, m):
     """Partitions of k labelled atoms into m blocks."""
     if k == m:
@@ -220,15 +202,6 @@ def test_subalgebra_boolean_check_matches_reference():
     assert outcomes == {True, False}
 
 
-def test_enumeration_validates_each_result_once(monkeypatch):
-    calls = checked_candidates(monkeypatch)
-    subs = enumerate_boolean_subalgebras(zoo_ortho("greechie_cycle_5"))
-    assert len(subs) == 16
-    # one call, with every result's carrier once
-    assert len(calls) == 1
-    assert sorted(calls[0]) == sorted(s.carrier for s in subs)
-
-
 def orthogonal_sets(o):
     """Every set of pairwise orthogonal nonzero elements of o, as a sorted
     tuple, by brute force: each element either joins the set or not."""
@@ -272,12 +245,13 @@ def test_atom_joins_admit_exactly_the_boolean_closures():
             want = closed is not None and reference_boolean_carrier(o, closed)[0]
             carrier = _atom_joins(join, ortho, o.least, atoms)
             try:
-                got = carrier is not None and subalgebra(o, carrier).carrier == carrier
+                sub = subalgebra(o, carrier) if carrier is not None else None
             except ValidationError:
-                got = False
-            assert got == want == (carrier is not None), (o.elements, atoms)
+                sub = None
+            assert (sub is not None) == want == (carrier is not None), (o.elements, atoms)
             if want:
-                assert carrier == tuple(sorted(closed))
+                assert sub.carrier == carrier == tuple(sorted(closed))
+                assert sub.atoms == atoms
             outcomes[want] += 1
     assert outcomes[True] > 100 and outcomes[False] > 20, outcomes
 
@@ -364,6 +338,26 @@ def test_subalgebra_validation_errors():
         assert (err.value.code, err.value.witness) == ("unknown-element", (index,))
 
 
+def test_subalgebra_refuses_carrier_values_that_are_no_integers():
+    """A carrier is read by `poset._as_index`: a float, a string or a bool
+    is no element index, and raises unknown-element naming the value as
+    given. int() read each of these as the element 1 (a), so {0, a, c', 1}
+    raised not-ortho-closed. Among several unknown values the least index
+    is named, a value that is no integer reading as -1."""
+    o = zoo_ortho("boolean_8")
+    assert [o.elements[i] for i in (0, 1, 6, 7)] == ["0", "a", "c'", "1"]
+    for v in (1.5, 1.0, "1", True, np.float64(1)):
+        with pytest.raises(ValidationError) as err:
+            subalgebra(o, [0, 7, v, 6])
+        assert (err.value.code, err.value.witness) == ("unknown-element", (v,))
+        assert type(err.value.witness[0]) is type(v) and str(err.value) == f"no element at index {v}"
+    for carrier, named in (([0, 7, "x", -3, 9], -3), ([0, 7, 9, "x"], "x"), ([0, 7, 1.5, True], 1.5)):
+        with pytest.raises(ValidationError) as err:
+            subalgebra(o, carrier)
+        assert (err.value.code, err.value.witness) == ("unknown-element", (named,))
+    assert subalgebra(o, [0, 7, np.int64(1), 4]).carrier == (0, 1, 4, 7)
+
+
 def test_subalgebra_names_the_first_distributivity_failure():
     # whole non-boolean hosts are closed carriers: the compatibility test
     # fails on each, and the scan names the reference triple
@@ -446,9 +440,7 @@ def mixed_carriers(o, rng):
     return carriers
 
 
-def test_stacked_carrier_check_matches_reference_and_one_at_a_time():
-    from orthoview.decompose import _check_carriers
-
+def test_subalgebra_matches_reference_on_mixed_carriers():
     rng = random.Random(61)
     hosts = [build_orthoposet(m.doc) for m in zoo().values() if m.kind == "orthoposet"]
     hosts += [random_orthoposet(rng) for _ in range(30)]
@@ -458,25 +450,22 @@ def test_stacked_carrier_check_matches_reference_and_one_at_a_time():
     codes = Counter()
     for o in hosts:
         carriers = mixed_carriers(o, rng)
-        named, plain = _check_carriers(o, carriers, name=True), _check_carriers(o, carriers)
-        for carrier, got, bare in zip(carriers, named, plain):
+        for carrier in carriers:
             ok, code, witness, atoms = reference_subalgebra(o, carrier)
             codes[code] += 1
             if ok:
-                assert got == bare == subalgebra(o, carrier)
+                got = subalgebra(o, carrier)
                 assert (got.carrier, got.atoms) == (carrier, atoms)
                 continue
-            assert bare is None
             with pytest.raises(ValidationError) as err:
                 subalgebra(o, carrier)
-            assert (got.code, got.witness, str(got)) == (err.value.code, err.value.witness, str(err.value))
-            assert (got.code, got.witness) == (code, witness)
+            assert (err.value.code, err.value.witness) == (code, witness)
     laws = ("unknown-element", "missing-bounds", "not-ortho-closed", "join-meet-missing", "not-closed", "not-boolean")
     assert set(codes) == {"", *laws}
 
 
 def test_closed_carriers_that_pass_foulis_holland_are_boolean():
-    """The theorem that lets `_check_carriers` stop at Foulis-Holland, with
+    """The theorem that lets `subalgebra` stop at Foulis-Holland, with
     no cardinality law. On an orthoposet, a carrier that holds the bounds
     and is closed under the complement and the host joins and meets is an
     ortholattice in the induced order, whose joins and meets are the
@@ -487,8 +476,6 @@ def test_closed_carriers_that_pass_foulis_holland_are_boolean():
     pasted hosts, and both outcomes of Foulis-Holland are reached. The
     forged chain, which is no orthoposet, shows that the host must be
     one."""
-    from orthoview.decompose import _check_carriers
-
     rng = random.Random(71)
     hosts = [build_orthoposet(m.doc) for m in zoo().values() if m.kind == "orthoposet"]
     hosts += [random_orthoposet(rng) for _ in range(30)]
@@ -521,7 +508,12 @@ def test_closed_carriers_that_pass_foulis_holland_are_boolean():
                 assert reference_distributivity(leq, [o.elements[x] for x in carrier])[0]
                 assert len(carrier) == 2 ** atoms(o, carrier)
             if fh is not None:
-                assert (_check_carriers(o, [carrier])[0] is not None) == fh
+                try:
+                    subalgebra(o, carrier)
+                    code = ""
+                except ValidationError as err:
+                    code = err.code
+                assert code == ("" if fh else "not-boolean")
     assert seen[True] > 500 and seen[False] > 100, seen
     o = forged_chain()
     assert foulis_holland(o, (0, 1, 2)) and 3 != 2 ** atoms(o, (0, 1, 2))
@@ -576,7 +568,8 @@ def test_upper_projection_refuses_unknown_elements():
     # past the order matrix
     o = zoo_ortho("MO2")
     block_a = enumerate_boolean_subalgebras(o)[1]
-    for x in (-1, o.n):
+    # True has __index__ and lies in 0..n-1, but is no index either
+    for x in (-1, o.n, True):
         with pytest.raises(ValidationError) as err:
             upper_projection(o, block_a, x)
         assert (err.value.code, err.value.witness) == ("unknown-element", (x,))

@@ -331,12 +331,14 @@ def test_element_operations_refuse_unknown_indices(method):
     """On MO2 (n = 6) an index outside 0..n-1, or one that is no integer,
     raises unknown-element, the first bad argument as its witness, before
     any table is built; unchecked, join(-1, 0) would wrap to the top's row
-    and return 5, and join(0.5, 1) raised a bare numpy IndexError."""
+    and return 5, join(0.5, 1) raised a bare numpy IndexError, and
+    join(5, True), whose True numpy reads as a mask, a bare ValueError."""
     els, leq, _ = mo(2)
     p = FinitePoset(els, leq)
     call = getattr(p, method)
     bad_args = [((-1, 0), -1), ((0, -6), -6), ((6, 0), 6), ((0, 9), 9), ((-1, 6), -1), ((7, -2), 7)]
-    for args, bad in bad_args + [((0.5, 1), 0.5), ((1, 2.0), 2.0), (("1", 0), "1")]:
+    not_integers = [((0.5, 1), 0.5), ((1, 2.0), 2.0), (("1", 0), "1"), ((5, True), True), ((False, 2), False)]
+    for args, bad in bad_args + not_integers:
         with pytest.raises(ValidationError) as err:
             call(*args)
         assert (err.value.code, err.value.witness) == ("unknown-element", (bad,))
