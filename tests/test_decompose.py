@@ -145,6 +145,37 @@ def test_enumeration_matches_reference_on_relabelled_families(model):
     assert_matches_reference(as_orthoposet(shuffled(model, random.Random(len(model[0])))))
 
 
+def checked_candidates(monkeypatch):
+    """The (atoms, carrier) of every candidate `enumerate_boolean_subalgebras`
+    hands `_atom_joins`, the carrier None where it is refused, recorded as
+    the calls are made."""
+    import orthoview.decompose as dec
+
+    calls, atom_joins = [], dec._atom_joins
+
+    def record(join, ortho, least, atoms):
+        carrier = atom_joins(join, ortho, least, atoms)
+        calls.append((atoms, carrier))
+        return carrier
+
+    monkeypatch.setattr(dec, "_atom_joins", record)
+    return calls
+
+
+@FAMILIES
+def test_enumeration_checks_one_candidate_per_subalgebra(model, monkeypatch):
+    calls = checked_candidates(monkeypatch)
+    o = as_orthoposet(shuffled(model, random.Random(len(model[0]))))
+    subs = enumerate_boolean_subalgebras(o)
+    admitted = [(carrier, atoms) for atoms, carrier in calls if carrier is not None]
+    # each admitted candidate is one returned subalgebra, admitted as built
+    # with the search's atoms, which the one-carrier check confirms
+    assert sorted(admitted) == sorted((s.carrier, s.atoms) for s in subs)
+    assert len({carrier for carrier, _ in admitted}) == len(admitted)
+    for carrier, atoms in admitted:
+        assert subalgebra(o, carrier).atoms == atoms
+
+
 def stirling2(k, m):
     """Partitions of k labelled atoms into m blocks."""
     if k == m:
@@ -200,6 +231,19 @@ def test_subalgebra_boolean_check_matches_reference():
             assert got == (ok, code, witness, atoms)
             outcomes.add(ok)
     assert outcomes == {True, False}
+
+
+def test_enumeration_validates_each_result_once(monkeypatch):
+    import orthoview.decompose as dec
+
+    calls = checked_candidates(monkeypatch)
+    monkeypatch.setattr(dec, "subalgebra", lambda o, carrier: pytest.fail("enumeration re-checks a carrier"))
+    subs = enumerate_boolean_subalgebras(zoo_ortho("greechie_cycle_5"))
+    assert len(subs) == 16
+    # `_atom_joins` decides each result once, on its own atoms, and no
+    # carrier check runs after it
+    assert sorted(atoms for atoms, _ in calls) == sorted(s.atoms for s in subs)
+    assert sorted(carrier for _, carrier in calls) == sorted(s.carrier for s in subs)
 
 
 def orthogonal_sets(o):
