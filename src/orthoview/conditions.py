@@ -31,20 +31,25 @@ def check_condition_omp(s, rs):
 def _preferred_views(s, rs):
     """pref[a, b], read-only: the first view (in view order) fixing class a
     whose closure of b lies below the closure of b under every view fixing
-    a, or -1 when there is none. One gather per class over the views fixing it."""
+    a, or -1 when there is none. Such a closure is the least element c of
+    those closures of b; if c exists, every other closure has a larger
+    down-set, so c is the closure of least height and lies below them all.
+    One pass per class over the n closures of each view fixing it."""
     n = s.order.n
     leq = s.order.leq
+    height = leq.sum(axis=0)  # the size of each class's down-set
+    cols = np.arange(n)
     table = closure_table(s, rs)
-    fixed = table == np.arange(n)
+    fixed = table == cols
     pref = np.full((n, n), -1, dtype=np.intp)
     for a in range(n):
         fixing = np.flatnonzero(fixed[:, a])
         if not fixing.size:
             continue
         t = table[fixing]
-        best = leq[t[:, None], t[None]].all(axis=1)  # best[k, b]: view fixing[k] is below all for b
-        found = best.any(axis=0)
-        pref[a, found] = fixing[best.argmax(axis=0)[found]]
+        c = t[height[t].argmin(axis=0), cols]  # c[b]: the closure of b of least height
+        low = leq[c[None], t].all(axis=0)  # c[b] lies below every closure of b
+        pref[a, low] = fixing[(t == c).argmax(axis=0)[low]]
     pref.flags.writeable = False
     return pref
 

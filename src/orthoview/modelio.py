@@ -15,15 +15,14 @@ token texts alone, as plain strings, and reads each section and map body
 as one slice of them: the entries of a map body whose every other token is
 ';' (one-token entries, as `serialize` writes them) are a stride of it, and
 those of any other body are its tokens joined and cut at each ';'. A run of
-consecutive map blocks, up to _RUN_BLOCKS of them, is read as one: the
-entries of all its bodies are split at their '->' together and translated
-block by block, through the {id: local index} dict each view gets when it
-is read, into the two index columns of a `MapSpec`; a run refused in bulk
-is cut at its first block at fault by one walk over its headers, and the
-entries before the cut are walked only if refused in bulk. The parser is
-the only code that turns an element id of a map into an element;
-`build_repsys` lays every table out, or names the first failing map,
-with one scatter. The cyclic collector is paused in `parse`.
+consecutive map blocks, up to _RUN_BLOCKS of them, is read as one: each
+distinct entry string in it is split at its '->' and its ids coded once,
+and the view-local indices of all its entries, the `MapSpec` columns, are
+found in one sorted array of (view, id) keys; a run refused in bulk is cut
+at its first block at fault by one walk over its headers, and the entries
+before the cut are walked only if refused. The parser alone turns the ids
+of a map into elements; `build_repsys` lays every table out, or names the
+first failing map, with one scatter. `parse` pauses the cyclic collector.
 Errors carry the 1-based line and column of their token, found once an
 error is raised by counting the tokens of every line in one pass and
 positioning the one line that holds it.
@@ -136,7 +135,7 @@ def _split_pairs(items, sep):
     sep into two nonempty parts, or None if some item does not."""
     if not items:
         return (), ()
-    if not all(map((1).__eq__, map(str.count, items, repeat(sep)))):
+    if list(map(str.count, items, repeat(sep))).count(1) != len(items):
         return None
     # every item holds one sep, so the joined items split into their parts,
     # with no per-item tuple as str.partition makes
@@ -144,6 +143,40 @@ def _split_pairs(items, sep):
     if "" in parts:
         return None
     return parts[0::2], parts[1::2]
+
+
+class _Keys:
+    """The view-local index of each (id, view) pair of the views read, as
+    one sorted int64 array of `view << 32 | code` keys, O(P) in their P
+    elements: each view gets a number and each id one code below P (so P must
+    stay below 2^32) for the whole document ('*' the code -1), and a view's
+    keys follow all earlier ones."""
+
+    def __init__(self):
+        self.codes, self.views, self.fresh, self.new = {"*": -1}, {}, count(), []
+        # the last key lies above every (view, code) key, so a search stays in range
+        self.keys, self.locs = np.array([np.iinfo(np.int64).max]), np.array([-1])
+
+    def add(self, name, elements):
+        self.views[name] = len(self.views)
+        self.new.append(elements)
+
+    def code(self, ids):
+        """The codes of ids, -2 for an id no view has, once added views are keyed."""
+        if self.new:
+            sizes = np.fromiter(map(len, self.new), np.intp, len(self.new))
+            new = np.fromiter(map(self.codes.setdefault, chain.from_iterable(self.new), self.fresh), np.int64, sizes.sum())
+            new |= np.repeat(np.arange(len(self.views) - len(sizes), len(self.views)) << 32, sizes)
+            order = new.argsort()
+            locs = (np.arange(len(new)) - np.repeat(sizes.cumsum() - sizes, sizes))[order]
+            self.keys, self.locs, self.new = np.insert(self.keys, -1, new[order]), np.insert(self.locs, -1, locs), []
+        return np.fromiter(map(self.codes.get, ids, repeat(-2)), np.int64, len(ids))
+
+    def local(self, views, codes):
+        """The index of each code's id in the view of each number, or -1 if it lacks it."""
+        want = views << 32 | codes
+        at = self.keys.searchsorted(want)
+        return np.where(self.keys[at] == want, self.locs[at], -1)
 
 
 class _Parser:
@@ -241,13 +274,12 @@ class _Parser:
             self.fail(f"unknown element {next(e for e in named if e not in seen)!r} in {name!r}")
         return ModelDocument(kind, name, elements, covers, ortho)
 
-    def map_run(self, index, maps):
+    def map_run(self, views, maps):
         """Read the run of map blocks from the header at the cursor up to the
         next head that is not `map`, or up to _RUN_BLOCKS blocks, and add
-        their specs to maps, with whole-run list and string operations;
-        index holds the {id: local index} dict of each view read so far,
-        which translates the entries. A refused run is cut at its first block
-        at fault (`cut`), and its first error is raised."""
+        their specs to maps, with whole-run list and string operations. A
+        refused run is cut at its first block at fault (`cut`), and its
+        first error is raised."""
         tokens, n, h = self.tokens, len(self.tokens), self.pos
         heads, spans, items, offsets = [], [], [], [0]
         while True:
@@ -268,37 +300,34 @@ class _Parser:
             h += 1
         # a header is one target<source key
         headers, fault = _split_pairs(heads, "<"), None
-        if e == n or headers is None or not index.keys() >= set(chain(*headers)) or len(set(heads)) != len(heads) or not maps.keys().isdisjoint(heads):
-            c, fault = self.cut(index, set(maps), heads, spans)
+        if e == n or headers is None or not views.keys() >= set(chain(*headers)) or len(set(heads)) != len(heads) or not maps.keys().isdisjoint(heads):
+            c, fault = self.cut(views, set(maps), heads, spans)
             del heads[c:], spans[c:], items[offsets[c]:], offsets[c + 1:]
             headers = _split_pairs(heads, "<")
-        entries = _split_pairs(items, "->")
+        # each distinct entry string is split and coded once; rank[k] numbers items[k]'s
+        first, N = dict.fromkeys(items), len(items)
+        entries = _split_pairs(list(first), "->")
         if entries is None:
-            self.refuse_entry(index, heads, spans)
+            self.refuse_entry(views, heads, spans)
+        rank = np.arange(N) if len(first) == N else np.fromiter(map(dict(zip(first, count())).__getitem__, items), np.intp, N)
         (targets, sources), (lefts, rights) = headers, entries
-        blocks = list(map(slice, offsets, offsets[1:]))
-        srcs, imgs = list(map(lefts.__getitem__, blocks)), list(map(rights.__getitem__, blocks))
-        defaults = [None] * len(heads)
-        k = -1
-        try:  # a KeyError is an id the entry's view lacks
-            for _ in range(lefts.count("*")):
-                k = lefts.index("*", k + 1)
-                m = bisect_right(offsets, k) - 1
-                if defaults[m] is not None:
-                    self.refuse_entry(index, heads, spans)
-                defaults[m] = index[targets[m]][rights[k]]
-                j = k - offsets[m]
-                srcs[m], imgs[m] = srcs[m][:j] + srcs[m][j + 1:], imgs[m][:j] + imgs[m][j + 1:]
-            srcs = list(map(tuple, map(map, [index[v].__getitem__ for v in sources], srcs)))
-            imgs = list(map(tuple, map(map, [index[v].__getitem__ for v in targets], imgs)))
-        except KeyError:
-            self.refuse_entry(index, heads, spans)
+        coded = self.keys.code(lefts + rights).reshape(2, -1)[:, rank]
+        block = np.repeat(np.arange(len(heads)), np.diff(offsets))
+        a, b = self.keys.local(np.fromiter(map(self.keys.views.__getitem__, sources + targets), np.int64).reshape(2, -1)[:, block], coded)
+        star = coded[0] == -1
+        m = block[star]  # the block of each default, in entry order
+        if ((a < 0) != star).any() or (b < 0).any() or (m[1:] == m[:-1]).any():
+            self.refuse_entry(views, heads, spans)
         if fault:
             self.fail(*fault)
-        maps.update(zip(heads, map(MapSpec, targets, sources, srcs, imgs, defaults)))
+        defaults = dict(zip(m.tolist(), b[star].tolist()))
+        ends = (np.array(offsets) - np.flatnonzero(star).searchsorted(offsets)).tolist()
+        srcs, imgs = tuple(a[~star].tolist()), tuple(b[~star].tolist())
+        blocks = list(map(slice, ends, ends[1:]))
+        maps.update(zip(heads, map(MapSpec, targets, sources, map(srcs.__getitem__, blocks), map(imgs.__getitem__, blocks), map(defaults.get, range(len(heads))))))
         self.pos = h
 
-    def cut(self, index, keys, heads, spans):
+    def cut(self, views, keys, heads, spans):
         """(c, (message, at)) for the first block of a run whose header,
         braces or key (in keys or earlier in the run) is at fault: its error
         and the c blocks whose entries are read first; (len(heads), None)."""
@@ -308,8 +337,8 @@ class _Parser:
                 return k, ("map needs a target<source header", h)
             if not target or not source or "<" in source:
                 return k, (f"malformed map header {head!r}", h)
-            if not index.keys() >= {target, source}:
-                return k, (f"map references unknown view {source if target in index else target!r}", h)
+            if not views.keys() >= {target, source}:
+                return k, (f"map references unknown view {source if target in views else target!r}", h)
             if b == e:  # no '{' before the end of the input
                 return k, ("unexpected end of input (wanted {)", e)
             if e == len(self.tokens):
@@ -319,13 +348,13 @@ class _Parser:
             keys.add(head)
         return len(heads), None
 
-    def refuse_entry(self, index, heads, spans):
+    def refuse_entry(self, views, heads, spans):
         """Raise at the first entry of the blocks with these headers and
         (header, '{', '}') spans that is malformed, names an element its
         view lacks, or repeats its block's default."""
         for head, (_, b, e) in zip(heads, spans):
             target, _, source = head.partition("<")
-            src, dst = index[source], index[target]
+            src, dst = set(views[source].elements), set(views[target].elements)
             self.pos, default = b + 1, False
             for at, item in self.items(e):
                 entry = "".join(item)
@@ -343,7 +372,7 @@ class _Parser:
 
     def repsys(self, name):
         tokens = self.tokens
-        views, index, maps = {}, {}, {}
+        views, maps, self.keys = {}, {}, _Keys()
         while True:
             at = self.pos
             if at == len(tokens):
@@ -367,9 +396,9 @@ class _Parser:
                     self.fail(f"view must be a poset or orthoposet, not {vkind!r}", self.pos - 1)
                 self.next("{")
                 views[vname] = vdoc = self.structure(vkind, vname)
-                index[vname] = dict(zip(vdoc.elements, count()))
+                self.keys.add(vname, vdoc.elements)
             elif head == "map":
-                self.map_run(index, maps)
+                self.map_run(views, maps)
             else:
                 self.fail(f"unknown section {head!r} in repsys", at)
         return ModelDocument("repsys", name, views=tuple(views.items()), maps=tuple(maps.values()))

@@ -5,6 +5,7 @@ the parser against the token-stream reference parser."""
 import gc
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -608,3 +609,88 @@ def test_parse_matches_reference_on_canonical_systems(monkeypatch):
         doc = parse(text)
         assert doc == reference_parse(text) == _read_by_runs(text)
         assert len(doc.maps) == views * (views - 1)
+
+
+# Three views sharing the ids 0 and 1; a is A's alone and b is B's alone, so
+# an entry string can name ids of one block's views and not of another's.
+_SHARED = """repsys s {
+  view A = poset { elements 0 a 1 ; covers 0<a a<1 } ;
+  view B = poset { elements 0 b 1 ; covers 0<b b<1 } ;
+  view C = poset { elements 0 1 ; covers 0<1 } ;
+"""
+_SHARED_BLOCKS = [("B<A", ["0->0", "a->b", "1->1"]), ("C<B", ["0->0", "b->1", "1->1"]), ("A<C", ["0->0", "1->a"])]
+# (entries put first in each block, the error raised or None)
+_SHARED_CASES = [
+    ([[], [], []], None),
+    ([["b->b"], [], []], "map entry uses unknown 'A' element 'b'"),  # the target view's id as a source
+    ([[], ["0->a"], []], "map entry uses unknown 'C' element 'a'"),  # an id of neither view of the block
+    ([[], [], ["a->b"]], "map entry uses unknown 'C' element 'a'"),  # valid in block 0, not in block 2
+    ([["0->b"], ["0->b"], []], "map entry uses unknown 'C' element 'b'"),  # valid in block 0, not in block 1
+    ([[], ["* -> 1"], []], None),
+    ([["*->0"], ["* -> 1"], ["*->a"]], None),  # one default in each block
+    ([[], [], ["* -> 0", "* -> 1"]], "duplicate default entry"),
+    ([["* -> a"], [], []], "map entry uses unknown 'B' element 'a'"),
+    ([[], ["b->*"], []], "map entry uses unknown 'C' element '*'"),
+    ([["a -> b", "0 ->0", "1->\n  1"], [], ["1 -> a"]], None),  # entries spread over several tokens
+]
+
+
+def test_entries_are_read_per_block_as_the_reference_reads_them(monkeypatch):
+    """Each distinct entry string of a run is split and coded once, and
+    read against the views of each block that holds it: an id of another
+    view, a string valid in one block and not in a later one, defaults
+    (one, one per block, two in a block, one naming an id its target
+    lacks, and an entry whose image is '*') and entries spread over several
+    tokens parse as the reference parses them, in runs of _RUN_BLOCKS, two
+    and one blocks."""
+    for blocks in (modelio._RUN_BLOCKS, 2, 1):
+        monkeypatch.setattr(modelio, "_RUN_BLOCKS", blocks)
+        for first, error in _SHARED_CASES:
+            maps = [f"  map {head} {{ {' ; '.join(extra + entries)} }}" for (head, entries), extra in zip(_SHARED_BLOCKS, first)]
+            text = _SHARED + " ;\n".join(maps) + "\n}\n"
+            got = _outcome(parse, text)
+            assert got == _outcome(reference_parse, text), text
+            if error is None:
+                assert _read_by_runs(text) == got, text
+            else:
+                assert got[0].endswith(error), text
+
+
+def _chains_text(views, size, maps):
+    """A system of views chains V0..V{views - 1} of size private ids each,
+    and maps from each of the first maps views to the next, in full."""
+    chains = [
+        f"  view V{v} = poset {{ elements {' '.join(f'v{v}e{i}' for i in range(size))} ;"
+        f" covers {' '.join(f'v{v}e{i}<v{v}e{i + 1}' for i in range(size - 1))} }}"
+        for v in range(views)
+    ]
+    blocks = [f"  map V{v + 1}<V{v} {{ {' ; '.join(f'v{v}e{i}->v{v + 1}e{i}' for i in range(size))} }}" for v in range(maps)]
+    return "repsys chains {\n" + " ;\n".join(chains + blocks) + "\n}\n"
+
+
+def test_parse_memory_grows_with_the_view_elements_not_views_times_ids():
+    """1000 views of 50 private ids each and 20 maps, 1.2 MB: the entries
+    are read through one sorted key per view element, so parse's
+    tracemalloc peak stays under 40 MiB (about 21 MiB; a views x ids
+    table would take 50 000 000 entries)."""
+    text = _chains_text(1000, 50, 20)
+    assert 1.1e6 < len(text) < 1.3e6
+    tracemalloc.start()
+    try:
+        doc = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(doc.views) == 1000 and len(doc.maps) == 20
+    assert peak < 40 * 2**20, peak / 2**20
+
+
+def test_a_document_whose_entries_never_repeat_parses_as_the_reference_does():
+    """Two views, chains of 20 000 ids, and one map each way: every entry
+    string is distinct, so each is split and coded on its own."""
+    rng = random.Random(20000)
+    text = _chains_text(2, 20000, 1)
+    back = [f"v1e{i}->v0e{i}" for i in range(20000)]
+    rng.shuffle(back)
+    text = text.replace("\n}\n", f" ;\n  map V0<V1 {{ {' ; '.join(back)} }}\n}}\n")
+    assert parse(text) == reference_parse(text)

@@ -65,6 +65,8 @@ from orthoview.modelio import MapSpec, ModelDocument
 from orthoview.poset import OK
 
 from _models import (
+    _fixing,
+    _preferred,
     as_orthoposet,
     boolean_algebra,
     double_chain,
@@ -790,6 +792,35 @@ def test_conditions_match_reference():
             assert got == ("ok", reference(s, table)), name
             seen.add(got[1][1])
     assert {"", "no-shared-view", "no-preferred-view"} <= seen
+
+
+def test_preferred_views_match_reference_on_every_pair():
+    """The preferred view of every pair (a, b), read as the least closure of
+    b, is the view the plain scan `_preferred` picks, or -1 where it finds
+    none: on every system paired with a sum, and on view subfamilies of
+    canonical systems; both sets reach pairs with no preferred view."""
+    import orthoview.conditions as cond
+
+    rng = random.Random(32)
+    subfamilies = []
+    for k in range(len(SUBFAMILY_HOSTS)):
+        rs = canonical_with_carriers(k)[1].rs
+        for _ in range(6):
+            sub = subfamily(rs, sorted(rng.sample(range(len(rs.views)), rng.randint(1, len(rs.views)))))
+            subfamilies.append((f"subfamily {k}", sub, quotient_sum(build_presum(sub))))
+    for cases in (closure_cases(), subfamilies):
+        failing = 0
+        for name, rs, s in cases:
+            try:
+                table = reference_closure_table(s, rs)
+            except InternalCheckError:
+                continue
+            n, leq = s.order.n, s.order.leq
+            want = [[_preferred(leq, table, _fixing(table, a), b) for b in range(n)] for a in range(n)]
+            pref = cond._preferred_views(s, rs)
+            assert pref.tolist() == [[-1 if v is None else v for v in row] for row in want], name
+            failing += int((pref < 0).sum())
+        assert failing > 0
 
 
 def test_build_amp_matches_reference():
