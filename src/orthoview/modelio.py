@@ -17,12 +17,14 @@ as one slice of them: the entries of a map body whose every other token is
 those of any other body are its tokens joined and cut at each ';'. A run of
 consecutive map blocks, up to _RUN_BLOCKS of them, is read as one: each
 distinct entry string in it is split at its '->' and its ids coded once,
-and the view-local indices of all its entries, the `MapSpec` columns, are
-found in one sorted array of (view, id) keys; a run refused in bulk is cut
-at its first block at fault by one walk over its headers, and the entries
-before the cut are walked only if refused. The parser alone turns the ids
-of a map into elements; `build_repsys` lays every table out, or names the
-first failing map, with one scatter. `parse` pauses the cyclic collector.
+the view-local indices of all its entries are found in one sorted array of
+(view, id) keys and kept as two int32 columns, and all runs' columns make
+one `MapTable`, with no `MapSpec` per map; a run refused in bulk is cut at its
+first block at fault by one walk over its headers, and the entries before
+the cut are walked only if refused. The parser alone turns the ids of a map
+into elements; `build_repsys` lays every table out from the columns, or
+names the first failing map, with one scatter. `parse` pauses the cyclic
+collector.
 Errors carry the 1-based line and column of their token, found once an
 error is raised by counting the tokens of every line in one pass and
 positioning the one line that holds it.
@@ -44,9 +46,9 @@ import gc
 import json
 import re
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, repeat
-from operator import index as as_index, is_not
+from itertools import accumulate, chain, count, repeat, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +70,8 @@ class ParseError(Exception):
 class MapSpec(NamedTuple):
     """One `map target<source` block: its explicit entries as two columns
     of view-local element indices, sources[k] (of the source view) ->
-    images[k] (of the target view), plus an optional default image."""
+    images[k] (of the target view), plus an optional default image; a
+    parsed document makes one only when its `MapTable` is read."""
 
     target: str
     source: str
@@ -77,8 +80,46 @@ class MapSpec(NamedTuple):
     default: int = None
 
 
+class MapTable(Sequence):
+    """The maps of a parsed repsys document, a read-only sequence of `MapSpec`
+    held in columns: per map its target and source view name, entry offsets
+    and default (-1 for none); per entry its source and image index (int32).
+    `[k]` makes one `MapSpec`, and a slice a tuple of them; a table equals a
+    table of the same columns or a tuple of the same specs, and hashes as one."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+        for column in columns[2:]:
+            column.flags.writeable = False
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        targets, sources, offsets, defaults, srcs, imgs = self.columns
+        k = range(len(self))[k]
+        lo, hi, d = *offsets[k:k + 2].tolist(), defaults[k].item()
+        return MapSpec(targets[k], sources[k], tuple(srcs[lo:hi].tolist()), tuple(imgs[lo:hi].tolist()), None if d < 0 else d)
+
+    def __eq__(self, other):
+        if isinstance(other, MapTable):
+            return all(map(np.array_equal, self.columns, other.columns))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"MapTable{tuple(self)!r}"
+
+
 @dataclass(frozen=True)
 class ModelDocument:
+    """A model document; a repsys's `maps` is a `MapTable` when parsed and
+    the tuple of `MapSpec` it was given when built in code."""
+
     kind: str
     name: str
     elements: tuple = ()
@@ -155,7 +196,7 @@ class _Keys:
     def __init__(self):
         self.codes, self.views, self.fresh, self.new = {"*": -1}, {}, count(), []
         # the last key lies above every (view, code) key, so a search stays in range
-        self.keys, self.locs = np.array([np.iinfo(np.int64).max]), np.array([-1])
+        self.keys, self.locs = np.array([np.iinfo(np.int64).max]), np.array([-1], np.int32)
 
     def add(self, name, elements):
         self.views[name] = len(self.views)
@@ -274,12 +315,13 @@ class _Parser:
             self.fail(f"unknown element {next(e for e in named if e not in seen)!r} in {name!r}")
         return ModelDocument(kind, name, elements, covers, ortho)
 
-    def map_run(self, views, maps):
+    def map_run(self, views, seen):
         """Read the run of map blocks from the header at the cursor up to the
-        next head that is not `map`, or up to _RUN_BLOCKS blocks, and add
-        their specs to maps, with whole-run list and string operations. A
-        refused run is cut at its first block at fault (`cut`), and its
-        first error is raised."""
+        next head that is not `map`, or up to _RUN_BLOCKS blocks, with
+        whole-run list and string operations, and add their keys to seen.
+        Returns the run's `MapTable` columns, with the entry count of each
+        block in place of the offsets. A refused run is cut at its first
+        block at fault (`cut`), and its first error is raised."""
         tokens, n, h = self.tokens, len(self.tokens), self.pos
         heads, spans, items, offsets = [], [], [], [0]
         while True:
@@ -300,8 +342,8 @@ class _Parser:
             h += 1
         # a header is one target<source key
         headers, fault = _split_pairs(heads, "<"), None
-        if e == n or headers is None or not views.keys() >= set(chain(*headers)) or len(set(heads)) != len(heads) or not maps.keys().isdisjoint(heads):
-            c, fault = self.cut(views, set(maps), heads, spans)
+        if e == n or headers is None or not views.keys() >= set(chain(*headers)) or len(set(heads)) != len(heads) or not seen.isdisjoint(heads):
+            c, fault = self.cut(views, set(seen), heads, spans)
             del heads[c:], spans[c:], items[offsets[c]:], offsets[c + 1:]
             headers = _split_pairs(heads, "<")
         # each distinct entry string is split and coded once; rank[k] numbers items[k]'s
@@ -320,12 +362,11 @@ class _Parser:
             self.refuse_entry(views, heads, spans)
         if fault:
             self.fail(*fault)
-        defaults = dict(zip(m.tolist(), b[star].tolist()))
-        ends = (np.array(offsets) - np.flatnonzero(star).searchsorted(offsets)).tolist()
-        srcs, imgs = tuple(a[~star].tolist()), tuple(b[~star].tolist())
-        blocks = list(map(slice, ends, ends[1:]))
-        maps.update(zip(heads, map(MapSpec, targets, sources, map(srcs.__getitem__, blocks), map(imgs.__getitem__, blocks), map(defaults.get, range(len(heads))))))
+        defaults = np.full(len(heads), -1, np.int32)
+        defaults[m] = b[star]
+        seen.update(heads)
         self.pos = h
+        return targets, sources, np.diff(np.array(offsets) - np.flatnonzero(star).searchsorted(offsets)), defaults, a[~star], b[~star]
 
     def cut(self, views, keys, heads, spans):
         """(c, (message, at)) for the first block of a run whose header,
@@ -372,7 +413,8 @@ class _Parser:
 
     def repsys(self, name):
         tokens = self.tokens
-        views, maps, self.keys = {}, {}, _Keys()
+        views, seen, self.keys = {}, set(), _Keys()
+        runs = [((), ()) + (np.zeros(0, np.int32),) * 4]  # no maps
         while True:
             at = self.pos
             if at == len(tokens):
@@ -398,10 +440,12 @@ class _Parser:
                 views[vname] = vdoc = self.structure(vkind, vname)
                 self.keys.add(vname, vdoc.elements)
             elif head == "map":
-                self.map_run(views, maps)
+                runs.append(self.map_run(views, seen))
             else:
                 self.fail(f"unknown section {head!r} in repsys", at)
-        return ModelDocument("repsys", name, views=tuple(views.items()), maps=tuple(maps.values()))
+        targets, sources, counts, *columns = zip(*runs)
+        offsets = np.concatenate(((0,), *counts)).cumsum()
+        return ModelDocument("repsys", name, views=tuple(views.items()), maps=MapTable(tuple(chain(*targets)), tuple(chain(*sources)), offsets, *map(np.concatenate, columns)))
 
 
 def parse(text):
@@ -562,14 +606,15 @@ def build_repsys(doc):
 
 def _scatter_tables(names, posets, maps):
     """(g, holes) for `_rs_from_array`: the maps' tables laid out in one
-    V x P array by one scatter. The identity block of each view without a
+    V x P array by one scatter from the columns of their `MapTable` (made
+    by `_map_table` for a tuple). The identity block of each view without a
     map to itself and each default over its map's block come first, then
     every entry; a source listed twice takes the image listed last. Raises
     unknown-view, then duplicate-map, unknown-element (a value that is not
     an index of its view) or incomplete-map (naming the first element the
     map misses), each at the first map in document order that has one."""
-    V, M = len(names), len(maps)
-    targets, sources, srcs, imgs, defaults = zip(*maps) if maps else ((),) * 5
+    targets, sources, offsets, d, a, b = (maps if isinstance(maps, MapTable) else _map_table(maps)).columns
+    V, M = len(names), len(targets)
     vi = dict(zip(names, count()))
     ti = np.fromiter(map(vi.get, targets, repeat(-1)), np.intp, M)
     si = np.fromiter(map(vi.get, sources, repeat(-1)), np.intp, M)
@@ -585,18 +630,12 @@ def _scatter_tables(names, posets, maps):
     P = int(off[-1])
     view_of = np.repeat(np.arange(V), sizes)  # the view of each pair
     local = np.arange(P) - off[view_of]  # its element
-    lens = np.fromiter(map(len, srcs), np.intp, M)
-    N = int(lens.sum())
-    owner = np.repeat(np.arange(M), lens)  # the map of each entry
+    owner = np.repeat(np.arange(M), np.diff(offsets))  # the map of each entry
     rows, cols = ti[owner], si[owner]
-    a, b = _indices(srcs, N), _indices(imgs, N)
-    given = np.fromiter(map(is_not, defaults, repeat(None)), bool, M)
-    d = np.full(M, -1, np.intp)
-    d[given] = _indices([list(compress(defaults, given))], -1)
     outside = np.bincount(owner, (a < 0) | (a >= sizes[cols]) | (b < 0) | (b >= sizes[rows]), M) > 0
-    outside |= given & ((d < 0) | (d >= sizes[ti]))
+    outside |= (d < -1) | (d >= sizes[ti])  # a default of -1 is none
     if outside.any():
-        key = maps[outside.argmax()][:2]
+        key = targets[outside.argmax()], sources[outside.argmax()]
         raise ValidationError("unknown-element", _NOT_AN_INDEX.format(*key), key)
     fill = np.full((V, V), -2, np.intp)  # -2: no map listed
     fill[ti, si] = d
@@ -606,28 +645,29 @@ def _scatter_tables(names, posets, maps):
     # numpy leaves unsaid which of the values assigned to one index is kept,
     # so each cell takes the entry listed last for it, found with maximum.at
     last = np.full(V * P, -1, np.intp)
-    np.maximum.at(last, rows * P + off[cols] + a, np.arange(N))
+    np.maximum.at(last, rows * P + off[cols] + a, np.arange(len(a)))
     cells = np.flatnonzero(last >= 0)
     np.put(g, cells, b[last[cells]])
     # a map with no default must fill each cell of its block
     short = (d < 0) & (np.bincount(owner[last[cells]], minlength=M) < sizes[si])
     if short.any():
         k = short.argmax()
-        m, hole = maps[k], posets[si[k]].elements[(g[ti[k], off[si[k]]:off[si[k] + 1]] < 0).argmax()]
-        raise ValidationError(
-            "incomplete-map", f"map {m.target}<{m.source} misses {hole!r} and has no default", (m.target, m.source, hole)
-        )
+        hole = posets[si[k]].elements[(g[ti[k], off[si[k]]:off[si[k] + 1]] < 0).argmax()]
+        raise ValidationError("incomplete-map", f"map {targets[k]}<{sources[k]} misses {hole!r} and has no default", (targets[k], sources[k], hole))
     np.fill_diagonal(fill, 0)
     return g, {(names[i], names[j]): "missing-transform" for i, j in zip(*(fill == -2).nonzero())}
 
 
-def _indices(columns, n):
-    """The n values of columns, one after another, as an intp array, with -1
-    for each that is not an integer (np.intp reads "1" as 1 and 1.7 as 1)."""
-    try:
-        return np.fromiter(map(as_index, chain.from_iterable(columns)), np.intp, n)
-    except TypeError:
-        return np.fromiter(map(_as_index, chain.from_iterable(columns)), np.intp, n)
+def _map_table(maps):
+    """The `MapTable` of maps, `MapSpec`s built in code, each value read by
+    `poset._as_index`' rule (a bool, "1" and 1.7 are no index); a value no
+    int32 index holds, a negative default or an entry's missing half is -2."""
+    index = lambda v: i if 0 <= (i := _as_index(v)) < 2**31 else -2
+    targets, sources, srcs, imgs, defaults = zip(*maps) if maps else ((),) * 5
+    pairs = list(map(list, map(zip_longest, srcs, imgs)))
+    offsets = np.fromiter(accumulate(map(len, pairs), initial=0), np.intp, len(maps) + 1)
+    d = np.fromiter((-1 if v is None else index(v) for v in defaults), np.int32, len(maps))
+    return MapTable(targets, sources, offsets, d, *np.fromiter(map(index, chain.from_iterable(chain(*pairs))), np.int32).reshape(-1, 2).T)
 
 
 def build(doc):

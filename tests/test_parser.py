@@ -7,6 +7,7 @@ import random
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -303,13 +304,14 @@ def test_parse_serialize_roundtrip(doc):
         assert parse(serialize(doc)) == doc == _read_by_runs(serialize(doc))
 
 
-def test_parse_serialize_roundtrip_on_shuffled_canonical_systems():
-    """The canonical systems of 2^4 and of Greechie cycle 5, written as
-    documents whose views list their elements in a shuffled order and whose
-    maps list their entries shuffled, half of them with one entry left to a
-    default: the index columns come back from parse(serialize(doc)) as they
-    went in, and build_repsys makes the system's tables from them."""
+@lru_cache(maxsize=None)
+def shuffled_canonical_systems():
+    """(system, document) for the canonical systems of 2^4 and of Greechie
+    cycle 5, written as documents whose views list their elements in a
+    shuffled order and whose maps list their entries shuffled, half of them
+    with one entry left to a default."""
     rng = random.Random(31)
+    out = []
     for model in (boolean_algebra(4), greechie_cycle(5)):
         brs = build_canonical_rs(as_orthoposet(shuffled(model, rng)))
         rs = brs.rs
@@ -328,7 +330,15 @@ def test_parse_serialize_roundtrip_on_shuffled_canonical_systems():
                 sources, images = tuple(position[j][x] for x in xs), tuple(position[i][table[x]] for x in xs)
                 maps.append(MapSpec(i, j, sources, images, default))
         rng.shuffle(maps)
-        doc = ModelDocument("repsys", "shuffled", views=tuple(views), maps=tuple(maps))
+        out.append((rs, ModelDocument("repsys", "shuffled", views=tuple(views), maps=tuple(maps))))
+    return tuple(out)
+
+
+def test_parse_serialize_roundtrip_on_shuffled_canonical_systems():
+    """The documents of `shuffled_canonical_systems`: the index columns come
+    back from parse(serialize(doc)) as they went in, and build_repsys makes
+    the system's tables from them."""
+    for rs, doc in shuffled_canonical_systems():
         assert parse(serialize(doc)) == doc == _read_by_runs(serialize(doc))
         built, _ = build_repsys(doc)
         for i in rs.views:

@@ -17,6 +17,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,7 +62,8 @@ from orthoview import (
     zoo_model,
 )
 from orthoview.conditions import WITNESS_CAP
-from orthoview.modelio import MapSpec, ModelDocument
+from orthoview import modelio
+from orthoview.modelio import MapSpec, MapTable, ModelDocument
 from orthoview.poset import OK
 
 from _models import (
@@ -92,6 +94,7 @@ from _models import (
     shuffled,
     table_array,
 )
+from test_parser import shuffled_canonical_systems
 
 
 @lru_cache(maxsize=None)
@@ -346,6 +349,117 @@ def test_an_integral_float_is_refused_by_build_and_written_by_serialize():
     doc = replace(parse(f"repsys r {{ {_AB} }}"), maps=(MapSpec("B", "A", (0, 1, 2), (0, 1, 2.0)),))
     assert outcome(build_repsys, doc) == ("unknown-element", ("B", "A"))
     assert parse(serialize(doc)) == doc
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("default", True),  # a bool, which operator.index takes as 1
+        ("sources", (True, 4)),
+        ("images", (2, False)),
+        ("default", "1"),  # values that are not integers, refused as before
+        ("sources", (1.7, 4)),
+        ("images", (2,)),  # columns of unequal length
+        ("images", (2, 4, 1)),
+        ("sources", ()),
+    ],
+)
+def test_a_hand_built_map_is_read_by_the_index_rule(field, value):
+    """The zoo firefly's map Y<X (sources (3, 4), default 0) with a bool,
+    a digit string or a float in place of one value, or with one column
+    shorter than the other: build_repsys reads every value of a hand-built
+    map by `poset._as_index`' rule, and an entry without its source or
+    image as no index, so each is refused as unknown-element with the
+    map's key."""
+    doc = zoo()["firefly"].doc
+    assert doc.maps[0] == MapSpec("Y", "X", (3, 4), (2, 4), 0)
+    bad = replace(doc, maps=(doc.maps[0]._replace(**{field: value}),) + doc.maps[1:])
+    assert outcome(build_repsys, bad) == ("unknown-element", ("Y", "X"))
+
+
+def test_a_parsed_map_table_reads_as_the_tuple_of_its_specs():
+    """A parsed document holds its maps as one MapTable: its length, items,
+    negative items, slices (tuples), iteration, equality and hash are those
+    of tuple(doc.maps), it equals the table of the same text, a document
+    holding the tuple equals and hashes as the parsed one, a spec swapped
+    in by slices still builds, and the columns are read-only."""
+    read = 0
+    for name, doc in map_documents():
+        t, specs = doc.maps, tuple(doc.maps)
+        assert isinstance(t, MapTable) and len(t) == len(specs), name
+        if not t:
+            continue
+        assert [t[k] for k in range(len(t))] == list(t) == list(specs) and t[-1] == specs[-1], name
+        for cut in (slice(None), slice(1, 5), slice(None, None, -2), slice(3, 3), slice(-2, None)):
+            assert type(t[cut]) is tuple and t[cut] == specs[cut], name
+        with pytest.raises(IndexError):
+            t[len(t)]
+        assert t == specs and specs == t and t != specs[:-1] and t != list(specs) and hash(t) == hash(specs), name
+        assert t == parse(serialize(doc)).maps, name
+        # the table of a document with one image or one default changed differs
+        for k, m in enumerate(t):
+            n = len(dict(doc.views)[m.target].elements)
+            if n > 1 and m.images:
+                edits = [m._replace(images=((m.images[0] + 1) % n,) + m.images[1:])]
+                edits += [m._replace(default=(m.default + 1) % n)] if m.default is not None else []
+                for edit in edits:
+                    assert parse(serialize(replace(doc, maps=t[:k] + (edit,) + t[k + 1:]))).maps != t, name
+                break
+        held = replace(doc, maps=specs)
+        assert held == doc and doc == held and hash(held) == hash(doc), name
+        k = len(t) // 2
+        swapped = replace(doc, maps=t[:k] + (t[k]._replace(sources=t[k].sources[::-1], images=t[k].images[::-1]),) + t[k + 1:])
+        assert build_repsys(swapped)[0].G.tolist() == build_repsys(doc)[0].G.tolist(), name
+        assert not any(column.flags.writeable for column in t.columns[2:]), name
+        read += 1
+    assert read > 10
+    doc = parse(f"repsys r {{ {_AB} }}")
+    assert doc == replace(doc, maps=()) and hash(doc) == hash(replace(doc, maps=())) and doc.maps[:] == ()
+
+
+def test_no_map_spec_is_built_from_parse_to_scatter(monkeypatch):
+    """parse and build_repsys read a document's maps as columns: with
+    MapSpec gone they still build the zoo firefly and a canonical system."""
+    texts = [zoo()["firefly"].text, serialize(map_documents()[-1][1])]
+    want = [build_repsys(parse(text))[0].G.tolist() for text in texts]
+    monkeypatch.setattr(modelio, "MapSpec", None)
+    assert [build_repsys(parse(text))[0].G.tolist() for text in texts] == want
+
+
+def _same_build(name, doc):
+    """build_repsys of a parsed document against build_repsys of the same
+    document holding tuple(doc.maps): the same G, cid, holes and orthos,
+    or the same error."""
+    got, want = outcome(build_repsys, doc), outcome(build_repsys, replace(doc, maps=tuple(doc.maps)))
+    if "ok" not in (got[0], want[0]):
+        assert got == want, name
+        return
+    (rs, orthos), (rs2, orthos2) = got[1], want[1]
+    assert rs.G.tolist() == rs2.G.tolist() and rs.cid.tolist() == rs2.cid.tolist() and rs.holes == rs2.holes, name
+    assert [o and list(o.ortho) for o in orthos] == [o and list(o.ortho) for o in orthos2], name
+
+
+@pytest.mark.parametrize("seed", [603007, 1])
+def test_a_table_and_its_tuple_of_specs_build_one_system(seed, tmp_path, monkeypatch):
+    """The parser's columns against the columns `_map_table` makes from a
+    tuple of MapSpec, through build_repsys, on the zoo, the benchmark's
+    `system` and `ingest` repsys documents at this seed and the shuffled
+    parser and map corpora."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import workloads
+
+    docs = [(name, model.doc) for name, model in zoo().items() if model.kind == "repsys"]
+    for workload in ("system", "ingest"):
+        workloads.build(workload, seed, tmp_path / workload)
+        for path in sorted((tmp_path / workload).glob("*.oml")):
+            text = path.read_text()
+            if text.startswith("repsys") and "syntax" not in path.name:
+                docs.append((path.name, parse(text)))
+    assert sum(name.endswith("_rs.oml") for name, _ in docs) == 9 + 3
+    docs += [("shuffled", parse(serialize(doc))) for _, doc in shuffled_canonical_systems()]
+    docs += list(map_documents())
+    for name, doc in docs:
+        _same_build(name, doc)
 
 
 @pytest.mark.parametrize(
