@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,26 +79,29 @@ def subalgebra(o, carrier):
 
 
 def _atom_joins(join, ortho, least, atoms):
-    """The host joins of every subset of atoms, c[X] the join of those in
+    """The host joins of every subset of atoms, read from the join table as
+    nested lists and the complements as a list, c[X] the join of those in
     the bitmask X, as a sorted carrier; None at the first missing join or
     if the complement of some c[X] is not c[-1 - X], the join of the others.
     While every join exists they are distinct (an atom below the join of
     others is below its complement too), so c never outgrows 2n."""
-    c = np.array([least], dtype=np.intp)
+    c = [least]
     for a in atoms:
-        if (j := join[c, a]).min() < 0:
+        if min(j := list(map(join[a].__getitem__, c))) < 0:
             return None
-        c = np.concatenate([c, j])
-    return None if (ortho[c] != c[::-1]).any() else tuple(sorted(set(c.tolist())))
+        c += j
+    return None if [ortho[x] for x in c] != c[::-1] else tuple(sorted(set(c)))
 
 
 def enumerate_boolean_subalgebras(o, cap=32):
     """All boolean subalgebras, in (size, carrier) order.
 
     A depth-first search over atom sets in index order proposes them: a
-    node (last atom, host join j so far, atoms) grows by each a > last,
-    a != 0, with a <= j' (orthogonal to every atom chosen) and a host join
-    with j. At j = 1 the candidate is the host joins of the atoms' subsets,
+    node (last atom, host join j so far, atoms) grows by each a > last in
+    j's ascending list of candidates, the a != 0 with a <= j' (orthogonal to
+    every atom chosen) and a host join with j. The lists and the join table
+    are Python lists made before the search, so no numpy call runs inside
+    it. At j = 1 the candidate is the host joins of the atoms' subsets,
     admitted with the search's atoms unless `_atom_joins` refuses it.
 
     The host must be an orthoposet that passed its laws, as every
@@ -117,16 +121,17 @@ def enumerate_boolean_subalgebras(o, cap=32):
     """
     if o.n > cap:
         raise ValidationError("cap-exceeded", f"{o.n} elements exceeds the cap of {cap}")
-    join, _ = o.poset.tables()
-    ortho = np.array(o.ortho)
-    below = np.ascontiguousarray(o.poset.leq.T)  # below[y, a]: a <= y
+    join, ortho = o.poset.tables()[0], list(o.ortho)
+    fit = o.poset.leq.T[ortho] & (join >= 0)  # fit[x, a]: a <= x' and x v a exists
+    fit[:, o.least] = False
+    ends, cands = [0, *fit.sum(axis=1).cumsum().tolist()], np.nonzero(fit)[1].tolist()
+    rows, join = [cands[i:j] for i, j in zip(ends, ends[1:])], join.tolist()
     found, stack = [], [(-1, o.least, ())]
     while stack:
         last, cur, atoms = stack.pop()
         if cur != o.greatest:
-            nxt = below[ortho[cur]] & (join[cur] >= 0)
-            nxt[:last + 1] = nxt[o.least] = False
-            stack.extend((a, int(join[cur, a]), atoms + (a,)) for a in np.flatnonzero(nxt)[::-1].tolist())
+            row, jc = rows[cur], join[cur]
+            stack.extend((a, jc[a], atoms + (a,)) for a in reversed(row[bisect_right(row, last):]))
         elif (c := _atom_joins(join, ortho, o.least, atoms)) is not None:
             found.append(BooleanSubalgebra(c, atoms))
     return tuple(sorted(found, key=lambda s: (s.size, s.carrier)))

@@ -500,10 +500,13 @@ def serialize(doc):
     for m in doc.maps:
         src, dst = elements[m.source], elements[m.target]
         try:
-            entries = [f"    {src[a]}->{dst[b]}" for a, b in zip(m.sources, m.images)]
+            if any(isinstance(v, bool) for v in (m.default, *m.sources, *m.images)):
+                raise KeyError  # a dict reads True as the key 1, but no bool is an index
+            entries = [f"    {src[a]}->{dst[b]}" for a, b in zip(m.sources, m.images, strict=True)]
             if m.default is not None:
                 entries.append(f"    * -> {dst[m.default]}")
-        except KeyError:  # a dict refuses the negative index a tuple counts from its end
+        # a dict refuses the negative index a tuple counts from its end, zip columns of unequal length
+        except (KeyError, ValueError):
             raise ValidationError("unknown-element", _NOT_AN_INDEX.format(*m[:2]), m[:2]) from None
         body = " ;\n".join(entries)
         chunks.append(f"  map {m.target}<{m.source} {{\n{body}\n  }}")

@@ -211,6 +211,38 @@ def test_enumeration_matches_worklist_on_large_hosts(model):
     assert enumerate_boolean_subalgebras(o, cap=128) == reference_worklist_subalgebras(o)
 
 
+def random_pasting(rng, k):
+    """A Greechie diagram of three-atom blocks: a loop of order k, then up
+    to two blocks, each through one drawn atom and two new ones or through
+    two drawn atoms that share no block (which closes more loops) and a new
+    one. No two blocks share two atoms."""
+    blocks = [(f"a{i}", f"b{i}", f"a{(i + 1) % k}") for i in range(k)]
+    for j in range(rng.randint(0, 2)):
+        atoms = sorted({a for b in blocks for a in b})
+        u = rng.choice(atoms)
+        apart = [v for v in atoms if v != u and not any(u in b and v in b for b in blocks)]
+        blocks.append((u, rng.choice(apart), f"c{j}") if rng.random() < 0.5 else (u, f"c{j}", f"d{j}"))
+    return blocks
+
+
+def test_enumeration_matches_worklist_on_random_pastings(monkeypatch):
+    """Random Greechie pastings with loops of order 3, 4 and 5-7, under
+    shuffled labels. The shortest loop decides the kind: order 3 leaves the
+    pasting no OMP, order 4 an OMP that is no OML, and order 5 or more an
+    OML (Greechie 1971; McKay, Megill and Pavicic 2000). The search returns the
+    worklist's (carrier, atoms) list in its order, each result passes the
+    one-carrier check, and both outcomes of `_atom_joins` are reached."""
+    calls = checked_candidates(monkeypatch)
+    rng = random.Random(97)
+    for k in [3, 4, 5, 6, 7] * 4:
+        o = as_orthoposet(shuffled(greechie_pasting(random_pasting(rng, k)), rng))
+        subs = enumerate_boolean_subalgebras(o, cap=128)
+        assert [(s.carrier, s.atoms) for s in subs] == [(s.carrier, s.atoms) for s in reference_worklist_subalgebras(o)]
+        for sub in subs:
+            assert subalgebra(o, sub.carrier) == sub
+    assert {carrier is None for _, carrier in calls} == {True, False}
+
+
 def test_subalgebra_boolean_check_matches_reference():
     # closed carriers, so only distributivity and the cardinality decide
     rng = random.Random(29)
@@ -278,7 +310,7 @@ def test_atom_joins_admit_exactly_the_boolean_closures():
     hosts += [as_orthoposet(shuffled(m, rng)) for m in [double_chain(h) for h in range(1, 6)] + [greechie_cycle(4)]]
     outcomes = Counter()
     for o in hosts:
-        join, ortho = o.poset.tables()[0], np.array(o.ortho)
+        join, ortho = o.poset.tables()[0].tolist(), list(o.ortho)
         for atoms in orthogonal_sets(o):
             j = o.least
             for a in atoms:
@@ -323,8 +355,9 @@ def test_atom_joins_refuse_at_the_first_missing_join():
     """A candidate is refused at its first missing join, so the joins of
     its atoms never outgrow 2n entries: while every join exists they are
     distinct. Building all 2^k joins of the prefix/suffix host's k
-    singletons first would ask for 2^30 entries here; the table is read
-    through a wrapper that records the widest gather."""
+    singletons first would ask for 2^30 entries here; each join row is read
+    through a wrapper that counts its lookups, so the widest count is the
+    longest c that one atom's joins read."""
     from orthoview.decompose import _atom_joins
 
     o, sets = prefix_suffix_host(30)
@@ -335,13 +368,21 @@ def test_atom_joins_refuse_at_the_first_missing_join():
         def __init__(self, table):
             self.table, self.widest = table, 0
 
-        def __getitem__(self, key):
-            self.widest = max(self.widest, len(key[0]))
-            assert self.widest <= o.n, self.widest
-            return self.table[key]
+        def __getitem__(self, a):
+            return Row(self, self.table[a])
 
-    join = Widest(o.poset.tables()[0])
-    assert _atom_joins(join, np.array(o.ortho), o.least, singletons) is None
+    class Row:
+        def __init__(self, table, row):
+            self.table, self.row, self.reads = table, row, 0
+
+        def __getitem__(self, x):
+            self.reads += 1
+            self.table.widest = max(self.table.widest, self.reads)
+            assert self.table.widest <= o.n, self.table.widest
+            return self.row[x]
+
+    join = Widest(o.poset.tables()[0].tolist())
+    assert _atom_joins(join, list(o.ortho), o.least, singletons) is None
     assert join.widest == 4  # {1} | {3} is missing from c = (0, {1}, {2}, {1, 2})
     subs = enumerate_boolean_subalgebras(o, cap=128)
     assert carriers(o, subs) == carriers(o, reference_worklist_subalgebras(o))

@@ -370,11 +370,15 @@ def test_a_hand_built_map_is_read_by_the_index_rule(field, value):
     shorter than the other: build_repsys reads every value of a hand-built
     map by `poset._as_index`' rule, and an entry without its source or
     image as no index, so each is refused as unknown-element with the
-    map's key."""
+    map's key. serialize refuses each with the same error and message,
+    where it would write a bool as the element 0 or 1 and cut the longer
+    column."""
     doc = zoo()["firefly"].doc
     assert doc.maps[0] == MapSpec("Y", "X", (3, 4), (2, 4), 0)
     bad = replace(doc, maps=(doc.maps[0]._replace(**{field: value}),) + doc.maps[1:])
-    assert outcome(build_repsys, bad) == ("unknown-element", ("Y", "X"))
+    assert outcome(build_repsys, bad) == outcome(serialize, bad) == ("unknown-element", ("Y", "X"))
+    with pytest.raises(ValidationError, match="^map Y<X names a value that is not an element index of its views$"):
+        serialize(bad)
 
 
 def test_a_parsed_map_table_reads_as_the_tuple_of_its_specs():
