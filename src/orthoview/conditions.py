@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import OK, InternalCheckError, ValidationError, Verdict
+from .poset import OK, InternalCheckError, ValidationError, Verdict, _compose
 from .ortho import is_orthomodular_lattice
 from .sums import _per_system, closure_table
 
@@ -20,7 +20,7 @@ def check_condition_omp(s, rs):
     that no single view can observe.
     """
     fixed = closure_table(s, rs) == np.arange(s.order.n)
-    bad = np.argwhere(s.order.leq & ~(fixed.T @ fixed))
+    bad = np.argwhere(s.order.leq & ~_compose(fixed.T, fixed))
     if len(bad):
         a, b = bad[0]
         return Verdict(False, "no-shared-view", (s.label(a), s.label(b)))

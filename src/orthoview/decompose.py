@@ -217,7 +217,9 @@ def build_canonical_rs(o, cap=32, subs=None):
 
 def compatible(o, x, y, subs):
     """True iff some boolean subalgebra of o in subs, the result of
-    `enumerate_boolean_subalgebras(o)`, contains both elements."""
+    `enumerate_boolean_subalgebras(o)`, contains both elements. An index
+    outside 0..n-1 raises unknown-element first."""
+    o.poset._check_index(x, y)
     return any(x in sub and y in sub for sub in subs)
 
 

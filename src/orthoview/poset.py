@@ -74,15 +74,13 @@ def _relabel(a, perm):
     return a[(*_each(a), perm[..., :, None], perm[..., None, :])]
 
 
-def _compose(rel):
-    """The boolean product rel @ rel of a matrix, or of each matrix of a
-    stack, on packed rows: row i ORs the packed rows k with rel[..., i, k],
-    one 64-bit word column at a time."""
-    up = _packed(rel)
-    out = np.empty_like(up)
-    for w in range(up.shape[-1]):
-        out[..., w] = np.bitwise_or.reduce(np.where(rel, up[..., None, :, w], np.uint64(0)), axis=-1)
-    return np.unpackbits(out.view(np.uint8), axis=-1, count=rel.shape[-1], bitorder="little").astype(bool)
+def _compose(a, b):
+    """The boolean product a @ b of two matrices, or of each pair of
+    matrices of two stacks: [..., i, j] is True iff some k has a[..., i, k]
+    and b[..., k, j]. The 0/1 entries are multiplied as float32, which
+    numpy hands to BLAS (a boolean `@` runs without it); each sum counts
+    the k that hold, exactly while the inner dimension is below 2^24."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 def _closure(rel):
@@ -90,7 +88,7 @@ def _closure(rel):
     stack, by squaring with `_compose` until nothing changes: about
     log2(height) rounds."""
     rel = rel | np.eye(rel.shape[-1], dtype=bool)
-    while not ((nxt := _compose(rel)) == rel).all():
+    while not ((nxt := _compose(rel, rel)) == rel).all():
         rel = nxt
     return rel
 
@@ -183,7 +181,7 @@ _ORDER_LAWS = (
         "cycle: {0!r} <= {1!r} <= {0!r}",
         lambda els, leq: leq & leq.swapaxes(-1, -2) & ~np.eye(leq.shape[-1], dtype=bool),
     ),
-    ("transitivity", "missing {0!r} <= {1!r}", lambda els, leq: _compose(leq) & ~leq),
+    ("transitivity", "missing {0!r} <= {1!r}", lambda els, leq: _compose(leq, leq) & ~leq),
 )
 # The laws left to check on an order `_closure` made: it is reflexive and
 # transitive by construction.
@@ -328,7 +326,7 @@ class FinitePoset:
     def covers(self):
         """Hasse cover pairs (i, j): i < j with nothing strictly between."""
         lt = self.leq & ~np.eye(self.n, dtype=bool)
-        cover = lt & ~_compose(lt)
+        cover = lt & ~_compose(lt, lt)
         return [(int(i), int(j)) for i, j in np.argwhere(cover)]
 
     def heights(self):

@@ -7,7 +7,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .poset import OK, FinitePoset, InternalCheckError, ValidationError, Verdict
+from .poset import OK, FinitePoset, InternalCheckError, ValidationError, Verdict, _compose
 from .ortho import OrthoPoset, _cached
 from .repsys import _above
 
@@ -52,9 +52,8 @@ def build_presum(rs):
     if not (rs.monotony and rs.composition):
         # reach[r, s]: some pair of column s lies in row r, so row cid[a] of
         # extra is row a of (rel @ rel) & ~rel, read at its first entry
-        reach = np.zeros((len(above), len(above)), dtype=bool)
-        np.logical_or.at(reach.T, cid, above.T)
-        extra = (reach @ above) & ~above
+        reach = _compose(above, cid[:, None] == np.arange(len(above)))
+        extra = _compose(reach, above) & ~above
         bad = extra.any(axis=1)[cid]
         if bad.any():
             a = int(bad.argmax())

@@ -660,6 +660,18 @@ def test_upper_projection_refuses_unknown_elements():
         assert (err.value.code, err.value.witness) == ("unknown-element", (x,))
 
 
+def test_compatible_refuses_unknown_elements():
+    # True and 1.0 would read element 1, an atom, and n would find no
+    # carrier holding it; each is refused in either place
+    o = zoo_ortho("MO2")
+    subs = enumerate_boolean_subalgebras(o)
+    for bad in (-1, o.n, True, 1.0):
+        for x, y in ((bad, 0), (0, bad)):
+            with pytest.raises(ValidationError) as err:
+                compatible(o, x, y, subs)
+            assert (err.value.code, err.value.witness) == ("unknown-element", (bad,))
+
+
 def test_upper_projection_outside_a_subalgebra_is_internal():
     from orthoview import BooleanSubalgebra, InternalCheckError
 

@@ -271,13 +271,43 @@ def test_packed_kernels_match_references(n, kind, seed):
         assert FinitePoset([f"e{i}" for i in range(n)], leq).is_lattice().ok
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(_SIZES), st.sampled_from([0.5, 2, 8, 32]), st.integers(0, 2**32 - 1))
-def test_compose_is_the_boolean_square(n, density, seed):
-    rel = np.random.default_rng(seed).random((n, n)) < density / n
-    got = _compose(rel)
-    assert got.dtype == bool and got.shape == (n, n)
-    assert (got == (rel @ rel)).all()
+_PRODUCTS = ("square", "stack", "views", "presum", "empty")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_PRODUCTS), st.sampled_from(_SIZES), st.sampled_from([0.5, 2, 8, 32]), st.integers(0, 2**32 - 1))
+@example("square", 65, 8, 0)
+@example("stack", 64, 8, 0)
+@example("views", 129, 2, 0)
+@example("presum", 63, 2, 0)
+@example("empty", 5, 2, 0)
+def test_compose_is_the_boolean_square(product, n, density, seed):
+    """`_compose` is numpy's boolean `@` on every shape it is called on: a
+    relation squared; a stack of m relations, each squared; the n x V @
+    V x n product of a fixed matrix's transpose with itself; the R x R @
+    R x P product of the pre-sum's reach and rows; and an empty inner
+    dimension, where every entry is False."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.random(shape) < density / n
+
+    if product == "square":
+        a = b = draw(n, n)
+    elif product == "stack":
+        a = b = draw(int(rng.integers(2, 5)), n, n)
+    elif product == "views":
+        b = draw(int(rng.integers(1, 4 * n + 1)), n)
+        a = b.T
+    elif product == "presum":
+        a, b = draw(n, n), draw(n, int(rng.integers(n, 4 * n + 1)))
+    else:
+        a, b = draw(n, 0), draw(0, int(rng.integers(0, n + 1)))
+    want = a @ b
+    got = _compose(a, b)
+    assert got.dtype == bool and got.shape == want.shape
+    assert (got == want).all()
+    assert product != "empty" or not got.any()
 
 
 @pytest.mark.parametrize("n", [64, 65, 129])

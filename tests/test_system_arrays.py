@@ -898,18 +898,36 @@ def test_each_system_paired_with_a_sum_gets_its_own_arrays():
             assert not (amp.table.flags.writeable or amp.chosen_view.flags.writeable), name
 
 
+def subfamily_cases():
+    """(name, rs, sum): six random view subfamilies of each canonical
+    system of `SUBFAMILY_HOSTS`, each with its own sum."""
+    rng = random.Random(32)
+    cases = []
+    for k in range(len(SUBFAMILY_HOSTS)):
+        rs = canonical_with_carriers(k)[1].rs
+        for _ in range(6):
+            sub = subfamily(rs, sorted(rng.sample(range(len(rs.views)), rng.randint(1, len(rs.views)))))
+            cases.append((f"subfamily {k}", sub, quotient_sum(build_presum(sub))))
+    return cases
+
+
 def test_conditions_match_reference():
-    seen = set()
-    for name, rs, s in closure_cases():
-        try:
-            table = reference_closure_table(s, rs)
-        except InternalCheckError:
-            continue
-        for check, reference in ((check_condition_omp, reference_condition_omp), (check_condition_oml, reference_condition_oml)):
-            got = outcome(check, s, rs)
-            assert got == ("ok", reference(s, table)), name
-            seen.add(got[1][1])
-    assert {"", "no-shared-view", "no-preferred-view"} <= seen
+    """Both condition verdicts are the plain scans', on every system paired
+    with a sum and on view subfamilies of canonical systems, where
+    comparable classes can lack a shared view; each set reaches every
+    verdict."""
+    for cases in (closure_cases(), subfamily_cases()):
+        seen = set()
+        for name, rs, s in cases:
+            try:
+                table = reference_closure_table(s, rs)
+            except InternalCheckError:
+                continue
+            for check, reference in ((check_condition_omp, reference_condition_omp), (check_condition_oml, reference_condition_oml)):
+                got = outcome(check, s, rs)
+                assert got == ("ok", reference(s, table)), name
+                seen.add(got[1][1])
+        assert {"", "no-shared-view", "no-preferred-view"} <= seen
 
 
 def test_preferred_views_match_reference_on_every_pair():
@@ -919,14 +937,7 @@ def test_preferred_views_match_reference_on_every_pair():
     canonical systems; both sets reach pairs with no preferred view."""
     import orthoview.conditions as cond
 
-    rng = random.Random(32)
-    subfamilies = []
-    for k in range(len(SUBFAMILY_HOSTS)):
-        rs = canonical_with_carriers(k)[1].rs
-        for _ in range(6):
-            sub = subfamily(rs, sorted(rng.sample(range(len(rs.views)), rng.randint(1, len(rs.views)))))
-            subfamilies.append((f"subfamily {k}", sub, quotient_sum(build_presum(sub))))
-    for cases in (closure_cases(), subfamilies):
+    for cases in (closure_cases(), subfamily_cases()):
         failing = 0
         for name, rs, s in cases:
             try:
